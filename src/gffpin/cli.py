@@ -154,8 +154,15 @@ SCHEMAS = {
 
 def validate(command, raw_config) -> list[str]:
     """Return the list of violations; empty iff a run would start."""
+    return _check(command, raw_config)[0]
+
+
+def _check(command, raw_config):
+    """(violations, parsed config). A command with a `kernel_file` key gets
+    the loaded kernel under `kernel`, so that a malformed kernel is a config
+    error and no handler parses the file again."""
     if command not in SCHEMAS:
-        return [f"unknown command {command!r}"]
+        return [f"unknown command {command!r}"], {}
     schema = dict(SCHEMAS[command])
     schema["seed"] = ("int", True)
     violations = []
@@ -173,10 +180,10 @@ def validate(command, raw_config) -> list[str]:
         except (ValueError, ValidationError) as exc:
             violations.append(f"bad value for {key!r}: {exc}")
     if violations:
-        return violations
+        return violations, parsed
 
     def positive(key, what="positive"):
-        if key in parsed and parsed[key] <= 0:
+        if key in parsed and not parsed[key] > 0:
             violations.append(f"{key} must be {what}")
 
     positive("epsilon")
@@ -186,17 +193,23 @@ def validate(command, raw_config) -> list[str]:
     positive("reps")
     positive("n")
     positive("kappa")
+    positive("tol")
     if "eps_list" in parsed:
         eps = parsed["eps_list"]
-        if any(e <= 0 for e in eps):
-            violations.append("epsilon must be positive")
+        if not all(0 < e < math.inf for e in eps):
+            violations.append("epsilon must be positive and finite")
         if command in ("variance-scan", "mass-scan"):
             if len(eps) < 3:
                 violations.append("eps_list needs at least 3 points")
             elif any(b >= a for a, b in zip(eps, eps[1:])):
                 violations.append("eps_list must be strictly decreasing")
-    if "kernel_file" in parsed and not os.path.isfile(parsed["kernel_file"]):
-        violations.append(f"kernel file {parsed['kernel_file']!r} not found")
+    if "kernel_file" in parsed:
+        try:
+            parsed["kernel"] = kernel_from_file(parsed["kernel_file"])
+        except FileNotFoundError:
+            violations.append(f"kernel file {parsed['kernel_file']!r} not found")
+        except (OSError, ValueError, ValidationError) as exc:
+            violations.append(f"kernel file {parsed['kernel_file']!r}: {exc}")
     if command == "variance-scan" and "box_radius" in parsed and not violations:
         c = parsed.get("policy_c", 1.5)
         floor = max(scaling.variance_box_policy(e, c, parsed.get("min_radius", 8))
@@ -220,11 +233,10 @@ def validate(command, raw_config) -> list[str]:
         if (not violations
                 and parsed.get("mode", "bernoulli-surrogate") == "bernoulli-surrogate"):
             try:
-                scaling.check_plane_target(
-                    kernel_from_file(parsed["kernel_file"]))
+                scaling.check_plane_target(parsed["kernel"])
             except ValidationError as exc:
                 violations.append(str(exc))
-    return violations
+    return violations, parsed
 
 
 def parse_command_config(command, raw_config) -> dict:
@@ -301,12 +313,8 @@ class Manifest:
 # command implementations
 
 
-def _load_kernel(cfg):
-    return kernel_from_file(cfg["kernel_file"])
-
-
 def _cmd_kernel_info(cfg, out, manifest, jobs):
-    k = _load_kernel(cfg)
+    k = cfg["kernel"]
     rows = [("dim", k.d), ("lazy", k.lazy), ("beta_eff", k.beta_eff),
             ("p0", k.p0), ("aperiodic", k.aperiodic), ("max_step", k.max_step),
             ("sqrt_det_cov", k.sqrt_det_cov)]
@@ -322,7 +330,7 @@ def _cmd_kernel_info(cfg, out, manifest, jobs):
 
 
 def _cmd_green_probe(cfg, out, manifest, jobs):
-    k = _load_kernel(cfg)
+    k = cfg["kernel"]
     region = box_region(k, cfg["box_radius"], pins=cfg.get("pins", ()))
     rows = []
     for probe in cfg["probes"]:
@@ -339,7 +347,7 @@ def _cmd_green_probe(cfg, out, manifest, jobs):
 
 
 def _cmd_pins_sample(cfg, out, manifest, jobs):
-    k = _load_kernel(cfg)
+    k = cfg["kernel"]
     region = box_region(k, cfg["box_radius"])
     state = pinning.sample_pins(
         region, cfg["epsilon"], cfg["sweeps"], cfg["seed"],
@@ -353,7 +361,7 @@ def _cmd_pins_sample(cfg, out, manifest, jobs):
 
 
 def _cmd_fkg_check(cfg, out, manifest, jobs):
-    k = _load_kernel(cfg)
+    k = cfg["kernel"]
     region = box_region(k, cfg["box_radius"])
     rows = []
     for eps in cfg["eps_list"]:
@@ -366,7 +374,7 @@ def _cmd_fkg_check(cfg, out, manifest, jobs):
 
 
 def _cmd_domination_check(cfg, out, manifest, jobs):
-    k = _load_kernel(cfg)
+    k = cfg["kernel"]
     region = box_region(k, cfg["box_radius"])
     res = pinning.empty_probability(
         region, cfg["epsilon"], cfg["targets"], cfg["samples"], cfg["seed"],
@@ -381,7 +389,7 @@ def _cmd_domination_check(cfg, out, manifest, jobs):
 
 
 def _cmd_variance_scan(cfg, out, manifest, jobs):
-    k = _load_kernel(cfg)
+    k = cfg["kernel"]
     res = scaling.variance_scan(
         k, cfg["eps_list"], budget=cfg["budget"], seed=cfg["seed"],
         replicas=cfg.get("replicas", 4), policy_c=cfg.get("policy_c", 1.5),
@@ -404,7 +412,7 @@ def _cmd_variance_scan(cfg, out, manifest, jobs):
 
 
 def _cmd_mass_scan(cfg, out, manifest, jobs):
-    k = _load_kernel(cfg)
+    k = cfg["kernel"]
     res = scaling.mass_scan(
         k, cfg["eps_list"], mode=cfg.get("mode", "bernoulli-surrogate"),
         budget=cfg["budget"], seed=cfg["seed"],
@@ -433,7 +441,7 @@ def _cmd_mass_scan(cfg, out, manifest, jobs):
 
 
 def _cmd_range_stats(cfg, out, manifest, jobs):
-    k = _load_kernel(cfg)
+    k = cfg["kernel"]
     rows = []
     _, est = simulate_range(k, cfg["n"], cfg["reps"], cfg["seed"])
     rows.append(("mean_range", cfg["n"], est.mean, est.stderr, est.n, ""))
@@ -461,8 +469,15 @@ def _cmd_renewal1d(cfg, out, manifest, jobs):
         model = renewal1d.renewal_model(eps, tol=cfg.get("tol", 1e-12))
         big_m = renewal1d.renewal_mean(model)
         var = renewal1d.variance_1d(model)
-        rows.append((eps, model.lam, model.lam / (eps * eps / 2.0), big_m,
-                     big_m * eps**3, var, var * 2.0 * eps * eps))
+        try:
+            row = (eps, model.lam, model.lam / (eps * eps / 2.0), big_m,
+                   big_m * eps**3, var, var * 2.0 * eps * eps)
+            if not all(map(math.isfinite, row)):
+                raise OverflowError
+        except OverflowError:
+            raise NumericalError(
+                f"a renewal1d column overflows at epsilon {eps!r}") from None
+        rows.append(row)
     write_csv(os.path.join(out, "renewal1d.csv"),
               ("epsilon", "lambda", "lambda_over_eps2_half", "M",
                "M_times_eps3", "variance", "variance_times_2eps2"), rows)
@@ -470,7 +485,7 @@ def _cmd_renewal1d(cfg, out, manifest, jobs):
 
 
 def _cmd_box_stability(cfg, out, manifest, jobs):
-    k = _load_kernel(cfg)
+    k = cfg["kernel"]
     rows = [(r.radius, cfg["probe"], r.value.mean, r.value.stderr, r.value.n)
             for r in pinning.box_stability(
                 k, cfg["epsilon"], cfg["radii"], cfg["probe"], cfg["samples"],
@@ -496,12 +511,11 @@ _HANDLERS = {
 
 def run(command, raw_config, out_dir, jobs=1) -> int:
     """Validate, dispatch, and write artifacts; returns the exit status."""
-    violations = validate(command, raw_config)
+    violations, cfg = _check(command, raw_config)
     if violations:
         for v in violations:
             print(f"config error: {v}", file=sys.stderr)
         return 2
-    cfg = parse_command_config(command, raw_config)
     os.makedirs(out_dir, exist_ok=True)
     manifest = Manifest(out_dir, command, raw_config, jobs)
     try:

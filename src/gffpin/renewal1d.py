@@ -1,10 +1,10 @@
 """The one-dimensional pinned chain via renewal theory.
 
-Pinned sites form a renewal process whose spacing density is eps * f(k)
-tilted by exp(-lambda k), where f(k) = 1/sqrt(2 pi k) is the k-fold
-convolution of the unit Gaussian step at height zero. The tilt lambda(eps)
-normalizing the density is simultaneously the mass of the chain; the field
-between pins is a Gaussian bridge with E(S_m^2 | S_n = 0) = m (n - m)/n.
+Pinned sites form a renewal process with spacing law eps e^{-lam k} f(k),
+k >= 1, f(k) = 1/sqrt(2 pi k) the return density of the Gaussian walk. The
+tilt lam(eps) normalizing it is the mass of the chain; between pins the field
+is a Gaussian bridge with E(S_m^2 | S_n = 0) = m (n - m)/n. The sums over
+gaps are polylogarithms at e^{-lam}, summed in closed form by `_polylogs`.
 """
 
 from __future__ import annotations
@@ -13,12 +13,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erf, erfc, factorial, gamma, zeta
 
 from .errors import NumericalError, ValidationError
 from .stats import replica_rng
 
 TOL = 1e-12
+ZETA_HALF = -1.4603545088095868  # zeta(1/2)
+LAM_SERIES = 1.0    # zeta series below, direct sum at and above
+SERIES_TERMS = 24   # series error below 1e-15 relative for lam < 1
+DIRECT_SPAN = 45.0  # e^{-45} ~ 3e-20 relative to the first term
+LAM_GEOMETRIC = 0.25  # both gap proposals accept 60% here (simulate_gaps)
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_S = np.array([0.5, -0.5, -1.5])
+_N = np.arange(SERIES_TERMS)
+_ZETA = zeta(_S[:, None] - _N) / factorial(_N)  # zeta(s - n) / n!
 
 
 def f_pmf(k) -> float:
@@ -29,126 +39,96 @@ def f_pmf(k) -> float:
     return 1.0 / np.sqrt(2.0 * np.pi * k)
 
 
-def _tail_bound(lam, k_max):
-    # integral comparison: sum_{k>K} e^{-lam k}/sqrt(2 pi k)
-    #   <= int_K^inf e^{-lam x}/sqrt(2 pi x) dx = erfc(sqrt(lam K))/sqrt(4 lam)
-    return float(erfc(math.sqrt(lam * k_max)) / math.sqrt(4.0 * lam))
+def _polylogs(lam):
+    """lam^{1/2} Li_{1/2}, lam^{3/2} Li_{-1/2}, lam^{5/2} (Li_{-3/2} - Li_{1/2})
+    at z = e^{-lam}, Li_s(z) = sum_k k^{-s} z^k; the scaling keeps them O(1)
+    as lam -> 0. Normalizer, mean gap and variance numerator are
+    eps Li_{1/2}, Li_{-1/2} and (Li_{-3/2} - Li_{1/2}) / 6, over sqrt(2 pi).
+    For 0 < lam < 2 pi (DLMF 25.12(ii)) Li_s(e^{-lam}) = Gamma(1-s) lam^{s-1}
+    + sum_{n>=0} zeta(s-n) (-lam)^n / n!, terms falling like (lam / 2 pi)^n:
+    used below LAM_SERIES, the direct sum over k <= DIRECT_SPAN / lam above."""
+    if lam < LAM_SERIES:
+        li = (gamma(1.0 - _S) + lam ** (1.0 - _S) * (_ZETA @ (-lam) ** _N)).tolist()
+        return li[0], li[1], li[2] - lam * lam * li[0]
+    k = np.arange(1.0, math.ceil(DIRECT_SPAN / lam) + 1.0)
+    w = np.exp(-lam * k) / np.sqrt(k)
+    # (k^2 - 1) termwise: at large lam the two polylogs agree to a part e^{-lam}
+    li = np.stack([w, k * w, (k * k - 1.0) * w]).sum(axis=1).tolist()
+    return math.sqrt(lam) * li[0], lam ** 1.5 * li[1], lam ** 2.5 * li[2]
 
 
-def _k_for_tail(lam, tol):
-    # erfc(z) <= exp(-z^2), so z = sqrt(-log(tol sqrt(4 lam))) suffices
-    z2 = -math.log(max(tol * math.sqrt(4.0 * lam), 1e-280))
-    return int(math.ceil(max(z2, 1.0) / lam)) + 1
+def _normalizer(eps, lam) -> float:
+    return eps * _polylogs(lam)[0] / (_SQRT_2PI * math.sqrt(lam))
 
 
-def _tilted_sum(eps, lam, k_max):
-    k = np.arange(1, k_max + 1, dtype=float)
-    return float(eps * np.sum(np.exp(-lam * k) / np.sqrt(2.0 * np.pi * k)))
-
-
-def solve_lambda(eps, k_max=None, tol=TOL) -> float:
-    """Unique lambda > 0 with eps * sum_k e^{-lambda k} f(k) = 1, by bisection.
-
-    k_max grows adaptively until the analytic Gaussian tail of the tilted sum
-    is below tol; the defining-equation residual at the returned root is
-    below tol as well.
-    """
-    if eps <= 0:
-        raise ValidationError("epsilon must be positive")
-    lam_guess = max(eps * eps / 2.0, 1e-12)
-    for _ in range(80):
-        lam_floor = lam_guess / 4.0
-        k_cap = k_max if k_max is not None else _k_for_tail(lam_floor, tol / 10.0)
-        if eps * _tail_bound(lam_floor, k_cap) > tol:
-            if k_max is not None:
-                raise ValidationError(
-                    f"k_max={k_max} leaves a tilted tail above {tol}")
-            k_cap = _k_for_tail(lam_floor, tol / 10.0)
-        k = np.arange(1, k_cap + 1, dtype=float)
-        fk = eps / np.sqrt(2.0 * np.pi * k)
-
-        def g(lam):
-            return float(np.dot(fk, np.exp(-lam * k))) - 1.0
-
-        lo, hi = lam_floor, max(4.0 * lam_guess, 4.0 * math.log(1.0 + eps))
-        flo, fhi = g(lo), g(hi)
-        grow = 0
-        while flo < 0.0 and grow < 200:
-            lo /= 4.0
-            flo = g(lo)
-            grow += 1
-        while fhi > 0.0 and grow < 400:
-            hi *= 4.0
-            fhi = g(hi)
-            grow += 1
-        if flo < 0.0 or fhi > 0.0:
-            raise NumericalError("failed to bracket the tilt")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:  # bracket at machine precision
-                break
-            if g(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        lam = 0.5 * (lo + hi)
-        if abs(g(lam)) <= tol and abs(lam - lam_guess) <= 0.5 * lam:
+def solve_lambda(eps, tol=TOL) -> float:
+    """Unique lambda > 0 with eps Li_{1/2}(e^{-lambda}) / sqrt(2 pi) = 1, by
+    Newton on g = left side - 1, g' = -eps Li_{-1/2} / sqrt(2 pi), from the
+    two-term root (see mass_1d) or log(eps / sqrt(2 pi)) if larger
+    (Li_{1/2}(z) >= z). g is convex and decreasing, so after the first step
+    the iterates rise to the root; a step to lam <= 0 halves lam instead.
+    Stops at |g| <= tol, else raises NumericalError with the residual."""
+    if not 0.0 < eps < math.inf:
+        raise ValidationError("epsilon must be positive and finite")
+    lam = max((math.sqrt(2.0) / eps - ZETA_HALF / math.sqrt(math.pi)) ** -2,
+              math.log(eps / _SQRT_2PI))
+    if lam < 1e-300:
+        raise NumericalError(f"epsilon {eps!r} is too small: the tilt underflows")
+    for _ in range(100):
+        g = _normalizer(eps, lam) - 1.0
+        if abs(g) <= tol:
             return lam
-        lam_guess = lam
-    raise NumericalError("tilt iteration did not stabilize")
+        step = lam + g * _SQRT_2PI * lam * math.sqrt(lam) / (eps * _polylogs(lam)[1])
+        lam = step if step > 0.0 else 0.5 * lam
+    raise NumericalError(
+        f"tilt Newton iteration reached residual {abs(g):.3g}, above tol {tol:.3g}")
 
 
 @dataclass(frozen=True)
 class RenewalModel:
     eps: float
     lam: float
-    k_max: int
-    tilted: np.ndarray  # f_lambda(k) = e^{-lam k} f(k), k = 1..k_max
+    k_max: int  # terms of the series or direct sum evaluated at lam
 
-    @property
-    def spacing_pmf(self) -> np.ndarray:
-        """eps * f_lambda, the normalized spacing distribution."""
-        return self.eps * self.tilted
+    def spacing_pmf(self, k) -> np.ndarray:
+        """eps e^{-lam k} f(k), the normalized spacing law, at gaps k >= 1."""
+        k = np.asarray(k, dtype=float)
+        return self.eps * np.exp(-self.lam * k) * f_pmf(k)
 
     def residual(self) -> float:
-        return abs(float(self.spacing_pmf.sum()) - 1.0)
+        return abs(_normalizer(self.eps, self.lam) - 1.0)
 
 
-def renewal_model(eps, k_max=None, tol=TOL) -> RenewalModel:
-    lam = solve_lambda(eps, k_max=k_max, tol=tol)
-    k_cap = k_max if k_max is not None else _k_for_tail(lam, tol / 10.0)
-    k = np.arange(1, k_cap + 1, dtype=float)
-    tilted = np.exp(-lam * k) / np.sqrt(2.0 * np.pi * k)
-    return RenewalModel(eps=float(eps), lam=float(lam), k_max=int(k_cap),
-                        tilted=tilted)
+def renewal_model(eps, tol=TOL) -> RenewalModel:
+    lam = solve_lambda(eps, tol=tol)
+    k_max = SERIES_TERMS if lam < LAM_SERIES else math.ceil(DIRECT_SPAN / lam)
+    return RenewalModel(eps=float(eps), lam=lam, k_max=k_max)
 
 
 def renewal_mean(model: RenewalModel) -> float:
-    """Size-biased normalizer M = sum_j j f_lambda(j), asymptotically 1/eps^3."""
-    k = np.arange(1, model.k_max + 1, dtype=float)
-    return float(np.sum(k * model.tilted))
+    """Size-biased normalizer M = sum_j j e^{-lam j} f(j)
+    = Li_{-1/2}(e^{-lam}) / sqrt(2 pi) ~ 1/eps^3; NumericalError where it
+    overflows (eps below about 5e-103)."""
+    big_m = _polylogs(model.lam)[1] / _SQRT_2PI / model.lam / math.sqrt(model.lam)
+    if big_m == math.inf:
+        raise NumericalError(f"mean gap M overflows at epsilon {model.eps!r}")
+    return big_m
 
 
 def variance_1d(model: RenewalModel) -> float:
-    """Height variance at the origin: (1/M) sum_n f_lambda(n) (n^2 - 1)/6.
-
-    Uses the exact Gaussian bridge second moment E(S_m^2 | S_n = 0)
-    = m (n - m)/n, whose sum over m < n is (n^2 - 1)/6.
-    """
-    k = np.arange(1, model.k_max + 1, dtype=float)
-    num = float(np.sum(model.tilted * (k * k - 1.0) / 6.0))
-    return num / renewal_mean(model)
+    """Height variance at the origin: (1/M) sum_n e^{-lam n} f(n) (n^2 - 1)/6,
+    from the bridge moments E(S_m^2 | S_n = 0) = m (n - m)/n summed over m < n.
+    The numerator is formed times lam^{5/2}: finite wherever M is."""
+    lam, big_m = model.lam, renewal_mean(model)
+    return _polylogs(lam)[2] / (6.0 * _SQRT_2PI * lam * big_m * lam ** 1.5)
 
 
-def mass_1d(eps, k_max=None, tol=TOL) -> float:
-    """The 1D mass equals the tilt lambda(eps).
-
-    From Li_{1/2}(e^{-lam}) = sqrt(pi/lam) + zeta(1/2) + O(lam) (DLMF
-    25.12(ii)), 1/sqrt(lam) = sqrt(2)/eps - zeta(1/2)/sqrt(pi) + O(eps): the
-    leading term lam ~ eps^2/2 is 10.7% off at eps = 0.1, the two-term form
-    7e-5 off.
-    """
-    return solve_lambda(eps, k_max=k_max, tol=tol)
+def mass_1d(eps, tol=TOL) -> float:
+    """The 1D mass equals the tilt lambda(eps). From Li_{1/2}(e^{-lam})
+    = sqrt(pi/lam) + zeta(1/2) + O(lam), 1/sqrt(lam) = sqrt(2)/eps
+    - zeta(1/2)/sqrt(pi) + O(eps): lam ~ eps^2/2 is 10.7% off at eps = 0.1,
+    the two-term form 7e-5 off."""
+    return solve_lambda(eps, tol=tol)
 
 
 def bridge_second_moment(m: int, n: int) -> float:
@@ -159,11 +139,30 @@ def bridge_second_moment(m: int, n: int) -> float:
 
 
 def simulate_gaps(model: RenewalModel, count, seed) -> np.ndarray:
-    """Draw renewal spacings from eps * f_lambda by inverse CDF."""
-    cdf = np.cumsum(model.spacing_pmf)
-    cdf /= cdf[-1]
-    u = replica_rng(seed).random(count)
-    return np.searchsorted(cdf, u) + 1
+    """Draw `count` spacings from eps e^{-lam k} f(k) exactly by rejection
+    (Devroye 1986, Non-Uniform Random Variate Generation, II.3). Below
+    LAM_GEOMETRIC, k = max(ceil(x), 1), x ~ Gamma(1/2, rate lam), has P(k) ~ I_k
+    = int_{k-1}^k x^{-1/2} e^{-lam x} dx >= k^{-1/2} e^{-lam k}: acceptance
+    k^{-1/2} e^{-lam k} / I_k <= 1 leaves exactly the target. Above, k is
+    geometric, P(k) ~ e^{-lam k}, accepted with k^{-1/2}."""
+    lam = model.lam
+    if lam * 2.0**63 < 100.0:  # a gap beyond 100/lam has probability e^{-100}
+        raise NumericalError(f"gaps of order 1/lambda = {1 / lam:.3g} overflow int64")
+    rng = replica_rng(seed)
+    gaps = np.empty(0, dtype=np.int64)
+    while gaps.size < count:
+        n = count - gaps.size
+        if lam < LAM_GEOMETRIC:
+            k = np.maximum(np.ceil(rng.gamma(0.5, 1.0 / lam, n)), 1.0)
+            lo, hi = lam * (k - 1.0), lam * k  # I_k by erf, or erfc near erf = 1
+            cell = np.where(lo >= 0.5, erfc(np.sqrt(lo)) - erfc(np.sqrt(hi)),
+                            erf(np.sqrt(hi)) - erf(np.sqrt(lo)))
+            accept = np.exp(-hi) / np.sqrt(k) / (math.sqrt(math.pi / lam) * cell)
+        else:
+            k = rng.geometric(-math.expm1(-lam), n).astype(float)
+            accept = 1.0 / np.sqrt(k)
+        gaps = np.concatenate([gaps, k[rng.random(n) < accept].astype(np.int64)])
+    return gaps
 
 
 def gap_tail_rate(gaps, lo_quantile=0.5, hi_quantile=0.99, bins=25) -> tuple[float, float]:

@@ -53,16 +53,6 @@ def estimate_from_samples(samples, seed=None) -> Estimate:
     return Estimate(mean=float(x.mean()), stderr=se, n=n, seed=seed)
 
 
-def merge_moments(parts):
-    """Associative merge of (sum, sum_sq, count) triples -> Estimate fields."""
-    s = sum(p[0] for p in parts)
-    ss = sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
-    mean = s / n
-    var = max(ss / n - mean * mean, 0.0) * (n / (n - 1)) if n > 1 else float("inf")
-    return mean, float(np.sqrt(var / n)), n
-
-
 def binom_upper(successes: int, trials: int, conf: float = 0.95) -> float:
     """Clopper-Pearson upper bound at two-sided confidence `conf`.
 

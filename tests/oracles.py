@@ -1,8 +1,10 @@
 """Brute-force enumeration oracles, independent of the library's fast paths."""
 
 import itertools
+import math
 
 import numpy as np
+from scipy.special import gamma, gammaincc
 
 
 def iter_paths(kernel, n):
@@ -92,3 +94,27 @@ def exact_first_returns(kernel, L):
             if path[-1] == origin and origin not in path[1:-1]:
                 out[n] += prob
     return out
+
+
+def direct_renewal_sums(eps, lam, k_max):
+    """Truncated direct sums of the 1D renewal chain at tilt lam over
+    k = 1..k_max, with w_k = e^{-lam k} / sqrt(2 pi k):
+    (eps sum w_k, sum k w_k, sum w_k (k^2 - 1)/6), and for each a bound on
+    its omitted tail k > k_max.
+
+    Once k^a e^{-lam k} decreases (k_max >= a/lam), the integral comparison
+    sum_{k>K} k^a e^{-lam k} <= Gamma(a+1, lam K) / lam^{a+1} bounds the
+    tails; a = -1/2 is the erfc bound sqrt(pi/lam) erfc(sqrt(lam K)).
+    """
+    if k_max < 1.5 / lam:
+        raise ValueError("k_max below the decreasing range of k^{3/2} e^{-lam k}")
+    k = np.arange(1, k_max + 1, dtype=float)
+    w = np.exp(-lam * k) / np.sqrt(2.0 * math.pi * k)
+    sums = (eps * w.sum(), (k * w).sum(), (w * (k * k - 1.0) / 6.0).sum())
+
+    def tail(a):
+        return (gamma(a + 1.0) * gammaincc(a + 1.0, lam * k_max)
+                / lam ** (a + 1.0) / math.sqrt(2.0 * math.pi))
+
+    tails = (eps * tail(-0.5), tail(0.5), tail(1.5) / 6.0)
+    return sums, tails

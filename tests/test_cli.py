@@ -1,0 +1,88 @@
+import csv
+import math
+
+import pytest
+
+from gffpin import cli
+from gffpin.walk import write_kernel_file
+
+ZETA_HALF = -1.4603545088095868  # zeta(1/2)
+
+
+def _run(tmp_path, command, config, *extra):
+    path = tmp_path / f"{command}.cfg"
+    path.write_text(config)
+    out = tmp_path / "out"
+    return cli.main([command, str(path), "--output-dir", str(out), *extra]), out
+
+
+def _manifest(out):
+    with open(out / "manifest.txt") as fh:
+        return dict(line.rstrip("\n").split(" = ", 1) for line in fh)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("tol", ("0", "-1e-12", "nan"))
+    def test_renewal_rejects_nonpositive_tol(self, tmp_path, capsys, tol):
+        code, out = _run(tmp_path, "renewal1d",
+                         f"eps_list = 0.1\ntol = {tol}\nseed = 1\n")
+        assert code == 2
+        assert "tol must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", ("nan", "inf"))
+    def test_rejects_nonfinite_eps(self, tmp_path, eps):
+        code, out = _run(tmp_path, "renewal1d", f"eps_list = {eps}\nseed = 1\n")
+        assert code == 2
+        assert not out.exists()
+
+    def test_sublattice_kernel_is_config_error(self, tmp_path, capsys):
+        # {+-(1,1)} generates only the even sublattice of Z^2
+        kernel = tmp_path / "diag.kernel"
+        write_kernel_file(kernel, [((1, 1), 1.0), ((-1, -1), 1.0)], 2)
+        code, out = _run(tmp_path, "kernel-info", f"kernel_file = {kernel}\nseed = 1\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "does not generate" in err
+        assert not out.exists()
+
+    def test_unparsable_kernel_is_config_error(self, tmp_path):
+        kernel = tmp_path / "bad.kernel"
+        kernel.write_text("dim two\n1 0 1.0\n")
+        code, _ = _run(tmp_path, "kernel-info", f"kernel_file = {kernel}\nseed = 1\n")
+        assert code == 2
+
+
+class TestRenewalCommand:
+    def _rows(self, out):
+        with open(out / "renewal1d.csv") as fh:
+            return {float(r["epsilon"]): r for r in csv.DictReader(fh)}
+
+    def test_roadmap_target_eps_1e4(self, tmp_path):
+        code, out = _run(tmp_path, "renewal1d", "eps_list = 0.01 0.001 0.0001\nseed = 1\n")
+        assert code == 0
+        assert _manifest(out)["status"] == "done"
+        row = self._rows(out)[1e-4]
+        two_term = (math.sqrt(2.0) / 1e-4 - ZETA_HALF / math.sqrt(math.pi)) ** -2
+        assert math.isclose(float(row["lambda"]), two_term, rel_tol=1e-6)
+        assert abs(float(row["M_times_eps3"]) - 1.0) <= 1e-3
+        assert abs(float(row["variance_times_2eps2"]) - 1.0) <= 1e-3
+
+    def test_output_bytes_independent_of_jobs(self, tmp_path):
+        config = "eps_list = 0.01 0.001 0.0001\nseed = 1\n"
+        outputs = []
+        for jobs in ("1", "2"):
+            run_dir = tmp_path / jobs
+            run_dir.mkdir()
+            code, out = _run(run_dir, "renewal1d", config, "--jobs", jobs)
+            assert code == 0
+            outputs.append((out / "renewal1d.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("eps", ("1e-110", "1e-200", "1e200"))
+    def test_overflow_is_numerical_error(self, tmp_path, capsys, eps):
+        code, out = _run(tmp_path, "renewal1d", f"eps_list = 0.1 {eps}\nseed = 1\n")
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert _manifest(out)["status"] == "running"
+        assert not (out / "renewal1d.csv").exists()

@@ -2,9 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from oracles import direct_renewal_sums
+from scipy import stats
 
-from gffpin.errors import ValidationError
+from gffpin.errors import NumericalError, ValidationError
 from gffpin.renewal1d import (
+    LAM_GEOMETRIC,
+    LAM_SERIES,
+    RenewalModel,
+    _normalizer,
+    _polylogs,
     bridge_second_moment,
     f_pmf,
     gap_tail_rate,
@@ -64,13 +71,78 @@ class TestTiltSolve:
         gaps = [abs(r - 1.0) for r in ratios]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
-    def test_explicit_kmax_must_cover_tail(self):
-        with pytest.raises(ValidationError):
-            solve_lambda(0.1, k_max=50)
+    def test_unreachable_tol_reports_residual(self):
+        with pytest.raises(NumericalError, match="residual"):
+            solve_lambda(0.1, tol=1e-30)
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValidationError):
             solve_lambda(0.0)
+
+
+class TestClosedForm:
+    """Polylogarithm forms against truncated direct sums with bounded tails."""
+
+    def _check(self, model):
+        sums, tails = direct_renewal_sums(model.eps, model.lam,
+                                          math.ceil(60.0 / model.lam) + 3)
+        assert all(t <= 1e-14 * v for t, v in zip(tails, sums))
+        norm, big_m, num = sums
+        mean = renewal_mean(model)
+        assert math.isclose(_normalizer(model.eps, model.lam), norm, rel_tol=1e-12)
+        assert math.isclose(mean, big_m, rel_tol=1e-12)
+        assert math.isclose(variance_1d(model) * mean, num, rel_tol=1e-12)
+
+    # 1e3 puts the root above LAM_SERIES, on the direct-sum side
+    @pytest.mark.parametrize("eps", (1.0, 0.3, 0.1, 0.03, 1e3))
+    def test_matches_direct_sums(self, eps):
+        self._check(renewal_model(eps))
+
+    @pytest.mark.parametrize("lam", (1e-3, 0.5, 0.999, 1.0, 2.5, 10.0, 40.0))
+    def test_off_root_tilts(self, lam):
+        self._check(RenewalModel(eps=1.0, lam=lam, k_max=0))
+
+    def test_crossover_sides_agree(self):
+        # the series one ulp below LAM_SERIES, the direct sum at it: the
+        # scaled Li_{1/2}, Li_{-1/2} and variance numerator
+        below = _polylogs(np.nextafter(LAM_SERIES, 0.0))
+        for lo, hi in zip(below, _polylogs(LAM_SERIES)):
+            assert abs(lo - hi) <= 1e-13 * abs(hi)
+
+    def test_k_max_is_eps_free(self):
+        assert max(renewal_model(e).k_max for e in (1e-4, 0.1, 10.0)) < 100
+
+
+def _chi2_pvalue(model, gaps, top):
+    """Pearson chi^2 of the gaps against the exact law: bins k = 1..top and
+    one tail bin k > top."""
+    p = model.spacing_pmf(np.arange(1, top + 1))
+    expected = np.append(p, 1.0 - p.sum()) * gaps.size
+    counts = np.bincount(np.minimum(gaps, top + 1), minlength=top + 2)[1:]
+    assert expected.min() >= 20.0
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    return stats.chi2.sf(chi2, top)
+
+
+class TestGapSampler:
+    @pytest.mark.parametrize("eps, seed", ((0.1, 11), (0.3, 12)))
+    def test_chi2_against_exact_pmf(self, eps, seed):
+        model = renewal_model(eps)
+        gaps = simulate_gaps(model, 200_000, seed=seed)
+        assert _chi2_pvalue(model, gaps, 30) >= 1e-3
+
+    def test_chi2_geometric_envelope(self):
+        model = renewal_model(3.0)
+        assert model.lam >= LAM_GEOMETRIC
+        gaps = simulate_gaps(model, 200_000, seed=13)
+        assert _chi2_pvalue(model, gaps, 12) >= 1e-3
+
+    def test_gaps_beyond_int64_rejected(self):
+        with pytest.raises(NumericalError, match="int64"):
+            simulate_gaps(RenewalModel(eps=1.0, lam=1e-18, k_max=0), 10, seed=1)
+
+    def test_zero_count(self):
+        assert simulate_gaps(renewal_model(0.3), 0, seed=1).size == 0
 
 
 class TestRenewalMean:
