@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__, pinning, renewal1d, scaling
 from .errors import NumericalError, ResourceError, ToolkitError, ValidationError
 from .green import box_region, green_killed
-from .stats import batch_stderr
 from .walk import kernel_from_file, crossing_cells, range_tail, simulate_range
 
 COMMANDS = (
@@ -53,14 +52,6 @@ def parse_config_text(text) -> dict:
             raise ValidationError(f"config line {lineno}: duplicate key {key!r}")
         out[key] = value.strip()
     return out
-
-
-def _parse_int(s):
-    return int(s)
-
-
-def _parse_float(s):
-    return float(s)
 
 
 def _parse_bool(s):
@@ -94,14 +85,9 @@ def _parse_sites(s):
     return sites
 
 
-def _parse_str(s):
-    return s
-
-
 _PARSERS = {
-    "int": _parse_int, "float": _parse_float, "bool": _parse_bool,
-    "floats": _parse_floats, "ints": _parse_ints, "sites": _parse_sites,
-    "str": _parse_str,
+    "int": int, "float": float, "bool": _parse_bool, "floats": _parse_floats,
+    "ints": _parse_ints, "sites": _parse_sites, "str": str,
 }
 
 # key -> (type, required)
@@ -114,7 +100,7 @@ SCHEMAS = {
     "pins-sample": {
         "kernel_file": ("str", True), "box_radius": ("int", True),
         "epsilon": ("float", True), "sweeps": ("int", True),
-        "burnin": ("int", False), "window_radius": ("int", False),
+        "burnin": ("int", False),
     },
     "fkg-check": {
         "kernel_file": ("str", True), "box_radius": ("int", True),
@@ -194,6 +180,14 @@ def _check(command, raw_config):
     positive("n")
     positive("kappa")
     positive("tol")
+    positive("replicas")
+    for key in ("box_radius", "region_radius"):
+        if key in parsed and parsed[key] < 0:
+            violations.append(f"{key} must be >= 0")
+    if any(r < 0 for r in parsed.get("radii", ())):
+        violations.append("radii must be >= 0")
+    if "burnin" in parsed and not 0 <= parsed["burnin"] <= parsed["sweeps"]:
+        violations.append("burnin must lie in [0, sweeps]")
     if "eps_list" in parsed:
         eps = parsed["eps_list"]
         if not all(0 < e < math.inf for e in eps):
@@ -210,6 +204,19 @@ def _check(command, raw_config):
             violations.append(f"kernel file {parsed['kernel_file']!r} not found")
         except (OSError, ValueError, ValidationError) as exc:
             violations.append(f"kernel file {parsed['kernel_file']!r}: {exc}")
+    if "kernel" in parsed and "box_radius" in parsed and not violations:
+        # pins and targets are sites, probes are pairs of sites (x then y)
+        d, radius = parsed["kernel"].d, parsed["box_radius"]
+        for key, width in (("pins", d), ("targets", d), ("probes", 2 * d)):
+            for site in parsed.get(key, ()):
+                if len(site) != width or any(abs(c) > radius for c in site):
+                    violations.append(
+                        f"{key} entry {site} must hold {width} coordinates "
+                        f"inside the box of radius {radius}")
+        pins = set(parsed.get("pins", ()))
+        for probe in parsed.get("probes", ()):
+            if probe[:d] in pins or probe[d:] in pins:
+                violations.append(f"probe {probe} sits on a pin")
     if command == "variance-scan" and "box_radius" in parsed and not violations:
         c = parsed.get("policy_c", 1.5)
         floor = max(scaling.variance_box_policy(e, c, parsed.get("min_radius", 8))
@@ -334,9 +341,6 @@ def _cmd_green_probe(cfg, out, manifest, jobs):
     region = box_region(k, cfg["box_radius"], pins=cfg.get("pins", ()))
     rows = []
     for probe in cfg["probes"]:
-        if len(probe) != 2 * k.d:
-            raise ValidationError(
-                f"probe {probe} must hold {2 * k.d} coordinates (x then y)")
         x, y = probe[:k.d], probe[k.d:]
         g = green_killed(region, x, y)
         rows.append((*x, *y, g.value, g.residual))
@@ -349,10 +353,8 @@ def _cmd_green_probe(cfg, out, manifest, jobs):
 def _cmd_pins_sample(cfg, out, manifest, jobs):
     k = cfg["kernel"]
     region = box_region(k, cfg["box_radius"])
-    state = pinning.sample_pins(
-        region, cfg["epsilon"], cfg["sweeps"], cfg["seed"],
-        burnin=cfg.get("burnin"), record=True,
-        window_radius=cfg.get("window_radius"))
+    state = pinning.sample_pins(region, cfg["epsilon"], cfg["sweeps"],
+                                cfg["seed"], burnin=cfg.get("burnin"))
     header = ("sweep",) + tuple(
         "s_" + "_".join(str(c) for c in site) for site in region.sites)
     rows = [(state.burnin + 1 + i, *row) for i, row in enumerate(state.samples)]

@@ -123,12 +123,6 @@ class Region:
             raise NumericalError(f"solve residual {resid:.3e} above target")
         return g, resid
 
-    def dense_covariance(self):
-        """Full (I - P)|alive^-1 / beta as a dense array."""
-        if self.n_alive > 5000:
-            raise ValidationError("region too large for dense covariance")
-        return np.linalg.inv(self._matrix.toarray()) / self.beta
-
 
 def box_region(kernel, radius, pins=(), beta=None) -> Region:
     """Centered cube of side 2*radius + 1."""
@@ -154,11 +148,6 @@ def green_killed(region: Region, x, y) -> GreenProbe:
     g, resid = region.solve(rhs)
     return GreenProbe(tuple(map(int, x)), tuple(map(int, y)),
                       float(g[ix]) / region.beta, resid)
-
-
-def conditional_variance(region: Region, x) -> float:
-    """Variance of the field at x given zero values on all dead sites."""
-    return green_killed(region, x, x).value
 
 
 def green_box_origin(kernel: StepKernel, radius: int) -> GreenProbe:
@@ -189,7 +178,7 @@ def green_nstep(kernel: StepKernel, n: int) -> float:
 
 def hitting_prob(region: Region, target, x) -> float:
     """P_x(hit target before dying), Dirichlet outside the alive set."""
-    tgt = [region.site_index(t) for t in target]
+    tgt = {region.site_index(t) for t in target}
     if not tgt:
         raise ValidationError("empty target")
     if any(t < 0 for t in tgt):
@@ -197,23 +186,15 @@ def hitting_prob(region: Region, target, x) -> float:
     ix = region.site_index(x)
     if ix < 0:
         raise ValidationError("x must be alive")
-    tgt_set = set(tgt)
-    if ix in tgt_set:
+    if ix in tgt:
         return 1.0
-    keep = np.array([i for i in range(region.n_alive) if i not in tgt_set])
-    sub = region.matrix[np.ix_(keep, keep)]
-    rhs = np.zeros(len(keep))
+    tcols = sorted(tgt)
+    dead = np.vstack([np.argwhere(~region.alive) + region.lo,
+                      region.sites[tcols]])
+    sub = Region(region.kernel, region.lo, region.hi, pins=dead,
+                 beta=region.beta)
+    keep = region.index[sub.alive]
     # mass stepping from kept sites directly into the target
-    tcols = np.array(sorted(tgt_set))
-    rhs = -np.asarray(region.matrix[np.ix_(keep, tcols)].sum(axis=1)).ravel()
-    if len(keep) < DENSE_LIMIT:
-        h = sla.cho_solve(sla.cho_factor(sub.toarray()), rhs)
-    else:
-        h, info = spla.cg(sub, rhs, rtol=1e-13, atol=0.0, maxiter=200_000)
-        if info != 0:
-            raise NumericalError(f"CG failed to converge (info={info})")
-    resid = float(np.linalg.norm(sub @ h - rhs))
-    if resid > RESIDUAL_TARGET * max(float(np.linalg.norm(rhs)), 1.0):
-        raise NumericalError(f"hitting solve residual {resid:.3e}")
-    pos = int(np.searchsorted(keep, ix))
-    return float(h[pos])
+    rhs = -np.asarray(region.matrix[keep][:, tcols].sum(axis=1)).ravel()
+    h, _ = sub.solve(rhs)
+    return float(h[sub.site_index(x)])

@@ -35,7 +35,7 @@ _REFRESH_CHANGES = 5000
 
 
 class GibbsChain:
-    """Systematic-scan heat bath for the pinned-site law on a region.
+    """Exact systematic-scan heat bath for the pinned-site law on a region.
 
     Maintains the dense inverse of (I - P) restricted to the currently
     unpinned sites, updated by rank-1 pin/unpin formulas, so every
@@ -43,17 +43,13 @@ class GibbsChain:
     drift; periodic refreshes and scheduled audits keep that drift audited.
     """
 
-    def __init__(self, region: Region, eps: float, seed: int, replica: int = 0,
-                 window_radius: int | None = None):
+    def __init__(self, region: Region, eps: float, seed: int, replica: int = 0):
         if eps <= 0:
             raise ValidationError("epsilon must be positive")
         self.region = region
         self.eps = float(eps)
-        self.seed = seed
-        self.replica = int(replica)
         self.rng = replica_rng(seed, replica)
         self.beta = region.beta
-        self.window_radius = window_radius
         n = region.n_alive
         m = region.matrix
         self.diag = 1.0 - region.kernel.p0
@@ -67,21 +63,18 @@ class GibbsChain:
             off = cols != i
             self.nbr_idx.append(cols[off].astype(np.int64))
             self.nbr_w.append(-vals[off])
-        self.alive = np.ones(n, dtype=bool)
         self.pinned = np.zeros(n, dtype=bool)
         self.sigma = np.asfortranarray(np.linalg.inv(m.toarray()))
-        self.sweeps = 0
         self._visits = 0
         self._changes_since_refresh = 0
         self.audit_max_rel_err = 0.0
-        self._site_order = np.arange(n)  # region.sites is lexicographic
 
     # -- conditional variance bookkeeping ----------------------------------
 
     def _addback(self, i):
         """Schur diagonal of site i if it were unpinned, at beta = 1."""
         idx = self.nbr_idx[i]
-        live = self.alive[idx]
+        live = ~self.pinned[idx]
         if not live.any():
             return 1.0 / self.diag
         idx = idx[live]
@@ -92,26 +85,9 @@ class GibbsChain:
             raise NumericalError("lost positive definiteness; audit the chain")
         return 1.0 / denom
 
-    def _window_sigma(self, i):
-        # fresh Dirichlet solve on the sub-box of radius window_radius
-        center = self.region.sites[i]
-        w = self.window_radius
-        near = np.all(np.abs(self.region.sites - center) <= w, axis=1)
-        keep = np.flatnonzero(near & (self.alive | (np.arange(len(near)) == i)))
-        sub = self.region.matrix[np.ix_(keep, keep)].toarray()
-        rhs = np.zeros(len(keep))
-        rhs[int(np.searchsorted(keep, i))] = 1.0
-        g = sla.cho_solve(sla.cho_factor(sub), rhs)
-        return float(g[int(np.searchsorted(keep, i))])
-
     def raw_variance(self, i) -> float:
         """Conditional variance at site i given the other pins, beta = 1."""
-        if self.window_radius is not None:
-            s = self._window_sigma(i)
-        elif self.alive[i]:
-            s = float(self.sigma[i, i])
-        else:
-            s = self._addback(i)
+        s = self._addback(i) if self.pinned[i] else float(self.sigma[i, i])
         self._visits += 1
         if self._visits in _AUDIT_VISITS:
             self._audit(i, s)
@@ -127,7 +103,7 @@ class GibbsChain:
             )
 
     def _fresh_variance(self, i):
-        keep = np.flatnonzero(self.alive | (np.arange(len(self.alive)) == i))
+        keep = np.flatnonzero(~self.pinned | (np.arange(len(self.pinned)) == i))
         sub = self.region.matrix[np.ix_(keep, keep)].tocsc()
         rhs = np.zeros(len(keep))
         pos = int(np.searchsorted(keep, i))
@@ -139,19 +115,18 @@ class GibbsChain:
     def _pin(self, i):
         col = self.sigma[:, i].copy()
         self.sigma = dger(-1.0 / col[i], col, col, a=self.sigma, overwrite_a=1)
-        self.alive[i] = False
         self.pinned[i] = True
         self._after_change()
 
     def _unpin(self, i):
         idx = self.nbr_idx[i]
-        live = self.alive[idx]
+        live = ~self.pinned[idx]
         n = self.sigma.shape[0]
         if live.any():
             idx = idx[live]
             w = self.nbr_w[i][live]
             u = self.sigma[:, idx] @ w
-            u[~self.alive] = 0.0
+            u[self.pinned] = 0.0
             quad = float(w @ u[idx])
         else:
             u = np.zeros(n)
@@ -165,7 +140,6 @@ class GibbsChain:
         self.sigma[:, i] = s * u
         self.sigma[i, :] = s * u
         self.sigma[i, i] = s
-        self.alive[i] = True
         self.pinned[i] = False
         self._after_change()
 
@@ -175,7 +149,7 @@ class GibbsChain:
             self._refresh()
 
     def _refresh(self):
-        keep = np.flatnonzero(self.alive)
+        keep = np.flatnonzero(~self.pinned)
         sub = self.region.matrix[np.ix_(keep, keep)].toarray()
         self.sigma[np.ix_(keep, keep)] = np.linalg.inv(sub)
         self._changes_since_refresh = 0
@@ -189,28 +163,13 @@ class GibbsChain:
     def sweep(self):
         """One lexicographic heat-bath scan; exactly one uniform per site."""
         rng = self.rng
-        for i in self._site_order:
+        for i in range(len(self.pinned)):  # region.sites is lexicographic
             pr = self.pin_probability(i)
             want = rng.random() < pr
             if want and not self.pinned[i]:
-                if self.window_radius is not None:
-                    self._pin_nosigma(i)
-                else:
-                    self._pin(i)
+                self._pin(i)
             elif not want and self.pinned[i]:
-                if self.window_radius is not None:
-                    self._unpin_nosigma(i)
-                else:
-                    self._unpin(i)
-        self.sweeps += 1
-
-    def _pin_nosigma(self, i):
-        self.alive[i] = False
-        self.pinned[i] = True
-
-    def _unpin_nosigma(self, i):
-        self.alive[i] = True
-        self.pinned[i] = False
+                self._unpin(i)
 
     def run(self, sweeps):
         for _ in range(int(sweeps)):
@@ -220,25 +179,12 @@ class GibbsChain:
         """G_{A^c}(i, j)/beta for the current pin set; zero if either pinned."""
         if self.pinned[i] or self.pinned[j]:
             return 0.0
-        if self.window_radius is not None:
-            keep = np.flatnonzero(self.alive)
-            sub = self.region.matrix[np.ix_(keep, keep)].tocsc()
-            rhs = np.zeros(len(keep))
-            rhs[int(np.searchsorted(keep, j))] = 1.0
-            g = spla.spsolve(sub, rhs)
-            return float(g[int(np.searchsorted(keep, i))]) / self.beta
         return float(self.sigma[i, j]) / self.beta
-
-    def pin_code(self) -> int:
-        """Bitmask of the pin set in site order (at most 63 sites)."""
-        if len(self.pinned) > 63:
-            raise ResourceError("pin_code needs at most 63 sites")
-        return int(sum(1 << int(k) for k in np.flatnonzero(self.pinned)))
 
 
 @dataclass
 class PinState:
-    """Final state of a heat-bath run plus optional recorded sweeps."""
+    """Final state of an exact heat-bath run and its post-burn-in sweeps."""
 
     region: Region
     pins: np.ndarray  # bool over region sites
@@ -246,32 +192,27 @@ class PinState:
     sweeps: int
     seed: int
     burnin: int
-    samples: np.ndarray | None = None  # (recorded, n_sites) uint8
-    audit_max_rel_err: float = 0.0
+    samples: np.ndarray  # (sweeps - burnin, n_sites) uint8, one row per sweep
+    audit_max_rel_err: float
 
 
-def sample_pins(region, eps, sweeps, seed, burnin=None, record=False,
-                window_radius=None, replica=0) -> PinState:
-    """Run the heat bath for `sweeps` sweeps; record post-burn-in pin rows.
+def sample_pins(region, eps, sweeps, seed, burnin=None) -> PinState:
+    """Run the exact heat bath for `sweeps` sweeps; record the pin set after
+    each post-burn-in sweep.
 
-    Burn-in defaults to half the sweeps. Deterministic in (seed, replica).
+    Burn-in defaults to half the sweeps. Deterministic in the seed.
     """
     if sweeps < 1:
         raise ValidationError("sweeps must be >= 1")
     burnin = sweeps // 2 if burnin is None else int(burnin)
     if not 0 <= burnin <= sweeps:
         raise ValidationError("burnin must lie in [0, sweeps]")
-    chain = GibbsChain(region, eps, seed, replica=replica,
-                       window_radius=window_radius)
+    chain = GibbsChain(region, eps, seed)
     chain.run(burnin)
-    rows = None
-    if record:
-        rows = np.empty((sweeps - burnin, region.n_alive), dtype=np.uint8)
-        for r in range(sweeps - burnin):
-            chain.sweep()
-            rows[r] = chain.pinned
-    else:
-        chain.run(sweeps - burnin)
+    rows = np.empty((sweeps - burnin, region.n_alive), dtype=np.uint8)
+    for r in range(sweeps - burnin):
+        chain.sweep()
+        rows[r] = chain.pinned
     return PinState(region=region, pins=chain.pinned.copy(), eps=eps,
                     sweeps=sweeps, seed=seed, burnin=burnin, samples=rows,
                     audit_max_rel_err=chain.audit_max_rel_err)
@@ -290,10 +231,6 @@ class ExactPinTable:
     window: np.ndarray  # site indices allowed to pin
     probs: np.ndarray  # (2^m,), indexed by bitmask over window order
     log_partition: float
-
-    @property
-    def n_window(self) -> int:
-        return len(self.window)
 
     def marginal(self, site_index: int) -> float:
         w = int(np.flatnonzero(self.window == site_index)[0])
@@ -478,14 +415,12 @@ def check_lattice_condition(region, eps) -> LatticeCheck:
 # Monte Carlo estimators over pin samples
 
 
-def _chain_average(region, eps, record_fn, samples, seed, replicas=4,
-                   burnin=None, window_radius=None):
+def _chain_average(region, eps, record_fn, samples, seed, replicas=4):
     per = int(math.ceil(samples / replicas))
     means = []
     for r in range(replicas):
-        chain = GibbsChain(region, eps, seed, replica=r,
-                           window_radius=window_radius)
-        chain.run(per if burnin is None else burnin)
+        chain = GibbsChain(region, eps, seed, replica=r)
+        chain.run(per)
         acc = 0.0
         for _ in range(per):
             chain.sweep()
@@ -498,27 +433,23 @@ def _chain_average(region, eps, record_fn, samples, seed, replicas=4,
                     n=per * replicas, seed=seed)
 
 
-def variance_origin(region, eps, samples, seed, replicas=4, burnin=None,
-                    window_radius=None) -> Estimate:
+def variance_origin(region, eps, samples, seed, replicas=4) -> Estimate:
     """Rao-Blackwellized mu(phi_0^2): average of G_{A^c}(0,0)/beta over the
     pin chain; no field draws involved."""
     origin = region.site_index((0,) * region.kernel.d)
     if origin < 0:
         raise ValidationError("origin must be alive in the region")
     return _chain_average(region, eps, lambda ch: ch.covariance(origin, origin),
-                          samples, seed, replicas=replicas, burnin=burnin,
-                          window_radius=window_radius)
+                          samples, seed, replicas=replicas)
 
 
-def covariance(region, eps, x, y, samples, seed, replicas=4, burnin=None,
-               window_radius=None) -> Estimate:
+def covariance(region, eps, x, y, samples, seed, replicas=4) -> Estimate:
     """mu(phi_x phi_y) as the chain average of G_{A^c}(x,y)/beta."""
     ix, iy = region.site_index(x), region.site_index(y)
     if ix < 0 or iy < 0:
         raise ValidationError("x and y must be alive in the region")
     return _chain_average(region, eps, lambda ch: ch.covariance(ix, iy),
-                          samples, seed, replicas=replicas, burnin=burnin,
-                          window_radius=window_radius)
+                          samples, seed, replicas=replicas)
 
 
 def domination_densities(region, eps, sites) -> tuple[float, float]:
@@ -557,8 +488,8 @@ class EmptyProbability:
     density_hi: float
 
 
-def empty_probability(region, eps, sites, samples, seed, replicas=4,
-                      burnin=None) -> EmptyProbability:
+def empty_probability(region, eps, sites, samples, seed,
+                      replicas=4) -> EmptyProbability:
     """nu(A n B = empty) by Monte Carlo plus the fitted Bernoulli curves."""
     idx = [region.site_index(s) for s in sites]
     if any(i < 0 for i in idx):
@@ -568,7 +499,7 @@ def empty_probability(region, eps, sites, samples, seed, replicas=4,
     idx = np.asarray(idx)
     est = _chain_average(
         region, eps, lambda ch: float(not ch.pinned[idx].any()),
-        samples, seed, replicas=replicas, burnin=burnin)
+        samples, seed, replicas=replicas)
     p_lo, p_hi = domination_densities(region, eps, sites)
     b = len(idx)
     return EmptyProbability(est, (1.0 - p_hi) ** b, (1.0 - p_lo) ** b,
@@ -582,7 +513,7 @@ class StabilityRow:
 
 
 def box_stability(kernel, eps, radii, probe, samples, seed, replicas=4,
-                  beta=None, jobs=1) -> list[StabilityRow]:
+                  jobs=1) -> list[StabilityRow]:
     """Track a probe across nested boxes; same master seed at every size."""
     if list(radii) != sorted(set(int(r) for r in radii)):
         raise ValidationError("radii must be strictly increasing")
@@ -590,7 +521,7 @@ def box_stability(kernel, eps, radii, probe, samples, seed, replicas=4,
         raise ValidationError(f"unknown probe {probe!r}")
 
     def row(radius):
-        region = box_region(kernel, radius, beta=beta)
+        region = box_region(kernel, radius)
         origin = region.site_index((0,) * kernel.d)
         if probe == "unpinned-marginal":
             fn = lambda ch: float(not ch.pinned[origin])  # noqa: E731

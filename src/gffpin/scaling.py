@@ -441,7 +441,7 @@ def variance_box_policy(eps, c=1.5, min_radius=8) -> int:
 
 def variance_scan(kernel, eps_grid, budget=400, seed=0, replicas=4,
                   policy_c=1.5, min_radius=8, box_radius=None, eta=3.0,
-                  beta=None, jobs=1) -> ScanResult:
+                  jobs=1) -> ScanResult:
     """Variance at the origin versus |log eps|, with the fitted slope and the
     n0-step Green cross-check value per point."""
     eps = _check_grid(eps_grid)
@@ -459,7 +459,7 @@ def variance_scan(kernel, eps_grid, budget=400, seed=0, replicas=4,
 
     def point(arg):
         i, e = arg
-        region = box_region(kernel, radii[i], beta=beta)
+        region = box_region(kernel, radii[i])
         est = pinning.variance_origin(region, e, samples=budget,
                                       seed=(seed, i), replicas=replicas)
         n0 = int(math.ceil(abs(math.log(e)) ** eta / e))

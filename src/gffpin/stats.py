@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
+from scipy.special import betaincinv
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,8 @@ def estimate_from_samples(samples, seed=None) -> Estimate:
 
 
 def binom_upper(successes: int, trials: int, conf: float = 0.95) -> float:
-    """Clopper-Pearson upper bound at two-sided confidence `conf`.
+    """Clopper-Pearson upper bound at two-sided confidence `conf`: the
+    1 - alpha/2 quantile of Beta(successes + 1, trials - successes).
 
     With zero successes this reduces to 1 - (alpha/2)**(1/n), the textbook
     rule-of-3.7 bound.
@@ -62,7 +63,7 @@ def binom_upper(successes: int, trials: int, conf: float = 0.95) -> float:
     alpha = 1.0 - conf
     if successes >= trials:
         return 1.0
-    return float(_sps.beta.ppf(1.0 - alpha / 2.0, successes + 1, trials - successes))
+    return float(betaincinv(successes + 1, trials - successes, 1.0 - alpha / 2.0))
 
 
 def parallel_map(fn, items, jobs=1):

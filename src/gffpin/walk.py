@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ResourceError, ValidationError, WindowTooSmall
-from .stats import Estimate, estimate_from_samples, replica_rng
+from .stats import Estimate, binom_upper, estimate_from_samples, replica_rng
 
 MASS_TOL = 1e-12
 _TAIL_SIGMAS = 10.0  # DP window half-width in units of sigma*sqrt(n)
@@ -598,8 +598,6 @@ def range_tail(kernel, n, kappa, reps, seed) -> TailProbability:
         raise ValidationError("need n >= 3 so that log n > 1")
     if kappa <= 0:
         raise ValidationError("kappa must be positive")
-    from .stats import binom_upper
-
     threshold = kappa * n / math.log(n)
     samples = range_samples(kernel, n, reps, seed)
     hits = int(np.count_nonzero(samples <= threshold))

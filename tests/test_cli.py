@@ -1,7 +1,12 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import gffpin
 
 from gffpin import cli
 from gffpin.walk import write_kernel_file
@@ -14,6 +19,14 @@ def _run(tmp_path, command, config, *extra):
     path.write_text(config)
     out = tmp_path / "out"
     return cli.main([command, str(path), "--output-dir", str(out), *extra]), out
+
+
+@pytest.fixture
+def srw2_file(tmp_path):
+    path = tmp_path / "srw2.kernel"
+    write_kernel_file(path, [((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0),
+                             ((0, -1), 1.0)], 2)
+    return path
 
 
 def _manifest(out):
@@ -51,6 +64,65 @@ class TestValidation:
         kernel.write_text("dim two\n1 0 1.0\n")
         code, _ = _run(tmp_path, "kernel-info", f"kernel_file = {kernel}\nseed = 1\n")
         assert code == 2
+
+
+class TestHandlerInputs:
+    """Input errors that only a handler used to catch, after the manifest
+    was written, now stop in validation."""
+
+    @pytest.mark.parametrize("command, body", [
+        ("green-probe", "box_radius = 2\nprobes = 0 0 1"),
+        ("green-probe", "box_radius = 2\nprobes = 0 0 3 0"),
+        ("green-probe", "box_radius = 2\npins = 1 0\nprobes = 0 0; 0 0 1 0"),
+        ("green-probe", "box_radius = 2\npins = 1\nprobes = 0 0 0 0"),
+        ("green-probe", "box_radius = -1\nprobes = 0 0 0 0"),
+        ("pins-sample", "box_radius = 1\nepsilon = 0.5\nsweeps = 10\nburnin = 11"),
+        ("pins-sample", "box_radius = 1\nepsilon = 0.5\nsweeps = 10\nburnin = -1"),
+        ("domination-check",
+         "box_radius = 2\nepsilon = 0.3\ntargets = 7 7\nsamples = 10"),
+        ("domination-check",
+         "box_radius = 2\nepsilon = 0.3\ntargets = 0 0\nsamples = 10\nreplicas = 0"),
+        ("box-stability",
+         "epsilon = 0.3\nradii = -1 1\nprobe = variance\nsamples = 10"),
+    ])
+    def test_config_error(self, tmp_path, capsys, srw2_file, command, body):
+        code, out = _run(tmp_path, command,
+                         f"{body}\nkernel_file = {srw2_file}\nseed = 1\n")
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestPinsSample:
+    def test_records_post_burnin_sweeps(self, tmp_path, srw2_file):
+        code, out = _run(tmp_path, "pins-sample",
+                         "box_radius = 1\nepsilon = 0.5\nsweeps = 10\n"
+                         f"burnin = 4\nkernel_file = {srw2_file}\nseed = 3\n")
+        assert code == 0
+        assert _manifest(out)["status"] == "done"
+        with open(out / "pin_samples.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows[0]) == 1 + 9  # sweep, then one column per site
+        assert [int(r[0]) for r in rows[1:]] == list(range(5, 11))
+        assert all(set(r[1:]) <= {"0", "1"} for r in rows[1:])
+
+    def test_window_radius_is_unknown(self, tmp_path, capsys, srw2_file):
+        code, out = _run(tmp_path, "pins-sample",
+                         "box_radius = 1\nepsilon = 0.5\nsweeps = 10\n"
+                         f"window_radius = 1\nkernel_file = {srw2_file}\n"
+                         "seed = 3\n")
+        assert code == 2
+        assert "unknown key 'window_radius'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_import_leaves_out_scipy_stats():
+    src = os.path.dirname(os.path.dirname(gffpin.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, gffpin.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
 
 
 class TestRenewalCommand:

@@ -7,7 +7,6 @@ from gffpin.errors import ValidationError
 from gffpin.green import (
     Region,
     box_region,
-    conditional_variance,
     green_box_origin,
     green_killed,
     green_nstep,
@@ -191,8 +190,14 @@ class TestHittingProb:
         assert all(p > 0.5 for p in products)
         assert min(products) / max(products) >= 0.5
 
-    def test_conditional_variance_shorthand(self, srw2):
-        region = box_region(srw2, 2, pins=[(1, 0)])
-        assert math.isclose(conditional_variance(region, (0, 0)),
-                            green_killed(region, (0, 0), (0, 0)).value,
-                            rel_tol=1e-12)
+    @pytest.mark.parametrize("radius, pins, target, x", [
+        (3, [(1, 1), (-2, 0)], (1, 0), (2, -1)),  # 47 sites: dense solve
+        (24, [], (3, -2), (10, -7)),  # 2401 sites: CG
+    ])
+    def test_last_exit_identity(self, srw2, radius, pins, target, x):
+        # G(x, t) = P_x(T_t < inf) G(t, t): strong Markov property at T_t
+        region = box_region(srw2, radius, pins=pins)
+        h = hitting_prob(region, [target], x)
+        ratio = (green_killed(region, x, target).value
+                 / green_killed(region, target, target).value)
+        assert math.isclose(h, ratio, rel_tol=1e-12)
