@@ -4,22 +4,27 @@ A Region is a box with a dead-site mask (exterior plus any pinned sites);
 Green values solve (I - P) restricted to the alive sites, so they are
 simultaneously the covariances of the free field given the dead set, after
 the 1/beta_eff scaling. All solves run at beta = 1 internally.
+
+There is one solve path: a sparse LU factor of (I - P)|alive, built on first
+use and cached on the Region, serves every `Region.solve` and the diagonal
+of the Green matrix. A Region is immutable, so every chain and every probe
+on one Region shares that factor.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, ValidationError
 from .walk import PartialSum, StepKernel, pmf_origin_series, potential_kernel
 
-DENSE_LIMIT = 2000
 RESIDUAL_TARGET = 1e-10
+_DIAG_BLOCK = 32  # unit columns per block solve of the Green diagonal
 
 
 class Region:
@@ -27,7 +32,7 @@ class Region:
 
     Everything outside the box is dead (the walk is killed on any step that
     leaves it, so multi-cell jumps cannot escape), and the optional ``pins``
-    are dead sites inside the box.
+    are dead sites inside the box, each given by its d coordinates.
     """
 
     def __init__(self, kernel: StepKernel, lo, hi, pins=(), beta=None):
@@ -42,6 +47,9 @@ class Region:
         shape = tuple(int(h - l + 1) for l, h in zip(self.lo, self.hi))
         alive = np.ones(shape, dtype=bool)
         for pin in pins:
+            if len(pin) != kernel.d:
+                raise ValidationError(
+                    f"pin {tuple(pin)} must hold {kernel.d} coordinates")
             idx = tuple(int(c) - int(l) for c, l in zip(pin, self.lo))
             if any(i < 0 or i >= s for i, s in zip(idx, shape)):
                 raise ValidationError(f"pin {tuple(pin)} outside the box")
@@ -53,7 +61,9 @@ class Region:
         self.index[alive] = np.arange(len(self.sites))
         self.n_alive = len(self.sites)
         self._matrix = self._build_matrix()
-        self._dense_factor = None
+        self._lock = threading.Lock()
+        self._lu = None
+        self._green_diag = None
 
     def site_index(self, x) -> int:
         idx = tuple(int(c) - int(l) for c, l in zip(x, self.lo))
@@ -103,20 +113,40 @@ class Region:
         """(I - P) restricted to alive sites, beta = 1."""
         return self._matrix
 
+    @property
+    def factor(self):
+        """Sparse LU factor of `matrix`, built once and shared."""
+        with self._lock:
+            if self._lu is None:
+                # symmetric positive definite: a symmetric fill-reducing
+                # order needs no pivoting
+                self._lu = spla.splu(self._matrix.tocsc(),
+                                     permc_spec="MMD_AT_PLUS_A",
+                                     diag_pivot_thresh=0.0,
+                                     options={"SymmetricMode": True})
+            return self._lu
+
+    @property
+    def green_diag(self) -> np.ndarray:
+        """diag((I - P)|alive^{-1}), beta = 1, by block solves; read-only."""
+        lu = self.factor
+        with self._lock:
+            if self._green_diag is None:
+                n = self.n_alive
+                out = np.empty(n)
+                for start in range(0, n, _DIAG_BLOCK):
+                    cols = np.arange(start, min(start + _DIAG_BLOCK, n))
+                    block = np.zeros((n, len(cols)))
+                    block[cols, np.arange(len(cols))] = 1.0
+                    out[cols] = lu.solve(block)[cols, np.arange(len(cols))]
+                out.flags.writeable = False
+                self._green_diag = out
+            return self._green_diag
+
     def solve(self, rhs):
         """Solve (I - P)|alive g = rhs; returns (g, relative residual)."""
         rhs = np.asarray(rhs, dtype=float)
-        if self.n_alive < DENSE_LIMIT:
-            if self._dense_factor is None:
-                self._dense_factor = sla.cho_factor(self._matrix.toarray())
-            g = sla.cho_solve(self._dense_factor, rhs)
-        else:
-            # symmetric positive definite; diagonal is constant so the
-            # diagonal preconditioner is a pure scaling
-            g, info = spla.cg(self._matrix, rhs, rtol=1e-13, atol=0.0,
-                              maxiter=200_000)
-            if info != 0:
-                raise NumericalError(f"CG failed to converge (info={info})")
+        g = self.factor.solve(rhs)
         scale = float(np.linalg.norm(rhs))
         resid = float(np.linalg.norm(self._matrix @ g - rhs)) / (scale or 1.0)
         if resid > RESIDUAL_TARGET:

@@ -6,6 +6,13 @@ Gaussian partition function given zeros on A and on the exterior. The sampler
 is a systematic-scan heat bath whose single-site odds eps*g/(1+eps*g), with
 g the conditional density of the field at zero height, match the exact
 single-flip ratio of nu, so detailed balance holds by construction.
+
+The chain holds the covariance given A in low-rank form,
+G_A = G0 - G0[:, A] K^{-1} G0[A, :] with K = G0[A, A] and G0 the Green
+matrix of the box, so its memory is O(n |A|) and a flip costs O(n |A|) plus
+one sparse solve. The pinned set is sparse at small eps, which is what makes
+large boxes reachable. Exact enumeration, subset tables and field draws stay
+dense: they are small-box oracles.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import dger
 from scipy.special import logsumexp
 
 from .errors import NumericalError, ResourceError, ValidationError
@@ -27,7 +33,7 @@ ENUM_LIMIT = 16  # subsets are enumerated for at most 2^16 pinnable sites
 PAIR_LIMIT = 9  # exhaustive lattice-condition pair checks
 AUDIT_TOL = 1e-2
 _AUDIT_VISITS = (1, 13, 137, 1371, 13711, 137111, 1371111)
-_REFRESH_CHANGES = 5000
+COLUMN_BYTES_CAP = 1 << 30  # bytes of Green columns and K^{-1} per chain
 
 
 # ---------------------------------------------------------------------------
@@ -37,10 +43,14 @@ _REFRESH_CHANGES = 5000
 class GibbsChain:
     """Exact systematic-scan heat bath for the pinned-site law on a region.
 
-    Maintains the dense inverse of (I - P) restricted to the currently
-    unpinned sites, updated by rank-1 pin/unpin formulas, so every
-    conditional variance it uses equals the fresh-solve value up to float
-    drift; periodic refreshes and scheduled audits keep that drift audited.
+    State, all at beta = 1: the columns G0[:, A] of the region's Green matrix
+    for the current pin set A (slot order, not site order), the |A| x |A|
+    matrix K^{-1} = G0[A, A]^{-1}, and the vector diag(G_A), read only off A.
+    Pinning a site costs one solve with the region's shared factor;
+    unpinning costs none. The conditional variance of an unpinned site is
+    diag(G_A), and the add-back variance of a pinned site a is
+    1 / K^{-1}[a, a]. Scheduled audits compare either with an independent
+    sparse solve.
     """
 
     def __init__(self, region: Region, eps: float, seed: int, replica: int = 0):
@@ -51,49 +61,25 @@ class GibbsChain:
         self.rng = replica_rng(seed, replica)
         self.beta = region.beta
         n = region.n_alive
-        m = region.matrix
-        self.diag = 1.0 - region.kernel.p0
-        csr = m.tocsr()
-        self.nbr_idx = []
-        self.nbr_w = []
-        for i in range(n):
-            sl = slice(csr.indptr[i], csr.indptr[i + 1])
-            cols = csr.indices[sl]
-            vals = csr.data[sl]
-            off = cols != i
-            self.nbr_idx.append(cols[off].astype(np.int64))
-            self.nbr_w.append(-vals[off])
         self.pinned = np.zeros(n, dtype=bool)
-        self.sigma = np.asfortranarray(np.linalg.inv(m.toarray()))
+        self.var = region.green_diag.copy()  # diag(G_A)
+        self.slot = np.full(n, -1, dtype=np.int64)  # column slot of each pin
+        self.sites = np.empty(0, dtype=np.int64)  # site of each slot
+        self.cols = np.empty((n, 0), order="F")  # G0[:, A], first k columns
+        self.kinv = np.empty((0, 0))  # K^{-1}, first k rows and columns
+        self.k = 0
         self._visits = 0
-        self._changes_since_refresh = 0
         self.audit_max_rel_err = 0.0
 
     # -- conditional variance bookkeeping ----------------------------------
 
-    def _addback(self, i):
-        """Schur diagonal of site i if it were unpinned, at beta = 1."""
-        idx = self.nbr_idx[i]
-        live = ~self.pinned[idx]
-        if not live.any():
-            return 1.0 / self.diag
-        idx = idx[live]
-        w = self.nbr_w[i][live]
-        quad = w @ self.sigma[np.ix_(idx, idx)] @ w
-        denom = self.diag - quad
-        if denom <= 0:
-            raise NumericalError("lost positive definiteness; audit the chain")
-        return 1.0 / denom
-
     def raw_variance(self, i) -> float:
         """Conditional variance at site i given the other pins, beta = 1."""
-        s = self._addback(i) if self.pinned[i] else float(self.sigma[i, i])
-        self._visits += 1
-        if self._visits in _AUDIT_VISITS:
-            self._audit(i, s)
-        return s
+        p = self.slot[i]
+        return float(self.var[i] if p < 0 else 1.0 / self.kinv[p, p])
 
-    def _audit(self, i, s):
+    def _audit(self, i):
+        s = self.raw_variance(i)
         fresh = self._fresh_variance(i)
         rel = abs(s - fresh) / fresh
         self.audit_max_rel_err = max(self.audit_max_rel_err, rel)
@@ -112,64 +98,110 @@ class GibbsChain:
 
     # -- state changes ------------------------------------------------------
 
-    def _pin(self, i):
-        col = self.sigma[:, i].copy()
-        self.sigma = dger(-1.0 / col[i], col, col, a=self.sigma, overwrite_a=1)
-        self.pinned[i] = True
-        self._after_change()
+    def _grow(self):
+        n = len(self.pinned)
+        cap = min(n, max(8, 2 * self.cols.shape[1]))
+        need = 8 * cap * (n + cap)
+        if need > COLUMN_BYTES_CAP:
+            raise ResourceError(
+                f"{self.k + 1} pins on {n} sites need {need} bytes of Green "
+                f"columns, above the {COLUMN_BYTES_CAP}-byte cap")
+        cols = np.empty((n, cap), order="F")
+        cols[:, :self.k] = self.cols[:, :self.k]
+        kinv = np.empty((cap, cap))
+        kinv[:self.k, :self.k] = self.kinv[:self.k, :self.k]
+        sites = np.empty(cap, dtype=np.int64)
+        sites[:self.k] = self.sites[:self.k]
+        self.cols, self.kinv, self.sites = cols, kinv, sites
 
-    def _unpin(self, i):
-        idx = self.nbr_idx[i]
-        live = ~self.pinned[idx]
-        n = self.sigma.shape[0]
-        if live.any():
-            idx = idx[live]
-            w = self.nbr_w[i][live]
-            u = self.sigma[:, idx] @ w
-            u[self.pinned] = 0.0
-            quad = float(w @ u[idx])
-        else:
-            u = np.zeros(n)
-            quad = 0.0
-        s = 1.0 / (self.diag - quad)
+    def _pin(self, i):
+        k = self.k
+        if k == self.cols.shape[1]:
+            self._grow()
+        rhs = np.zeros(len(self.pinned))
+        rhs[i] = 1.0
+        g0, _ = self.region.solve(rhs)
+        c = self.cols[:, :k]
+        kb = self.kinv[:k, :k] @ c[i]  # K^{-1} G0[A, i]
+        col = g0 - c @ kb  # G_A[:, i]
+        s = col[i]
         if s <= 0:
             raise NumericalError("lost positive definiteness; audit the chain")
-        self.sigma = dger(s, u, u, a=self.sigma, overwrite_a=1)
-        # block inverse: cross terms are -Sigma b s with b = -w at the
-        # neighbors, i.e. +s u
-        self.sigma[:, i] = s * u
-        self.sigma[i, :] = s * u
-        self.sigma[i, i] = s
+        self.var -= col * col / s
+        # bordered inverse of K with the new site last
+        kinv = self.kinv
+        kinv[:k, :k] += np.outer(kb, kb) / s
+        kinv[:k, k] = kinv[k, :k] = -kb / s
+        kinv[k, k] = 1.0 / s
+        self.cols[:, k] = g0
+        self.sites[k] = i
+        self.slot[i] = k
+        self.k = k + 1
+        self.pinned[i] = True
+
+    def _unpin(self, i):
+        k, p = self.k, int(self.slot[i])
+        kinv = self.kinv
+        kp = kinv[:k, p].copy()
+        kappa = kp[p]
+        if kappa <= 0:
+            raise NumericalError("lost positive definiteness; audit the chain")
+        u = self.cols[:, :k] @ kp  # G_{A-i}[:, i] * kappa
+        self.var += u * u / kappa
+        # Schur complement of slot p, then the last slot moves into p
+        kinv[:k, :k] -= np.outer(kp, kp) / kappa
+        last = k - 1
+        if p != last:
+            kinv[p, :k] = kinv[last, :k]
+            kinv[:k, p] = kinv[:k, last]  # kinv[p, p] via the row copy
+            self.cols[:, p] = self.cols[:, last]
+            moved = self.sites[last]
+            self.sites[p] = moved
+            self.slot[moved] = p
+        self.k = last
+        self.slot[i] = -1
+        self.var[i] = 1.0 / kappa
         self.pinned[i] = False
-        self._after_change()
-
-    def _after_change(self):
-        self._changes_since_refresh += 1
-        if self._changes_since_refresh >= _REFRESH_CHANGES:
-            self._refresh()
-
-    def _refresh(self):
-        keep = np.flatnonzero(~self.pinned)
-        sub = self.region.matrix[np.ix_(keep, keep)].toarray()
-        self.sigma[np.ix_(keep, keep)] = np.linalg.inv(sub)
-        self._changes_since_refresh = 0
 
     # -- public surface -----------------------------------------------------
 
-    def pin_probability(self, i) -> float:
-        g = math.sqrt(self.beta / (2.0 * math.pi * self.raw_variance(i)))
+    def _pin_probabilities(self, start):
+        """Heat-bath odds of every site from `start` on."""
+        v = self.var[start:].copy()
+        a = self.sites[:self.k]
+        ahead = a >= start
+        v[a[ahead] - start] = 1.0 / np.diagonal(self.kinv)[:self.k][ahead]
+        g = np.sqrt(self.beta / (2.0 * math.pi * v))
         return self.eps * g / (1.0 + self.eps * g)
 
     def sweep(self):
-        """One lexicographic heat-bath scan; exactly one uniform per site."""
-        rng = self.rng
-        for i in range(len(self.pinned)):  # region.sites is lexicographic
-            pr = self.pin_probability(i)
-            want = rng.random() < pr
-            if want and not self.pinned[i]:
-                self._pin(i)
-            elif not want and self.pinned[i]:
-                self._unpin(i)
+        """One lexicographic heat-bath scan; exactly one uniform per site.
+
+        The n uniforms of a sweep come from one draw, the same stream as n
+        scalar draws. Odds change only at flips, so the scan jumps from one
+        site whose uniform disagrees with its pin state to the next and
+        refreshes the odds of the sites after it.
+        """
+        n = len(self.pinned)
+        u = self.rng.random(n)
+        first = self._visits
+        self._visits += n
+        audits = [t - first - 1 for t in _AUDIT_VISITS if first < t <= first + n]
+        i = 0
+        pr = self._pin_probabilities(0)
+        while i < n:
+            flips = np.flatnonzero((u[i:] < pr) != self.pinned[i:])
+            nxt = i + int(flips[0]) if len(flips) else n
+            while audits and audits[0] <= nxt:
+                self._audit(audits.pop(0))
+            if nxt == n:
+                break
+            if self.pinned[nxt]:
+                self._unpin(nxt)
+            else:
+                self._pin(nxt)
+            i = nxt + 1
+            pr = self._pin_probabilities(i)
 
     def run(self, sweeps):
         for _ in range(int(sweeps)):
@@ -179,7 +211,14 @@ class GibbsChain:
         """G_{A^c}(i, j)/beta for the current pin set; zero if either pinned."""
         if self.pinned[i] or self.pinned[j]:
             return 0.0
-        return float(self.sigma[i, j]) / self.beta
+        if i == j:
+            return float(self.var[i]) / self.beta
+        rhs = np.zeros(len(self.pinned))
+        rhs[j] = 1.0
+        g0, _ = self.region.solve(rhs)
+        k = self.k
+        c = self.cols[:, :k]
+        return float(g0[i] - c[i] @ (self.kinv[:k, :k] @ c[j])) / self.beta
 
 
 @dataclass

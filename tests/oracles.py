@@ -4,7 +4,10 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse.linalg as spla
 from scipy.special import gamma, gammaincc
+
+from gffpin.stats import replica_rng
 
 
 def iter_paths(kernel, n):
@@ -118,3 +121,27 @@ def direct_renewal_sums(eps, lam, k_max):
 
     tails = (eps * tail(-0.5), tail(0.5), tail(1.5) / 6.0)
     return sums, tails
+
+
+def scalar_heat_bath(region, eps, sweeps, seed, burnin, replica=0):
+    """Pin rows after each post-burn-in sweep of the exact heat bath, one
+    site at a time: each conditional variance from a fresh sparse solve of
+    the precision on the unpinned sites plus the visited one, and one
+    scalar uniform per site."""
+    rng = replica_rng(seed, replica)
+    n = region.n_alive
+    pinned = np.zeros(n, dtype=bool)
+    rows = []
+    for sweep in range(sweeps):
+        for i in range(n):
+            keep = np.flatnonzero(~pinned | (np.arange(n) == i))
+            sub = region.matrix[np.ix_(keep, keep)].tocsc()
+            rhs = np.zeros(len(keep))
+            pos = int(np.searchsorted(keep, i))
+            rhs[pos] = 1.0
+            var = float(spla.spsolve(sub, rhs)[pos])
+            g = math.sqrt(region.beta / (2.0 * math.pi * var))
+            pinned[i] = rng.random() < eps * g / (1.0 + eps * g)
+        if sweep >= burnin:
+            rows.append(pinned.astype(np.uint8))
+    return np.array(rows).reshape(sweeps - burnin, n)

@@ -8,7 +8,7 @@ import pytest
 
 import gffpin
 
-from gffpin import cli
+from gffpin import cli, pinning
 from gffpin.walk import write_kernel_file
 
 ZETA_HALF = -1.4603545088095868  # zeta(1/2)
@@ -114,6 +114,39 @@ class TestPinsSample:
         assert code == 2
         assert "unknown key 'window_radius'" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_column_cap_is_resource_error(self, tmp_path, capsys, srw2_file,
+                                          monkeypatch):
+        monkeypatch.setattr(pinning, "COLUMN_BYTES_CAP", 1024)
+        code, out = _run(tmp_path, "pins-sample",
+                         "box_radius = 2\nepsilon = 5\nsweeps = 4\n"
+                         f"kernel_file = {srw2_file}\nseed = 3\n")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "resource exceeded" in err and "cap" in err
+        assert "Traceback" not in err
+        assert not (out / "pin_samples.csv").exists()
+
+
+@pytest.mark.parametrize("command, body, files", [
+    ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8",
+     ("variance_scan_points.csv", "variance_scan_fit.csv")),
+    ("mass-scan",
+     "eps_list = 0.3 0.2 0.1\nmode = pinning-exact\nbudget = 1\nsamples = 4",
+     ("mass_scan_points.csv", "mass_scan_fit.csv")),
+])
+def test_chain_outputs_independent_of_jobs(tmp_path, srw2_file, command, body,
+                                           files):
+    config = f"{body}\nkernel_file = {srw2_file}\nseed = 7\n"
+    outputs = []
+    for jobs in ("1", "2"):
+        run_dir = tmp_path / jobs
+        run_dir.mkdir()
+        code, out = _run(run_dir, command, config, "--jobs", jobs)
+        assert code == 0
+        outputs.append([(out / f).read_bytes() for f in files])
+    assert outputs[0] == outputs[1]
 
 
 def test_import_leaves_out_scipy_stats():

@@ -36,6 +36,19 @@ class TestGreenKilled:
         with pytest.raises(ValidationError):
             green_killed(region, (5, 5), (0, 0))
 
+    def test_short_pin_rejected(self, srw2):
+        # a pin with fewer than d coordinates used to kill a whole slab
+        with pytest.raises(ValidationError, match="2 coordinates"):
+            box_region(srw2, 2, pins=[(1,)])
+        with pytest.raises(ValidationError):
+            box_region(srw2, 2, pins=[(1, 0, 0)])
+
+    def test_green_diag_matches_dense_inverse(self, srw2_lazy):
+        region = box_region(srw2_lazy, 5, pins=[(1, 1)])  # 120 sites, 2 blocks
+        inv = np.linalg.inv(region.matrix.toarray())
+        assert np.abs(region.green_diag - np.diag(inv)).max() <= 1e-12
+        assert region.factor is region.factor
+
     def test_symmetry(self, srw2):
         region = box_region(srw2, 3, pins=[(2, 2)])
         pairs = [((0, 0), (1, -1)), ((-2, 1), (3, 0)), ((1, 1), (-1, -2))]

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gffpin.errors import ResourceError, ValidationError
+from gffpin import pinning
+from gffpin.errors import NumericalError, ResourceError, ValidationError
 from gffpin.green import Region, box_region, green_killed
 from gffpin.pinning import (
+    AUDIT_TOL,
     GibbsChain,
     box_stability,
     check_lattice_condition,
@@ -19,6 +21,7 @@ from gffpin.pinning import (
     variance_origin,
 )
 from gffpin.stats import batch_stderr, replica_rng
+from oracles import scalar_heat_bath
 
 EPS = 0.5
 
@@ -162,7 +165,61 @@ class TestSampler:
                 chain._unpin(i)
         keep = np.flatnonzero(~chain.pinned)
         true = np.linalg.inv(mat[np.ix_(keep, keep)])
-        assert np.abs(chain.sigma[np.ix_(keep, keep)] - true).max() <= 1e-9
+        assert np.abs(chain.var[keep] - np.diag(true)).max() <= 1e-9
+        cov = np.array([[chain.covariance(i, j) for j in keep] for i in keep])
+        assert np.abs(cov * region.beta - true).max() <= 1e-9
+        pins = np.flatnonzero(chain.pinned)
+        assert len(pins) >= 3
+        for a in pins:
+            back = np.append(keep, a)
+            fresh = np.linalg.inv(mat[np.ix_(back, back)])[-1, -1]
+            assert abs(chain.raw_variance(a) - fresh) <= 1e-9
+
+
+class TestLowRankChain:
+    @pytest.mark.parametrize("radius, eps, seed", [
+        (2, 0.5, 1), (3, 0.3, 2), (4, 0.1, 3), (2, 3.0, 4)])
+    def test_sweep_matches_scalar_oracle(self, srw2_lazy, radius, eps, seed):
+        region = box_region(srw2_lazy, radius)
+        rows = sample_pins(region, eps, 8, seed, burnin=0).samples
+        assert np.array_equal(rows, scalar_heat_bath(region, eps, 8, seed, 0))
+        if eps == 3.0:  # the last site of a sweep flips
+            assert np.any(np.diff(np.r_[0, rows[:, -1]]) != 0)
+
+    def test_audits_fire_at_fixed_visits(self, srw2_lazy, monkeypatch):
+        region = box_region(srw2_lazy, 10)
+        n = region.n_alive
+        seen = []
+        fresh = GibbsChain._fresh_variance
+
+        def record(chain, i):
+            seen.append(sweep * n + i + 1)
+            return fresh(chain, i)
+
+        monkeypatch.setattr(GibbsChain, "_fresh_variance", record)
+        chain = GibbsChain(region, 0.3, seed=5)
+        for sweep in range(4):
+            chain.sweep()
+        assert seen == [1, 13, 137, 1371]
+        assert 0.0 < chain.audit_max_rel_err <= AUDIT_TOL
+
+    def test_drift_fails_the_audit(self, srw2_lazy):
+        chain = GibbsChain(box_region(srw2_lazy, 3), 0.3, seed=5)
+        chain.var *= 1.05
+        with pytest.raises(NumericalError):
+            chain.sweep()
+
+    def test_column_store_cap(self, srw2_lazy, monkeypatch):
+        region = box_region(srw2_lazy, 3)
+        chain = GibbsChain(region, 0.3, seed=5)
+        for i in range(8):
+            chain._pin(i)
+        monkeypatch.setattr(pinning, "COLUMN_BYTES_CAP",
+                            8 * 8 * (region.n_alive + 8))
+        with pytest.raises(ResourceError):
+            chain._pin(8)
+        assert chain.cols.shape == (region.n_alive, 8)
+        assert chain.pinned.sum() == 8
 
 
 class TestFieldSampling:
