@@ -186,7 +186,8 @@ class GibbsChain:
         u = self.rng.random(n)
         first = self._visits
         self._visits += n
-        audits = [t - first - 1 for t in _AUDIT_VISITS if first < t <= first + n]
+        audits = [t - first - 1 for t in _AUDIT_VISITS
+                  if first < t <= first + n]
         i = 0
         pr = self._pin_probabilities(0)
         while i < n:

@@ -123,12 +123,12 @@ def direct_renewal_sums(eps, lam, k_max):
     return sums, tails
 
 
-def scalar_heat_bath(region, eps, sweeps, seed, burnin, replica=0):
+def scalar_heat_bath(region, eps, sweeps, seed, burnin):
     """Pin rows after each post-burn-in sweep of the exact heat bath, one
     site at a time: each conditional variance from a fresh sparse solve of
     the precision on the unpinned sites plus the visited one, and one
     scalar uniform per site."""
-    rng = replica_rng(seed, replica)
+    rng = replica_rng(seed, 0)
     n = region.n_alive
     pinned = np.zeros(n, dtype=bool)
     rows = []
