@@ -257,6 +257,8 @@ def parse_command_config(command, raw_config) -> dict:
 
 
 def _fmt(value):
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (float, np.floating)):
@@ -422,11 +424,9 @@ def _cmd_mass_scan(cfg, out, manifest, jobs):
         region_radius=cfg.get("region_radius"), samples=cfg.get("samples"),
         jobs=jobs)
     d = res.diagnostics
-    rows = []
-    for i, (e, v, f) in enumerate(zip(res.eps, res.values, res.flags)):
-        dens = d["density"][i] if i < len(d["density"]) else ""
-        nmax = d["n_max"][i] if i < len(d["n_max"]) else ""
-        rows.append((e, v.mean, v.stderr, v.n, f, dens, nmax))
+    rows = [(e, v.mean, v.stderr, v.n, f, dens, nmax)
+            for e, v, f, dens, nmax in zip(res.eps, res.values, res.flags,
+                                           d["density"], d["n_max"])]
     write_csv(os.path.join(out, "mass_scan_points.csv"),
               ("epsilon", "value", "stderr", "n_used", "flags", "density",
                "n_max"), rows)

@@ -19,14 +19,3 @@ class NumericalError(ToolkitError):
 
 class ResourceError(ToolkitError):
     """The request exceeds a hard size limit (enumeration, window, memory)."""
-
-
-class WindowTooSmall(NumericalError):
-    """A convolution window dropped more probability mass than allowed."""
-
-    def __init__(self, radius, captured):
-        self.radius = radius
-        self.captured = captured
-        super().__init__(
-            f"window radius {radius} captures only {captured:.15f} of the mass"
-        )

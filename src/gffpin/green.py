@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, ValidationError
-from .walk import PartialSum, StepKernel, pmf_origin_series, potential_kernel
+from .walk import StepKernel, pmf_origin_series
 
 RESIDUAL_TARGET = 1e-10
 _DIAG_BLOCK = 32  # unit columns per block solve of the Green diagonal
@@ -35,15 +35,13 @@ class Region:
     are dead sites inside the box, each given by its d coordinates.
     """
 
-    def __init__(self, kernel: StepKernel, lo, hi, pins=(), beta=None):
+    def __init__(self, kernel: StepKernel, lo, hi, pins=()):
         self.kernel = kernel
         self.lo = np.asarray(lo, dtype=np.int64)
         self.hi = np.asarray(hi, dtype=np.int64)
         if self.lo.shape != (kernel.d,) or np.any(self.hi < self.lo):
             raise ValidationError("bad box bounds")
-        self.beta = float(kernel.beta_eff if beta is None else beta)
-        if self.beta <= 0:
-            raise ValidationError("beta must be positive")
+        self.beta = float(kernel.beta_eff)
         shape = tuple(int(h - l + 1) for l, h in zip(self.lo, self.hi))
         alive = np.ones(shape, dtype=bool)
         for pin in pins:
@@ -154,10 +152,10 @@ class Region:
         return g, resid
 
 
-def box_region(kernel, radius, pins=(), beta=None) -> Region:
+def box_region(kernel, radius, pins=()) -> Region:
     """Centered cube of side 2*radius + 1."""
     r = int(radius)
-    return Region(kernel, [-r] * kernel.d, [r] * kernel.d, pins=pins, beta=beta)
+    return Region(kernel, [-r] * kernel.d, [r] * kernel.d, pins=pins)
 
 
 @dataclass(frozen=True)
@@ -180,51 +178,8 @@ def green_killed(region: Region, x, y) -> GreenProbe:
                       float(g[ix]) / region.beta, resid)
 
 
-def green_box_origin(kernel: StepKernel, radius: int) -> GreenProbe:
-    """G_B(0, 0) on the centered box of the given radius (d = 2)."""
-    if kernel.d != 2:
-        raise ValidationError("green_box_origin is a d = 2 diagnostic")
-    region = box_region(kernel, radius)
-    return green_killed(region, (0, 0), (0, 0))
-
-
-def green_one_obstacle(kernel: StepKernel, x, n_max: int) -> PartialSum:
-    """G on Z^2 minus the single dead site x, from the potential kernel:
-    a(x) + a(-x), which is 2 a(x) for symmetric kernels."""
-    if kernel.d != 2:
-        raise ValidationError("one-obstacle Green function needs d = 2")
-    if not any(int(c) for c in x):
-        raise ValidationError("obstacle must differ from the origin")
-    a = potential_kernel(kernel, x, n_max)
-    return PartialSum(2.0 * a.value, 2.0 * a.tail_estimate)
-
-
 def green_nstep(kernel: StepKernel, n: int) -> float:
     """n-step Green function at the origin, sum_{m<=n} p_m(0), exact."""
     if n < 0:
         raise ValidationError("n must be >= 0")
     return float(pmf_origin_series(kernel, n).sum())
-
-
-def hitting_prob(region: Region, target, x) -> float:
-    """P_x(hit target before dying), Dirichlet outside the alive set."""
-    tgt = {region.site_index(t) for t in target}
-    if not tgt:
-        raise ValidationError("empty target")
-    if any(t < 0 for t in tgt):
-        raise ValidationError("target sites must be alive in the region")
-    ix = region.site_index(x)
-    if ix < 0:
-        raise ValidationError("x must be alive")
-    if ix in tgt:
-        return 1.0
-    tcols = sorted(tgt)
-    dead = np.vstack([np.argwhere(~region.alive) + region.lo,
-                      region.sites[tcols]])
-    sub = Region(region.kernel, region.lo, region.hi, pins=dead,
-                 beta=region.beta)
-    keep = region.index[sub.alive]
-    # mass stepping from kept sites directly into the target
-    rhs = -np.asarray(region.matrix[keep][:, tcols].sum(axis=1)).ravel()
-    h, _ = sub.solve(rhs)
-    return float(h[sub.site_index(x)])

@@ -1,5 +1,5 @@
-"""The delta-pinning measure: exact enumeration, Gibbs sampling, field draws,
-and domination diagnostics.
+"""The delta-pinning measure: exact enumeration, Gibbs sampling and
+domination diagnostics.
 
 The law of the pinned set A on a box L is nu(A) ~ eps^|A| Z_{L\\A}, with Z the
 Gaussian partition function given zeros on A and on the exterior. The sampler
@@ -11,8 +11,8 @@ The chain holds the covariance given A in low-rank form,
 G_A = G0 - G0[:, A] K^{-1} G0[A, :] with K = G0[A, A] and G0 the Green
 matrix of the box, so its memory is O(n |A|) and a flip costs O(n |A|) plus
 one sparse solve. The pinned set is sparse at small eps, which is what makes
-large boxes reachable. Exact enumeration, subset tables and field draws stay
-dense: they are small-box oracles.
+large boxes reachable. Exact enumeration stays dense: it serves the FKG
+check and is the small-box oracle of the sampler.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from scipy.special import logsumexp
 
@@ -264,55 +263,35 @@ def sample_pins(region, eps, sweeps, seed, burnin=None) -> PinState:
 
 @dataclass
 class ExactPinTable:
-    """nu restricted to pin sets inside a window, by full enumeration."""
+    """nu over every pin set of the region's alive sites, by enumeration."""
 
     region: Region
     eps: float
-    window: np.ndarray  # site indices allowed to pin
-    probs: np.ndarray  # (2^m,), indexed by bitmask over window order
+    probs: np.ndarray  # (2^n,), indexed by bitmask over site order
     log_partition: float
 
     def marginal(self, site_index: int) -> float:
-        w = int(np.flatnonzero(self.window == site_index)[0])
         masks = np.arange(len(self.probs), dtype=np.uint64)
-        return float(self.probs[(masks >> w) & 1 == 1].sum())
+        return float(self.probs[(masks >> int(site_index)) & 1 == 1].sum())
 
     def empty_probability(self, site_indices) -> float:
-        bits = 0
-        for s in site_indices:
-            w = np.flatnonzero(self.window == s)
-            if len(w):
-                bits |= 1 << int(w[0])
+        bits = sum(1 << int(s) for s in set(site_indices))
         masks = np.arange(len(self.probs), dtype=np.uint64)
         return float(self.probs[(masks & np.uint64(bits)) == 0].sum())
 
 
-def _window_indices(region, pin_window):
-    if pin_window is None:
-        return np.arange(region.n_alive)
-    idx = []
-    for site in pin_window:
-        i = region.site_index(site)
-        if i < 0:
-            raise ValidationError(f"window site {tuple(site)} is not alive")
-        idx.append(i)
-    return np.asarray(sorted(set(idx)), dtype=np.int64)
+def _mask_members(mask, n):
+    return np.array([k for k in range(n) if (mask >> k) & 1], dtype=np.int64)
 
 
-def _mask_members(mask, window):
-    return window[[k for k in range(len(window)) if (mask >> k) & 1]]
-
-
-def exact_pin_measure(region, eps, pin_window=None) -> ExactPinTable:
-    """Enumerate nu(A) over all pin sets A inside the window (all alive sites
-    by default). Weights: eps^|A| (2 pi)^{|A^c|/2} det(beta (I-P)|_{A^c})^{-1/2}."""
+def exact_pin_measure(region, eps) -> ExactPinTable:
+    """Enumerate nu(A) over all pin sets A of the alive sites. Weights:
+    eps^|A| (2 pi)^{|A^c|/2} det(beta (I-P)|_{A^c})^{-1/2}."""
     if eps <= 0:
         raise ValidationError("epsilon must be positive")
-    window = _window_indices(region, pin_window)
-    m = len(window)
-    if m > ENUM_LIMIT:
-        raise ResourceError(f"box too large: 2^{m} subsets exceed 2^{ENUM_LIMIT}")
     n = region.n_alive
+    if n > ENUM_LIMIT:
+        raise ResourceError(f"box too large: 2^{n} subsets exceed 2^{ENUM_LIMIT}")
     mat = region.matrix.toarray()
     sign, logdet_m = np.linalg.slogdet(mat)
     if sign <= 0:
@@ -321,9 +300,9 @@ def exact_pin_measure(region, eps, pin_window=None) -> ExactPinTable:
     log2pi = math.log(2.0 * math.pi)
     logbeta = math.log(region.beta)
     logeps = math.log(eps)
-    logw = np.empty(1 << m)
-    for mask in range(1 << m):
-        a_idx = _mask_members(mask, window)
+    logw = np.empty(1 << n)
+    for mask in range(1 << n):
+        a_idx = _mask_members(mask, n)
         k = len(a_idx)
         if k:
             s, ld = np.linalg.slogdet(sigma[np.ix_(a_idx, a_idx)])
@@ -336,91 +315,8 @@ def exact_pin_measure(region, eps, pin_window=None) -> ExactPinTable:
     logz_total = float(logsumexp(logw))
     probs = np.exp(logw - logz_total)
     probs /= probs.sum()
-    return ExactPinTable(region=region, eps=eps, window=window, probs=probs,
+    return ExactPinTable(region=region, eps=eps, probs=probs,
                          log_partition=logz_total)
-
-
-def subset_green_table(region, window, probes) -> np.ndarray:
-    """G_{A^c}(x, y)/beta for every pin subset of the window and each probe.
-
-    probes: list of (x, y) site-coordinate pairs. Returns (2^m, n_probes).
-    """
-    window = np.asarray(window, dtype=np.int64)
-    m = len(window)
-    if m > ENUM_LIMIT:
-        raise ResourceError("window too large for subset enumeration")
-    sigma = np.linalg.inv(region.matrix.toarray())
-    pr_idx = []
-    for x, y in probes:
-        ix, iy = region.site_index(x), region.site_index(y)
-        if ix < 0 or iy < 0:
-            raise ValidationError("probe sites must be alive")
-        pr_idx.append((ix, iy))
-    out = np.empty((1 << m, len(pr_idx)))
-    for mask in range(1 << m):
-        a_idx = _mask_members(mask, window)
-        if len(a_idx):
-            block = np.linalg.inv(sigma[np.ix_(a_idx, a_idx)])
-        for p, (ix, iy) in enumerate(pr_idx):
-            if ix in a_idx or iy in a_idx:
-                out[mask, p] = 0.0
-            elif len(a_idx):
-                out[mask, p] = (sigma[ix, iy]
-                                - sigma[ix, a_idx] @ block @ sigma[a_idx, iy])
-            else:
-                out[mask, p] = sigma[ix, iy]
-    return out / region.beta
-
-
-def gibbs_pin_prob(region, pins, x, eps) -> float:
-    """Heat-bath probability that x is pinned given the other pins:
-    eps*g/(1 + eps*g) with g the conditional density of phi_x at 0."""
-    if eps < 0:
-        raise ValidationError("epsilon must be nonnegative")
-    if eps == 0:
-        return 0.0
-    ix = region.site_index(x)
-    if ix < 0:
-        raise ValidationError("x must belong to the region")
-    others = [tuple(region.sites[region.site_index(p)])
-              for p in pins if region.site_index(p) != ix]
-    sub = Region(region.kernel, region.lo, region.hi, pins=others,
-                 beta=region.beta)
-    rhs = np.zeros(sub.n_alive)
-    rhs[sub.site_index(x)] = 1.0
-    g_vec, _ = sub.solve(rhs)
-    sigma2 = float(g_vec[sub.site_index(x)]) / region.beta
-    g = 1.0 / math.sqrt(2.0 * math.pi * sigma2)
-    return eps * g / (1.0 + eps * g)
-
-
-# ---------------------------------------------------------------------------
-# field sampling
-
-
-def sample_field(region, pins, seed) -> np.ndarray:
-    """Exact Gaussian draw given the pin set; zero on pins and outside.
-
-    Returns an array over the full box shape.
-    """
-    pin_sites = [tuple(map(int, region.sites[i]))
-                 for i in np.flatnonzero(np.asarray(pins, dtype=bool))] \
-        if isinstance(pins, np.ndarray) else [tuple(map(int, p)) for p in pins]
-    sub = Region(region.kernel, region.lo, region.hi, pins=pin_sites,
-                 beta=region.beta)
-    out = np.zeros(region.shape)
-    if sub.n_alive == 0:
-        return out
-    mat = sub.matrix.toarray()
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("precision factorization failed") from exc
-    z = replica_rng(seed).standard_normal(sub.n_alive)
-    phi = sla.solve_triangular(chol.T, z, lower=False) / math.sqrt(region.beta)
-    for val, site in zip(phi, sub.sites):
-        out[tuple(int(c - l) for c, l in zip(site, region.lo))] = val
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfc, factorial, gamma, zeta
+from scipy.special import factorial, gamma, zeta
 
 from .errors import NumericalError, ValidationError
-from .stats import replica_rng
 
 TOL = 1e-12
 ZETA_HALF = -1.4603545088095868  # zeta(1/2)
 LAM_SERIES = 1.0    # zeta series below, direct sum at and above
 SERIES_TERMS = 24   # series error below 1e-15 relative for lam < 1
 DIRECT_SPAN = 45.0  # e^{-45} ~ 3e-20 relative to the first term
-LAM_GEOMETRIC = 0.25  # both gap proposals accept 60% here (simulate_gaps)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _S = np.array([0.5, -0.5, -1.5])
@@ -62,12 +60,16 @@ def _normalizer(eps, lam) -> float:
 
 
 def solve_lambda(eps, tol=TOL) -> float:
-    """Unique lambda > 0 with eps Li_{1/2}(e^{-lambda}) / sqrt(2 pi) = 1, by
-    Newton on g = left side - 1, g' = -eps Li_{-1/2} / sqrt(2 pi), from the
-    two-term root (see mass_1d) or log(eps / sqrt(2 pi)) if larger
-    (Li_{1/2}(z) >= z). g is convex and decreasing, so after the first step
-    the iterates rise to the root; a step to lam <= 0 halves lam instead.
-    Stops at |g| <= tol, else raises NumericalError with the residual."""
+    """Unique lambda > 0 with eps Li_{1/2}(e^{-lambda}) / sqrt(2 pi) = 1: the
+    tilt, which is also the 1D mass. Newton on g = left side - 1,
+    g' = -eps Li_{-1/2} / sqrt(2 pi), from the two-term root or
+    log(eps / sqrt(2 pi)) if larger (Li_{1/2}(z) >= z). The two-term root
+    follows from Li_{1/2}(e^{-lam}) = sqrt(pi/lam) + zeta(1/2) + O(lam):
+    1/sqrt(lam) = sqrt(2)/eps - zeta(1/2)/sqrt(pi) + O(eps); lam ~ eps^2/2 is
+    10.7% off at eps = 0.1, the two-term form 7e-5 off. g is convex and
+    decreasing, so after the first step the iterates rise to the root; a
+    step to lam <= 0 halves lam instead. Stops at |g| <= tol, else raises
+    NumericalError with the residual."""
     if not 0.0 < eps < math.inf:
         raise ValidationError("epsilon must be positive and finite")
     lam = max((math.sqrt(2.0) / eps - ZETA_HALF / math.sqrt(math.pi)) ** -2,
@@ -121,75 +123,3 @@ def variance_1d(model: RenewalModel) -> float:
     The numerator is formed times lam^{5/2}: finite wherever M is."""
     lam, big_m = model.lam, renewal_mean(model)
     return _polylogs(lam)[2] / (6.0 * _SQRT_2PI * lam * big_m * lam ** 1.5)
-
-
-def mass_1d(eps, tol=TOL) -> float:
-    """The 1D mass equals the tilt lambda(eps). From Li_{1/2}(e^{-lam})
-    = sqrt(pi/lam) + zeta(1/2) + O(lam), 1/sqrt(lam) = sqrt(2)/eps
-    - zeta(1/2)/sqrt(pi) + O(eps): lam ~ eps^2/2 is 10.7% off at eps = 0.1,
-    the two-term form 7e-5 off."""
-    return solve_lambda(eps, tol=tol)
-
-
-def bridge_second_moment(m: int, n: int) -> float:
-    """E(S_m^2 | S_n = 0) = m (n - m) / n for the Gaussian bridge."""
-    if not 0 <= m <= n or n < 1:
-        raise ValidationError("need 0 <= m <= n, n >= 1")
-    return m * (n - m) / n
-
-
-def simulate_gaps(model: RenewalModel, count, seed) -> np.ndarray:
-    """Draw `count` spacings from eps e^{-lam k} f(k) exactly by rejection
-    (Devroye 1986, Non-Uniform Random Variate Generation, II.3). Below
-    LAM_GEOMETRIC, k = max(ceil(x), 1), x ~ Gamma(1/2, rate lam), has P(k) ~ I_k
-    = int_{k-1}^k x^{-1/2} e^{-lam x} dx >= k^{-1/2} e^{-lam k}: acceptance
-    k^{-1/2} e^{-lam k} / I_k <= 1 leaves exactly the target. Above, k is
-    geometric, P(k) ~ e^{-lam k}, accepted with k^{-1/2}."""
-    lam = model.lam
-    if lam * 2.0**63 < 100.0:  # a gap beyond 100/lam has probability e^{-100}
-        raise NumericalError(f"gaps of order 1/lambda = {1 / lam:.3g} overflow int64")
-    rng = replica_rng(seed)
-    gaps = np.empty(0, dtype=np.int64)
-    while gaps.size < count:
-        n = count - gaps.size
-        if lam < LAM_GEOMETRIC:
-            k = np.maximum(np.ceil(rng.gamma(0.5, 1.0 / lam, n)), 1.0)
-            lo, hi = lam * (k - 1.0), lam * k  # I_k by erf, or erfc near erf = 1
-            cell = np.where(lo >= 0.5, erfc(np.sqrt(lo)) - erfc(np.sqrt(hi)),
-                            erf(np.sqrt(hi)) - erf(np.sqrt(lo)))
-            accept = np.exp(-hi) / np.sqrt(k) / (math.sqrt(math.pi / lam) * cell)
-        else:
-            k = rng.geometric(-math.expm1(-lam), n).astype(float)
-            accept = 1.0 / np.sqrt(k)
-        gaps = np.concatenate([gaps, k[rng.random(n) < accept].astype(np.int64)])
-    return gaps
-
-
-def gap_tail_rate(gaps, lo_quantile=0.5, hi_quantile=0.99, bins=25) -> tuple[float, float]:
-    """Exponential rate of the simulated gap law: bin the tail window and fit
-    log(bin count * sqrt(k) / width) = a - lambda k, weights from counts.
-
-    Binning keeps per-point counts large; fitting bare per-k counts with a
-    count floor would select upward fluctuations in the far tail.
-    """
-    gaps = np.asarray(gaps, dtype=np.int64)
-    lo = float(np.quantile(gaps, lo_quantile))
-    hi = float(np.quantile(gaps, hi_quantile))
-    edges = np.unique(np.round(np.linspace(lo, hi, bins + 1)).astype(np.int64))
-    if len(edges) < 5:
-        raise ValidationError("gap sample too narrow for a tail fit")
-    counts, _ = np.histogram(gaps, bins=edges)
-    widths = np.diff(edges)
-    centers = (edges[:-1] + edges[1:] - 1) / 2.0
-    sel = counts >= 20
-    if sel.sum() < 3:
-        raise ValidationError("not enough occupied bins for a tail fit")
-    x = centers[sel]
-    y = np.log(counts[sel] / widths[sel] * np.sqrt(x))
-    w = counts[sel].astype(float)  # Poisson: var(log n) ~ 1/n
-    sw = w.sum()
-    xb = (w * x).sum() / sw
-    yb = (w * y).sum() / sw
-    sxx = (w * (x - xb) ** 2).sum()
-    slope = (w * (x - xb) * (y - yb)).sum() / sxx
-    return -float(slope), float(1.0 / math.sqrt(sxx))

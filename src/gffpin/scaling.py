@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .green import box_region, green_nstep
-from .stats import Estimate, estimate_from_samples, parallel_map, replica_rng
+from .stats import Estimate, parallel_map, replica_rng
 from .walk import _CHUNK, _path_positions, _site_codes
 from . import pinning
 
@@ -52,44 +52,21 @@ def _ensemble_chunks(kernel, n_max, reps, seed):
     for c, start in enumerate(range(0, reps, _CHUNK)):
         b = min(_CHUNK, reps - start)
         pos = _path_positions(kernel, n_max, b, replica_rng(seed, c))
-        codes = _site_codes(pos, span)
-        yield pos, codes, _range_profile(codes)
+        yield pos, _range_profile(_site_codes(pos, span))
 
 
-def sausage_samples(kernel, p, x, reps, n_max, seed) -> np.ndarray:
-    """Per-path values of sum_{n<=n_max} 1(X_n = x) (1-p)^{|X_[0,n]|}."""
-    x = np.asarray(x, dtype=np.int64)
-    out = np.empty(reps)
-    pos = 0
-    for chunk_pos, _codes, ranges in _ensemble_chunks(kernel, n_max, reps, seed):
-        hit = np.all(chunk_pos == x, axis=2)
-        w = np.where(hit, (1.0 - p) ** ranges, 0.0).sum(axis=1)
-        out[pos:pos + len(w)] = w
-        pos += len(w)
-    return out
-
-
-def survival_samples(kernel, p, targets, reps, n_max, seed,
-                     plane=False) -> np.ndarray:
+def survival_samples(kernel, p, targets, reps, n_max, seed) -> np.ndarray:
     """Per-path weights (1-p)^{|X_[0,T]|} 1(T <= n_max), one column per
-    target. T is the hitting time T_x of the target site x or, with `plane`,
-    the first passage to {x_1 >= r} of each target distance r; `>=` scores
-    long jumps that overshoot the plane. p = 0 reduces each column to the
-    plain hitting indicator."""
-    tg = np.asarray(targets, dtype=np.int64)
-    if plane:
-        tg = tg.reshape(-1)
-    elif tg.ndim == 1:
-        tg = tg[None, :]
+    target distance r, T the first passage to the plane {x_1 >= r}; `>=`
+    scores long jumps that overshoot the plane. p = 0 reduces each column to
+    the plain hitting indicator."""
+    tg = np.asarray(targets, dtype=np.int64).reshape(-1)
     out = np.zeros((reps, len(tg)))
     pos = 0
-    for chunk_pos, _codes, ranges in _ensemble_chunks(kernel, n_max, reps, seed):
+    for chunk_pos, ranges in _ensemble_chunks(kernel, n_max, reps, seed):
         b = chunk_pos.shape[0]
         for t, target in enumerate(tg):
-            if plane:
-                hit = chunk_pos[:, :, 0] >= target
-            else:
-                hit = np.all(chunk_pos == target, axis=2)
+            hit = chunk_pos[:, :, 0] >= target
             any_hit = hit.any(axis=1)
             t_hit = np.argmax(hit, axis=1)
             w = np.where(any_hit, (1.0 - p) ** ranges[np.arange(b), t_hit], 0.0)
@@ -103,38 +80,6 @@ def truncation_bound(p, n_max) -> float:
     if n_max < 3:
         return 1.0
     return float((1.0 - p) ** (TRUNCATION_KAPPA * n_max / math.log(n_max)))
-
-
-@dataclass(frozen=True)
-class WeightedEstimate:
-    estimate: Estimate
-    truncation: float
-    flagged: bool
-
-
-def sausage_green(kernel, p, x, reps, n_max, seed) -> WeightedEstimate:
-    """Monte Carlo Green function of the walk among Bernoulli(p) traps."""
-    if not 0.0 < p <= 1.0:
-        if p == 0.0 and kernel.d >= 3:
-            pass  # transient walks have a finite trap-free Green function
-        else:
-            raise ValidationError("need 0 < p <= 1 (p = 0 diverges for d <= 2)")
-    samples = sausage_samples(kernel, p, x, reps, n_max, seed)
-    est = estimate_from_samples(samples, seed=seed)
-    tb = truncation_bound(p, n_max)
-    return WeightedEstimate(est, tb, flagged=tb > 0.05 * max(est.mean, 1e-300))
-
-
-def survival_to_target(kernel, p, x, reps, n_max, seed) -> WeightedEstimate:
-    """E[(1-p)^{|X_[0,T_x]|}; T_x <= n_max] for a single target x != 0."""
-    if not 0.0 < p < 1.0:
-        raise ValidationError("need 0 < p < 1")
-    if not any(int(c) for c in x):
-        raise ValidationError("target must differ from the origin")
-    samples = survival_samples(kernel, p, x, reps, n_max, seed)[:, 0]
-    est = estimate_from_samples(samples, seed=seed)
-    tb = truncation_bound(p, n_max)
-    return WeightedEstimate(est, tb, flagged=tb > 0.05 * max(est.mean, 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +226,7 @@ def _survival_curve(kernel, p, rs, budget, n_max, seed):
     # (r, 0, ...): under check_plane_target both decay at the axis rate, and
     # the plane is reached by far more paths, without the r^{-(d-1)/2}
     # transverse prefactor that biases the local slope of point hits upward
-    weights = survival_samples(kernel, p, rs, budget, n_max, seed, plane=True)
+    weights = survival_samples(kernel, p, rs, budget, n_max, seed)
     vals = weights.mean(axis=0)
     errs = weights.std(axis=0, ddof=1) / math.sqrt(budget)
     counts = (weights > 0).sum(axis=0)
@@ -368,15 +313,16 @@ def mass_scan(kernel, eps_grid, mode="bernoulli-surrogate", budget=20000,
             if mode == "bernoulli-surrogate":
                 p, n_max, rs, _curve, fit = _surrogate_point(
                     kernel, e, budget, seed, mapping, i)
+                n_used = budget
                 extra = {"density": p, "n_max": n_max, "r_grid": rs.tolist(),
                          "monotone_ok": fit.monotone_ok,
                          "truncation": truncation_bound(p, n_max)}
             else:
-                fit = _pinned_mass_point(kernel, e, budget, seed, i,
-                                         region_radius, samples)
+                fit, n_used = _pinned_mass_point(kernel, e, seed, i,
+                                                 region_radius, samples)
                 extra = {"density": None, "n_max": None, "r_grid": None,
                          "monotone_ok": fit.monotone_ok, "truncation": None}
-            return Estimate(fit.mass, fit.stderr, budget, seed), "", extra
+            return Estimate(fit.mass, fit.stderr, n_used, seed), "", extra
         except (ValidationError, NumericalError) as exc:
             return (Estimate(float("nan"), float("inf"), 0, seed),
                     f"fit-failed: {exc}", {})
@@ -405,8 +351,9 @@ def mass_scan(kernel, eps_grid, mode="bernoulli-surrogate", budget=20000,
                       slope_stderr=float(se), flags=flags, diagnostics=diag)
 
 
-def _pinned_mass_point(kernel, eps, budget, seed, point_index, region_radius,
-                       samples):
+def _pinned_mass_point(kernel, eps, seed, point_index, region_radius, samples):
+    """Mass fit of the pinned two-point function along the first axis, and
+    the sweeps recorded per distance."""
     xi_guess = 1.0 / math.sqrt(eps)
     radius = int(region_radius or max(10, math.ceil(4 * xi_guess)))
     region = box_region(kernel, radius)
@@ -424,7 +371,8 @@ def _pinned_mass_point(kernel, eps, budget, seed, point_index, region_radius,
     keep = vals > 0
     if keep.sum() < 3:
         raise NumericalError("pinned covariance curve has too few positive points")
-    return mass_fit(MassCurve(rs[keep].astype(float), vals[keep], errs[keep]))
+    curve = MassCurve(rs[keep].astype(float), vals[keep], errs[keep])
+    return mass_fit(curve), est.n
 
 
 def variance_slope_reference(kernel) -> float:

@@ -76,14 +76,3 @@ def parallel_map(fn, items, jobs=1):
 
     with ThreadPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(fn, items))
-
-
-def batch_stderr(values, batches: int = 20) -> float:
-    """Batch-means standard error for autocorrelated sequences."""
-    x = np.asarray(values, dtype=float)
-    b = min(batches, x.size)
-    if b < 2:
-        return float("inf")
-    cut = (x.size // b) * b
-    means = x[:cut].reshape(b, -1).mean(axis=1)
-    return float(means.std(ddof=1) / np.sqrt(b))

@@ -1,20 +1,20 @@
-"""Lattice step kernels and exact single-walk quantities.
+"""Lattice step kernels, exact return probabilities and range statistics.
 
-Everything here is either exact (dynamic-programming convolutions, renewal
-recursions, tied-down identities) or controlled-approximation (saddle-point
-pmf, truncated potential-kernel sums with a reported tail estimate), plus
-seeded Monte Carlo for range statistics.
+A kernel is a symmetric finite-support step law on Z^d. The n-step pmf at
+chosen points comes from an exact dynamic-programming convolution on a
+window that grows until it holds all but 1e-12 of the mass; the range of
+the walk (distinct sites visited) is estimated from seeded path ensembles.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ResourceError, ValidationError, WindowTooSmall
+from .errors import ResourceError, ValidationError
 from .stats import Estimate, binom_upper, estimate_from_samples, replica_rng
 
 MASS_TOL = 1e-12
@@ -59,14 +59,6 @@ class StepKernel:
         """List of (vector, probability) pairs."""
         return [(tuple(int(c) for c in s), float(p))
                 for s, p in zip(self.steps, self.probs)]
-
-    def char_deficit(self, *thetas):
-        """1 - phi(theta), computed stably as sum_s 2 p(s) sin^2(theta.s / 2)."""
-        out = 0.0
-        for s, p in zip(self.steps, self.probs):
-            dot = sum(th * float(si) for th, si in zip(thetas, s))
-            out = out + 2.0 * p * np.sin(dot / 2.0) ** 2
-        return out
 
 
 def _int_det(mat):
@@ -241,44 +233,8 @@ def kernel_from_file(path) -> StepKernel:
     )
 
 
-def write_kernel_file(path, support, d, lazify=False, beta=1.0):
-    with open(path, "w") as fh:
-        fh.write(f"dim {d}\n")
-        fh.write(f"lazify {1 if lazify else 0}\n")
-        fh.write(f"beta {beta!r}\n")
-        for vec, w in support:
-            fh.write(" ".join(str(int(c)) for c in vec) + f" {w!r}\n")
-
-
 # ---------------------------------------------------------------------------
 # exact n-step distributions
-
-
-@dataclass(frozen=True)
-class LatticeArray:
-    """Values on the centered cube [-radius, radius]^d."""
-
-    values: np.ndarray
-    radius: int
-
-    @property
-    def d(self) -> int:
-        return self.values.ndim
-
-    def at(self, x) -> float:
-        idx = tuple(int(c) + self.radius for c in x)
-        if any(i < 0 or i > 2 * self.radius for i in idx):
-            return 0.0
-        return float(self.values[idx])
-
-    def total(self) -> float:
-        return float(self.values.sum())
-
-    def rows(self):
-        """Yield (coordinates..., value) for every nonzero entry."""
-        for idx in np.argwhere(self.values != 0.0):
-            coords = tuple(int(i) - self.radius for i in idx)
-            yield (*coords, float(self.values[tuple(idx)]))
 
 
 def _shifted_add(dst, src, shift, weight):
@@ -308,7 +264,8 @@ def _dp_run(kernel, n, radius, record=None):
     """Convolve forward n steps on the centered cube of given radius.
 
     record: optional list of lattice points whose per-step values are kept.
-    Returns (final LatticeArray, {point: np.ndarray of length n+1}).
+    Returns (mass left in the cube after n steps,
+    {point: np.ndarray of length n+1}).
     """
     side = 2 * radius + 1
     if side**kernel.d > 80_000_000:
@@ -332,28 +289,7 @@ def _dp_run(kernel, n, radius, record=None):
         for key, idx in rec_idx.items():
             if all(0 <= i < side for i in idx):
                 series[key][m] = cur[idx]
-    return LatticeArray(cur, radius), series
-
-
-def step_pmf_n(kernel, n, window=None) -> LatticeArray:
-    """Exact n-step pmf by dynamic programming.
-
-    The window auto-grows until it captures at least 1 - 1e-12 of the mass;
-    an explicit too-small window raises WindowTooSmall with the captured mass.
-    """
-    if n < 0:
-        raise ValidationError("n must be >= 0")
-    if window is not None:
-        arr, _ = _dp_run(kernel, n, int(window))
-        if arr.total() < 1.0 - MASS_TOL:
-            raise WindowTooSmall(int(window), arr.total())
-        return arr
-    radius = _auto_radius(kernel, n)
-    while True:
-        arr, _ = _dp_run(kernel, n, radius)
-        if arr.total() >= 1.0 - MASS_TOL or radius >= n * kernel.max_step:
-            return arr
-        radius = min(max(radius + 1, int(radius * 1.5)), n * kernel.max_step)
+    return float(cur.sum()), series
 
 
 def pmf_series(kernel, n_max, points=((0,),)) -> dict:
@@ -365,8 +301,8 @@ def pmf_series(kernel, n_max, points=((0,),)) -> dict:
     need = max((max(abs(c) for c in p) for p in pts), default=0)
     radius = max(radius, need + kernel.max_step)
     while True:
-        arr, series = _dp_run(kernel, n_max, radius, record=pts)
-        if arr.total() >= 1.0 - MASS_TOL or radius >= n_max * kernel.max_step:
+        mass, series = _dp_run(kernel, n_max, radius, record=pts)
+        if mass >= 1.0 - MASS_TOL or radius >= n_max * kernel.max_step:
             return series
         radius = min(max(radius + 1, int(radius * 1.5)), n_max * kernel.max_step)
 
@@ -374,171 +310,6 @@ def pmf_series(kernel, n_max, points=((0,),)) -> dict:
 def pmf_origin_series(kernel, n_max) -> np.ndarray:
     origin = (0,) * kernel.d
     return pmf_series(kernel, n_max, points=[origin])[origin]
-
-
-# ---------------------------------------------------------------------------
-# first returns and tied-down range
-
-
-def first_return_pmf(kernel, L, origin_series=None) -> np.ndarray:
-    """First-return probabilities q_1..q_L from the renewal recursion
-    p_n(0) = sum_{l<=n} q_l p_{n-l}(0). Entry 0 of the result is unused."""
-    if L < 1:
-        raise ValidationError("L must be >= 1")
-    p0 = origin_series if origin_series is not None else pmf_origin_series(kernel, L)
-    q = np.zeros(L + 1)
-    for n in range(1, L + 1):
-        s = float(np.dot(q[1:n], p0[n - 1:0:-1]))
-        q[n] = max(p0[n] - s, 0.0)
-    return q
-
-
-def tied_down_range_mean(kernel, n, x) -> float:
-    """Exact expected range of the bridge from 0 to x in n steps."""
-    x = tuple(int(c) for c in x)
-    series = pmf_series(kernel, n, points=[(0,) * kernel.d, x])
-    px = series[x]
-    if px[n] <= 0.0:
-        raise ValidationError(f"p_{n}({x}) = 0: conditioning undefined")
-    if n == 0:
-        return 1.0
-    q = first_return_pmf(kernel, n, origin_series=series[(0,) * kernel.d])
-    ls = np.arange(1, n + 1)
-    correction = float(np.sum((n - ls + 1) * q[1:] * px[n - ls] / px[n]))
-    return n + 1 - correction
-
-
-# ---------------------------------------------------------------------------
-# potential kernel (d = 2)
-
-
-@dataclass(frozen=True)
-class PartialSum:
-    value: float
-    tail_estimate: float
-
-
-def _fourier_mesh_size(kernel, n_max, x):
-    reach = int(np.ceil(_TAIL_SIGMAS * kernel.sigma_max * np.sqrt(n_max)))
-    reach += kernel.max_step + int(np.abs(np.asarray(x)).max(initial=0))
-    m = 2 * reach + 2
-    m += m % 2
-    if m > (1 << 14):
-        raise ResourceError(f"Fourier mesh {m} exceeds the 16384 limit")
-    return max(m, 16)
-
-
-def potential_kernel(kernel, x, n_max) -> PartialSum:
-    """Partial sum a_N(x) = sum_{n<=N} (p_n(0) - p_n(x)), d = 2 only.
-
-    Evaluated through the dual-torus identity
-        a_N(x) = M^-2 sum_theta (1 - cos theta.x) * sum_{n<=N} phi(theta)^n,
-    whose aliasing error is the wrapped probability mass, far below the
-    reported truncation tail for the automatic mesh size.
-    """
-    if kernel.d != 2:
-        raise ValidationError("potential kernel is defined for d = 2 only")
-    x = np.asarray(x, dtype=float)
-    if not np.any(x):
-        return PartialSum(0.0, 0.0)
-    m = _fourier_mesh_size(kernel, n_max, x)
-    theta = 2.0 * np.pi * np.arange(m) / m
-    total = 0.0
-    block = 128
-    for lo in range(0, m, block):
-        t1 = theta[lo:lo + block][:, None]
-        t2 = theta[None, :]
-        u = kernel.char_deficit(t1, t2)
-        w = 2.0 * np.sin((t1 * x[0] + t2 * x[1]) / 2.0) ** 2
-        base = 1.0 - u
-        geo = np.empty_like(u)
-        nz = u != 0.0
-        geo[~nz] = n_max + 1.0
-        geo[nz] = (1.0 - np.sign(base[nz]) ** (n_max + 1)
-                   * np.exp((n_max + 1) * np.log(np.abs(base[nz]) + 1e-300))) / u[nz]
-        total += float(np.sum(w * geo))
-    value = total / m**2
-    qnorm = float(x @ np.linalg.solve(kernel.cov, x))
-    tail = qnorm / (4.0 * np.pi * kernel.sqrt_det_cov * n_max)
-    return PartialSum(value, tail)
-
-
-# ---------------------------------------------------------------------------
-# rate function and saddle-point pmf
-
-
-@dataclass(frozen=True)
-class RateFunctionPoint:
-    velocity: np.ndarray
-    tilt: np.ndarray
-    rate: float
-    tilted_cov: np.ndarray
-
-
-def rate_function(kernel, xi, tol=1e-10, max_iter=50) -> RateFunctionPoint:
-    """Solve grad log z(lambda) = xi by damped Newton; returns the Legendre
-    rate I(xi) = (lambda, xi) - log z(lambda) and the tilted covariance."""
-    xi = np.asarray(xi, dtype=float)
-    steps = kernel.steps.astype(float)
-    probs = kernel.probs
-
-    def moments(lam):
-        expo = steps @ lam
-        shift = expo.max()
-        w = probs * np.exp(expo - shift)
-        z = w.sum()
-        mean = steps.T @ w / z
-        cov = (steps.T * w) @ steps / z - np.outer(mean, mean)
-        logz = np.log(z) + shift
-        return logz, mean, cov
-
-    lam = np.linalg.solve(kernel.cov, xi)
-    logz, mean, cov = moments(lam)
-    res = np.linalg.norm(mean - xi)
-    for _ in range(max_iter):
-        if res <= tol:
-            break
-        try:
-            delta = np.linalg.solve(cov, xi - mean)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("singular tilted covariance") from exc
-        t = 1.0
-        while t > 1e-14:
-            cand = lam + t * delta
-            logz_c, mean_c, cov_c = moments(cand)
-            res_c = np.linalg.norm(mean_c - xi)
-            if np.isfinite(res_c) and res_c < res:
-                lam, logz, mean, cov, res = cand, logz_c, mean_c, cov_c, res_c
-                break
-            t /= 2.0
-        else:
-            raise NumericalError(
-                f"Newton stalled at residual {res:.3e}: velocity {tuple(xi)} "
-                "outside the achievable domain"
-            )
-    else:
-        raise NumericalError(
-            f"Newton did not converge in {max_iter} iterations: velocity "
-            f"{tuple(xi)} outside the achievable domain"
-        )
-    rate = float(lam @ xi - logz)
-    return RateFunctionPoint(velocity=xi, tilt=lam, rate=rate, tilted_cov=cov)
-
-
-def saddle_pmf_approx(kernel, n, x) -> float:
-    """Saddle-point approximation of p_n(x); requires an aperiodic kernel."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if not kernel.aperiodic:
-        raise ValidationError(
-            "saddle-point pmf uses the aperiodic local CLT; lazify the kernel"
-        )
-    x = np.asarray(x, dtype=float)
-    rf = rate_function(kernel, x / n)
-    det = np.linalg.det(rf.tilted_cov)
-    if det <= 0:
-        raise NumericalError("tilted covariance not positive definite")
-    return float(np.exp(-n * rf.rate) / ((2.0 * np.pi * n) ** (kernel.d / 2.0) * np.sqrt(det)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,35 @@
-"""Brute-force enumeration oracles, independent of the library's fast paths."""
+"""Test oracles, independent of the library's fast paths.
+
+- Path enumeration: exact pmfs, range means and plane-survival weights of
+  short walks.
+- Dense small-box oracles of the pinned field: the Green function given
+  every pin subset, the heat-bath pin probability from a fresh Region, an
+  exact Gaussian field draw given the pins, and a scalar heat bath.
+- Truncated direct sums of the 1D renewal chain with bounded tails.
+- Batch-means standard errors for autocorrelated chain output.
+- `write_kernel_file`, the inverse of `gffpin.walk.kernel_from_file`.
+"""
 
 import itertools
 import math
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from scipy.special import gamma, gammaincc
 
+from gffpin.green import Region
 from gffpin.stats import replica_rng
+
+
+def write_kernel_file(path, support, d, lazify=False, beta=1.0):
+    """Write (vector, weight) pairs in the plain-text kernel format."""
+    with open(path, "w") as fh:
+        fh.write(f"dim {d}\n")
+        fh.write(f"lazify {1 if lazify else 0}\n")
+        fh.write(f"beta {beta!r}\n")
+        for vec, w in support:
+            fh.write(" ".join(str(int(c)) for c in vec) + f" {w!r}\n")
 
 
 def iter_paths(kernel, n):
@@ -34,46 +56,12 @@ def exact_range_mean(kernel, n):
     return total
 
 
-def exact_bridge_range_mean(kernel, n, x):
-    """E(|X_[0,n]| | X_n = x) by full enumeration; None if unreachable."""
-    x = tuple(int(c) for c in x)
-    num = den = 0.0
-    for prob, path in iter_paths(kernel, n):
-        if path[-1] == x:
-            num += prob * len(set(path))
-            den += prob
-    return num / den if den > 0 else None
-
-
 def exact_pmf(kernel, n):
     """p_n as a dict site -> probability."""
     out = {}
     for prob, path in iter_paths(kernel, n):
         out[path[-1]] = out.get(path[-1], 0.0) + prob
     return out
-
-
-def exact_sausage_green(kernel, p, x, n_max):
-    """sum_{n<=n_max} E[1(X_n=x) (1-p)^{|X_[0,n]|}] by enumeration."""
-    x = tuple(int(c) for c in x)
-    total = 0.0
-    for n in range(n_max + 1):
-        for prob, path in iter_paths(kernel, n):
-            if path[-1] == x:
-                total += prob * (1.0 - p) ** len(set(path))
-    return total
-
-
-def exact_survival(kernel, p, x, n_max):
-    """E[(1-p)^{|X_[0,T_x]|}; T_x <= n_max] by enumeration."""
-    x = tuple(int(c) for c in x)
-    total = 0.0
-    # sum over first-hit paths: no earlier visit to x
-    for n in range(n_max + 1):
-        for prob, path in iter_paths(kernel, n):
-            if path[-1] == x and x not in path[:-1]:
-                total += prob * (1.0 - p) ** len(set(path))
-    return total
 
 
 def exact_plane_survival(kernel, p, r, n_max):
@@ -86,17 +74,6 @@ def exact_plane_survival(kernel, p, r, n_max):
             if path[-1][0] >= r and all(y[0] < r for y in path[:-1]):
                 total += prob * (1.0 - p) ** len(set(path))
     return total
-
-
-def exact_first_returns(kernel, L):
-    """q_l for l = 1..L by enumeration (origin avoided strictly between)."""
-    out = np.zeros(L + 1)
-    origin = (0,) * kernel.d
-    for n in range(1, L + 1):
-        for prob, path in iter_paths(kernel, n):
-            if path[-1] == origin and origin not in path[1:-1]:
-                out[n] += prob
-    return out
 
 
 def direct_renewal_sums(eps, lam, k_max):
@@ -145,3 +122,74 @@ def scalar_heat_bath(region, eps, sweeps, seed, burnin):
         if sweep >= burnin:
             rows.append(pinned.astype(np.uint8))
     return np.array(rows).reshape(sweeps - burnin, n)
+
+
+def subset_green_table(region, probes):
+    """G_{A^c}(x, y)/beta for every pin subset A of the alive sites and each
+    probe (x, y) of site coordinates, from one dense inverse and a Schur
+    complement per subset. Returns (2^n, n_probes), rows in bitmask order."""
+    n = region.n_alive
+    sigma = np.linalg.inv(region.matrix.toarray())
+    pr_idx = [(region.site_index(x), region.site_index(y)) for x, y in probes]
+    out = np.empty((1 << n, len(pr_idx)))
+    for mask in range(1 << n):
+        a_idx = [k for k in range(n) if (mask >> k) & 1]
+        if a_idx:
+            block = np.linalg.inv(sigma[np.ix_(a_idx, a_idx)])
+        for p, (ix, iy) in enumerate(pr_idx):
+            if ix in a_idx or iy in a_idx:
+                out[mask, p] = 0.0
+            elif a_idx:
+                out[mask, p] = (sigma[ix, iy]
+                                - sigma[ix, a_idx] @ block @ sigma[a_idx, iy])
+            else:
+                out[mask, p] = sigma[ix, iy]
+    return out / region.beta
+
+
+def gibbs_pin_prob(region, pins, x, eps):
+    """Heat-bath probability that x is pinned given the other pins:
+    eps*g/(1 + eps*g) with g the conditional density of phi_x at 0, from a
+    fresh Region with the other pins dead."""
+    if eps == 0:
+        return 0.0
+    ix = region.site_index(x)
+    others = [tuple(region.sites[region.site_index(p)])
+              for p in pins if region.site_index(p) != ix]
+    sub = Region(region.kernel, region.lo, region.hi, pins=others)
+    rhs = np.zeros(sub.n_alive)
+    rhs[sub.site_index(x)] = 1.0
+    g_vec, _ = sub.solve(rhs)
+    sigma2 = float(g_vec[sub.site_index(x)]) / region.beta
+    g = 1.0 / math.sqrt(2.0 * math.pi * sigma2)
+    return eps * g / (1.0 + eps * g)
+
+
+def sample_field(region, pins, seed):
+    """Exact Gaussian draw given the pin set (a bool array over the region's
+    sites or a list of sites), by a dense Cholesky factor of the precision;
+    zero on pins and outside. Returns an array over the full box shape."""
+    pin_sites = [tuple(map(int, region.sites[i]))
+                 for i in np.flatnonzero(np.asarray(pins, dtype=bool))] \
+        if isinstance(pins, np.ndarray) else [tuple(map(int, p)) for p in pins]
+    sub = Region(region.kernel, region.lo, region.hi, pins=pin_sites)
+    out = np.zeros(region.shape)
+    if sub.n_alive == 0:
+        return out
+    chol = np.linalg.cholesky(sub.matrix.toarray())
+    z = replica_rng(seed).standard_normal(sub.n_alive)
+    phi = sla.solve_triangular(chol.T, z, lower=False) / math.sqrt(region.beta)
+    for val, site in zip(phi, sub.sites):
+        out[tuple(int(c - l) for c, l in zip(site, region.lo))] = val
+    return out
+
+
+def batch_stderr(values, batches=20):
+    """Batch-means standard error for autocorrelated sequences."""
+    x = np.asarray(values, dtype=float)
+    b = min(batches, x.size)
+    if b < 2:
+        return float("inf")
+    cut = (x.size // b) * b
+    means = x[:cut].reshape(b, -1).mean(axis=1)
+    return float(means.std(ddof=1) / np.sqrt(b))

@@ -1,15 +1,18 @@
+import ast
 import csv
+import hashlib
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import gffpin
 
 from gffpin import cli, pinning
-from gffpin.walk import write_kernel_file
+from oracles import write_kernel_file
 
 ZETA_HALF = -1.4603545088095868  # zeta(1/2)
 
@@ -149,6 +152,71 @@ def test_chain_outputs_independent_of_jobs(tmp_path, srw2_file, command, body,
     assert outputs[0] == outputs[1]
 
 
+def test_pinned_mass_points_report_sweeps_and_blanks(tmp_path):
+    kernel = tmp_path / "srw2_lazy.kernel"
+    write_kernel_file(kernel, [((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0),
+                               ((0, -1), 1.0)], 2, lazify=True)
+    code, out = _run(tmp_path, "mass-scan",
+                     "eps_list = 0.3 0.2 0.1\nmode = pinning-exact\n"
+                     f"budget = 1\nsamples = 4\nkernel_file = {kernel}\n"
+                     "seed = 5\n")
+    assert code == 0
+    with open(out / "mass_scan_points.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    for row in rows:
+        # 4 samples over 4 replicas: one recorded sweep per replica and
+        # distance; the surrogate-only columns stay empty
+        assert (row["n_used"], row["density"], row["n_max"]) == ("4", "", "")
+        assert row["flags"] == ""
+
+
+@pytest.mark.parametrize("command, body", [
+    ("renewal1d", "eps_list = 0.1 0.01"),
+    ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\n"
+                      "kernel_file = {kernel}"),
+], ids=["renewal1d", "variance-scan"])
+def test_manifest_checksums_match_files(tmp_path, srw2_file, command, body):
+    code, out = _run(tmp_path, command,
+                     body.format(kernel=srw2_file) + "\nseed = 2\n")
+    assert code == 0
+    manifest = _manifest(out)
+    assert manifest["status"] == "done"
+    names = [k[len("file."):-len(".sha256")] for k in manifest
+             if k.startswith("file.") and k.endswith(".sha256")]
+    assert sorted(names) == sorted(p.name for p in out.glob("*.csv"))
+    for name in names:
+        data = (out / name).read_bytes()
+        assert manifest[f"file.{name}.bytes"] == str(len(data))
+        assert manifest[f"file.{name}.sha256"] == hashlib.sha256(data).hexdigest()
+    assert not [p.name for p in out.iterdir() if ".tmp." in p.name]
+
+
+def test_failed_write_keeps_existing_csv(tmp_path, monkeypatch):
+    target = tmp_path / "points.csv"
+    cli.write_csv(target, ("r", "value"), [(1, 0.5), (2, 0.25)])
+    before = target.read_bytes()
+    real_writer = csv.writer
+
+    def failing_writer(fh):
+        writer = real_writer(fh)
+        rows = []
+
+        class Failing:
+            def writerow(self, row):
+                rows.append(row)
+                if len(rows) == 3:
+                    raise OSError("disk full")
+                writer.writerow(row)
+
+        return Failing()
+
+    monkeypatch.setattr(csv, "writer", failing_writer)
+    with pytest.raises(OSError, match="disk full"):
+        cli.write_csv(target, ("r", "value"), [(1, 0.1), (2, 0.2), (3, 0.3)])
+    assert target.read_bytes() == before
+
+
 def test_import_leaves_out_scipy_stats():
     src = os.path.dirname(os.path.dirname(gffpin.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -191,3 +259,67 @@ class TestRenewalCommand:
         assert "numerical failure" in capsys.readouterr().err
         assert _manifest(out)["status"] == "running"
         assert not (out / "renewal1d.csv").exists()
+
+
+def _library_graph(src):
+    """Top-level definitions of every module under `src`, the (module, name)
+    pairs each one's body refers to by name or module attribute, and the
+    roots: every definition in `cli` and every name the package exports."""
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted(src.glob("*.py"))}
+    defs, refs = {}, {}
+    for mod, tree in modules.items():
+        bound = {}  # local name -> (module, name) or the module itself
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None and alias.name in modules:
+                        bound[local] = alias.name
+                    else:
+                        bound[local] = (node.module or "__init__", alias.name)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[(mod, node.name)] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                for t in targets:
+                    if isinstance(t, ast.Name):
+                        defs[(mod, t.id)] = node
+
+        def resolve(name, mod=mod, bound=bound):
+            if (mod, name) in defs:
+                return (mod, name)
+            return bound.get(name)
+
+        for key in [k for k in defs if k[0] == mod]:
+            out = set()
+            for sub in ast.walk(defs[key]):
+                if isinstance(sub, ast.Name):
+                    target = resolve(sub.id)
+                    if isinstance(target, tuple):
+                        out.add(target)
+                elif (isinstance(sub, ast.Attribute)
+                      and isinstance(sub.value, ast.Name)
+                      and isinstance(resolve(sub.value.id), str)):
+                    out.add((resolve(sub.value.id), sub.attr))
+            refs[key] = out
+        if mod == "__init__":
+            exports = {v for v in bound.values() if isinstance(v, tuple)}
+    return defs, refs, exports | {k for k in defs if k[0] == "cli"}
+
+
+def test_every_library_name_is_reached():
+    # the library is what the CLI runs: a top-level function, class or
+    # constant that no command and no package export reaches is dead code,
+    # however well its own tests cover it
+    defs, refs, roots = _library_graph(Path(gffpin.__file__).parent)
+    seen, todo = set(), list(roots)
+    while todo:
+        key = todo.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        todo.extend(refs.get(key, ()))
+    unreached = sorted(f"{m}.{n}" for m, n in set(defs) - seen)
+    assert not unreached, "reached by no command: " + ", ".join(unreached)

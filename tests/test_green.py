@@ -4,16 +4,8 @@ import numpy as np
 import pytest
 
 from gffpin.errors import ValidationError
-from gffpin.green import (
-    Region,
-    box_region,
-    green_box_origin,
-    green_killed,
-    green_nstep,
-    green_one_obstacle,
-    hitting_prob,
-)
-from gffpin.walk import make_kernel, pmf_origin_series, potential_kernel
+from gffpin.green import Region, box_region, green_killed, green_nstep
+from gffpin.walk import pmf_origin_series
 
 
 class TestGreenKilled:
@@ -84,56 +76,28 @@ class TestGreenKilled:
                        - green_killed(rb, x, y).value) <= 1e-10
 
 
+def _green_box_origin(kernel, radius):
+    """G_B(0, 0) on the centered box of the given radius."""
+    origin = (0,) * kernel.d
+    return green_killed(box_region(kernel, radius), origin, origin).value
+
+
 class TestGreenBoxOrigin:
     def test_singleton_box(self, srw2):
-        assert math.isclose(green_box_origin(srw2, 0).value, 1.0,
-                            abs_tol=1e-12)
+        assert math.isclose(_green_box_origin(srw2, 0), 1.0, abs_tol=1e-12)
 
     def test_monotone_in_radius(self, srw2):
-        vals = [green_box_origin(srw2, r).value for r in (2, 4, 8, 16)]
+        vals = [_green_box_origin(srw2, r) for r in (2, 4, 8, 16)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_log_increment(self, srw2):
-        g16 = green_box_origin(srw2, 16).value
-        g32 = green_box_origin(srw2, 32).value
+        g16 = _green_box_origin(srw2, 16)
+        g32 = _green_box_origin(srw2, 32)
         target = math.log(2.0) / (math.pi * srw2.sqrt_det_cov)
         assert abs((g32 - g16) - target) <= 0.05
 
-    def test_rejects_d3(self, srw3):
-        with pytest.raises(ValidationError):
-            green_box_origin(srw3, 4)
-
 
 class TestGreenOneObstacle:
-    def test_equals_twice_potential_kernel(self, srw2):
-        a = potential_kernel(srw2, (3, 1), 50000).value
-        g = green_one_obstacle(srw2, (3, 1), 50000).value
-        assert math.isclose(g, 2.0 * a, rel_tol=1e-12)
-
-    def test_obstacle_at_origin_rejected(self, srw2):
-        with pytest.raises(ValidationError):
-            green_one_obstacle(srw2, (0, 0), 1000)
-
-    def test_log_growth_form(self, srw2):
-        kappa = 2.0 / (math.pi * srw2.sqrt_det_cov)
-        consts = []
-        for r in (8, 16, 32):
-            val = green_one_obstacle(srw2, (r, 0), 3 * 10**5).value
-            consts.append(val - kappa * math.log(r))
-        assert max(consts) - min(consts) <= 0.1
-
-    def test_against_box_solve_oracle(self, srw2):
-        # finite-box oracle: a(x) = lim G_B(x,x) - G_B(0,x), whose error is
-        # O(|x|^2/R^2); killing the walk at the box edge, by contrast, biases
-        # G_{B\{x}}(0,0) itself at O(1/log R)
-        for x, radius in [((4, 0), 32), ((5, 3), 48)]:
-            region = box_region(srw2, radius)
-            gxx = green_killed(region, x, x).value
-            g0x = green_killed(region, (0, 0), x).value
-            oracle = 2.0 * (gxx - g0x)
-            val = green_one_obstacle(srw2, x, 2 * 10**5).value
-            assert abs(val - oracle) <= 0.02 * oracle
-
     def test_schur_identity_for_pinned_box(self, srw2):
         x, radius = (4, 0), 16
         free = box_region(srw2, radius)
@@ -170,48 +134,3 @@ class TestGreenNStep:
                 w += t
             total += w * p0[k]
         assert abs(lazy - total) <= 1e-12
-
-
-class TestHittingProb:
-    def test_in_target(self, srw2):
-        region = box_region(srw2, 4)
-        assert hitting_prob(region, [(1, 1)], (1, 1)) == 1.0
-
-    def test_empty_target(self, srw2):
-        region = box_region(srw2, 4)
-        with pytest.raises(ValidationError):
-            hitting_prob(region, [], (0, 0))
-
-    def test_disconnected_target(self, srw2):
-        # a pinned wall the walk cannot jump across separates x from target
-        wall = [(1, y) for y in range(-4, 5)]
-        region = Region(srw2, (-4, -4), (4, 4), pins=wall)
-        h = hitting_prob(region, [(3, 0)], (0, 0))
-        assert h == 0.0
-
-    def test_probability_bounds_and_monotonicity(self, srw2):
-        region = box_region(srw2, 8)
-        h_near = hitting_prob(region, [(0, 0)], (1, 0))
-        h_far = hitting_prob(region, [(0, 0)], (5, 5))
-        assert 0.0 < h_far < h_near < 1.0
-
-    def test_log_scaled_product_stable(self, srw2):
-        products = []
-        for radius in (64, 128):
-            region = box_region(srw2, radius)
-            h = hitting_prob(region, [(0, 0)], (16, 0))
-            products.append(h * math.log(radius))
-        assert all(p > 0.5 for p in products)
-        assert min(products) / max(products) >= 0.5
-
-    @pytest.mark.parametrize("radius, pins, target, x", [
-        (3, [(1, 1), (-2, 0)], (1, 0), (2, -1)),  # 47 sites: dense solve
-        (24, [], (3, -2), (10, -7)),  # 2401 sites: CG
-    ])
-    def test_last_exit_identity(self, srw2, radius, pins, target, x):
-        # G(x, t) = P_x(T_t < inf) G(t, t): strong Markov property at T_t
-        region = box_region(srw2, radius, pins=pins)
-        h = hitting_prob(region, [target], x)
-        ratio = (green_killed(region, x, target).value
-                 / green_killed(region, target, target).value)
-        assert math.isclose(h, ratio, rel_tol=1e-12)

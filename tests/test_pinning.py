@@ -14,14 +14,16 @@ from gffpin.pinning import (
     domination_densities,
     empty_probability,
     exact_pin_measure,
-    gibbs_pin_prob,
-    sample_field,
     sample_pins,
-    subset_green_table,
     variance_origin,
 )
-from gffpin.stats import batch_stderr, replica_rng
-from oracles import scalar_heat_bath
+from oracles import (
+    batch_stderr,
+    gibbs_pin_prob,
+    sample_field,
+    scalar_heat_bath,
+    subset_green_table,
+)
 
 EPS = 0.5
 
@@ -62,13 +64,6 @@ class TestExactPinMeasure:
     def test_box_too_large(self, srw2):
         with pytest.raises(ResourceError):
             exact_pin_measure(box_region(srw2, 2), 0.5)
-
-    def test_restricted_window(self, box3):
-        table = exact_pin_measure(box3, EPS, pin_window=[(0, 0)])
-        assert len(table.probs) == 2
-        # agrees with gibbs conditional at empty environment
-        pr = gibbs_pin_prob(box3, [], (0, 0), EPS)
-        assert math.isclose(table.probs[1], pr, rel_tol=1e-10)
 
 
 class TestSingleFlipBalance:
@@ -317,7 +312,7 @@ class TestRaoBlackwellEstimators:
 
     def test_exact_mixture_value(self, box3, table3):
         # oracle: sum over subsets of nu(A) G_{A^c}(0,0)
-        gvals = subset_green_table(box3, table3.window, [((0, 0), (0, 0))])
+        gvals = subset_green_table(box3, [((0, 0), (0, 0))])
         exact = float(table3.probs @ gvals[:, 0])
         est = variance_origin(box3, EPS, samples=6000, seed=31, replicas=6)
         assert est.within(exact, k=3.0)

@@ -3,22 +3,16 @@ import math
 import numpy as np
 import pytest
 from oracles import direct_renewal_sums
-from scipy import stats
 
 from gffpin.errors import NumericalError, ValidationError
 from gffpin.renewal1d import (
-    LAM_GEOMETRIC,
     LAM_SERIES,
     RenewalModel,
     _normalizer,
     _polylogs,
-    bridge_second_moment,
     f_pmf,
-    gap_tail_rate,
-    mass_1d,
     renewal_mean,
     renewal_model,
-    simulate_gaps,
     solve_lambda,
     variance_1d,
 )
@@ -113,38 +107,6 @@ class TestClosedForm:
         assert max(renewal_model(e).k_max for e in (1e-4, 0.1, 10.0)) < 100
 
 
-def _chi2_pvalue(model, gaps, top):
-    """Pearson chi^2 of the gaps against the exact law: bins k = 1..top and
-    one tail bin k > top."""
-    p = model.spacing_pmf(np.arange(1, top + 1))
-    expected = np.append(p, 1.0 - p.sum()) * gaps.size
-    counts = np.bincount(np.minimum(gaps, top + 1), minlength=top + 2)[1:]
-    assert expected.min() >= 20.0
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    return stats.chi2.sf(chi2, top)
-
-
-class TestGapSampler:
-    @pytest.mark.parametrize("eps, seed", ((0.1, 11), (0.3, 12)))
-    def test_chi2_against_exact_pmf(self, eps, seed):
-        model = renewal_model(eps)
-        gaps = simulate_gaps(model, 200_000, seed=seed)
-        assert _chi2_pvalue(model, gaps, 30) >= 1e-3
-
-    def test_chi2_geometric_envelope(self):
-        model = renewal_model(3.0)
-        assert model.lam >= LAM_GEOMETRIC
-        gaps = simulate_gaps(model, 200_000, seed=13)
-        assert _chi2_pvalue(model, gaps, 12) >= 1e-3
-
-    def test_gaps_beyond_int64_rejected(self):
-        with pytest.raises(NumericalError, match="int64"):
-            simulate_gaps(RenewalModel(eps=1.0, lam=1e-18, k_max=0), 10, seed=1)
-
-    def test_zero_count(self):
-        assert simulate_gaps(renewal_model(0.3), 0, seed=1).size == 0
-
-
 class TestRenewalMean:
     def test_cubic_scaling(self):
         model = renewal_model(0.01)
@@ -160,9 +122,6 @@ class TestRenewalMean:
 
 
 class TestVariance:
-    def test_bridge_term(self):
-        assert bridge_second_moment(1, 2) == 0.5
-
     def test_quadratic_scaling(self):
         model = renewal_model(0.01)
         assert 0.8 <= variance_1d(model) * 2.0 * 0.01**2 <= 1.2
@@ -180,20 +139,9 @@ class TestVariance:
 
 class TestMass:
     def test_equals_tilt(self):
-        assert mass_1d(0.05) == solve_lambda(0.05)
+        # the mass the CLI reports is the model's tilt
+        assert renewal_model(0.05).lam == solve_lambda(0.05)
 
     def test_expansion_window(self):
-        lam = mass_1d(0.01)
+        lam = solve_lambda(0.01)
         assert 0.9 <= 2.0 * lam / 0.01**2 <= 1.1
-
-    def test_gap_tail_cross_check(self):
-        model = renewal_model(0.1)
-        gaps = simulate_gaps(model, 200_000, seed=3)
-        rate, se = gap_tail_rate(gaps)
-        assert abs(rate - model.lam) <= 2.0 * se
-
-    def test_gap_sampler_deterministic(self):
-        model = renewal_model(0.3)
-        a = simulate_gaps(model, 1000, seed=5)
-        b = simulate_gaps(model, 1000, seed=5)
-        assert np.array_equal(a, b)

@@ -4,83 +4,50 @@ import numpy as np
 import pytest
 
 from gffpin import cli
-from gffpin.errors import NumericalError, ValidationError
-from gffpin.green import box_region
-from gffpin.pinning import domination_densities, exact_pin_measure, subset_green_table
+from gffpin.errors import ValidationError
+from gffpin.green import Region
+from gffpin.pinning import domination_densities, exact_pin_measure
 from gffpin.scaling import (
     MassCurve,
     mass_fit,
     mass_scan,
-    sausage_green,
-    sausage_samples,
     survival_samples,
-    survival_to_target,
     surrogate_density,
     variance_box_policy,
     variance_scan,
     variance_slope_reference,
 )
 from gffpin.stats import estimate_from_samples
-from gffpin.walk import make_kernel, write_kernel_file
+from gffpin.walk import make_kernel
 
-from oracles import exact_plane_survival, exact_sausage_green, exact_survival
-
-
-class TestSausageGreen:
-    def test_full_density_kills_everything(self, srw2):
-        for x in ((1, 0), (0, 0)):
-            res = sausage_green(srw2, 1.0, x, reps=200, n_max=5, seed=1)
-            assert res.estimate.mean == 0.0
-
-    def test_zero_density_rejected_in_d2(self, srw2):
-        with pytest.raises(ValidationError):
-            sausage_green(srw2, 0.0, (1, 0), reps=10, n_max=5, seed=1)
-
-    def test_zero_density_allowed_in_d3(self, srw3):
-        res = sausage_green(srw3, 0.0, (1, 0, 0), reps=400, n_max=30, seed=1)
-        assert res.estimate.mean > 0.3
-
-    def test_matches_enumeration(self, srw2):
-        exact = exact_sausage_green(srw2, 0.5, (1, 0), 6)
-        res = sausage_green(srw2, 0.5, (1, 0), reps=30000, n_max=6, seed=7)
-        assert res.estimate.within(exact, k=3.0)
-
-    def test_pathwise_monotone_in_density(self, srw2):
-        a = sausage_samples(srw2, 0.3, (1, 0), 800, 40, seed=5)
-        b = sausage_samples(srw2, 0.5, (1, 0), 800, 40, seed=5)
-        assert np.all(b <= a + 1e-15)
+from oracles import exact_plane_survival, subset_green_table, write_kernel_file
 
 
 class TestSurvival:
     def test_adjacent_one_step_weight(self, srw2):
-        # a direct hit carries weight (1-p)^2: range {0, x} at the hit
+        # a direct hit of the plane {x_1 >= 1} carries weight (1-p)^2:
+        # range {0, (1, 0)} at the hit
         p = 0.4
-        w = survival_samples(srw2, p, (1, 0), 4000, 1, seed=3)[:, 0]
+        w = survival_samples(srw2, p, [1], 4000, 1, seed=3)[:, 0]
         hits = w[w > 0]
         assert np.allclose(hits, (1 - p) ** 2)
         frac = len(hits) / len(w)
         assert abs(frac - 0.25) <= 3.0 * math.sqrt(0.25 * 0.75 / len(w))
 
     def test_density_near_one_vanishes(self, srw2):
-        res = survival_to_target(srw2, 0.999, (2, 0), reps=2000, n_max=30,
-                                 seed=2)
-        assert res.estimate.mean <= 1e-4
+        w = survival_samples(srw2, 0.999, [2], 2000, 30, seed=2)[:, 0]
+        assert estimate_from_samples(w).mean <= 1e-4
 
     def test_matches_enumeration(self, srw2):
-        exact = exact_survival(srw2, 0.3, (2, 0), 8)
-        res = survival_to_target(srw2, 0.3, (2, 0), reps=30000, n_max=8,
-                                 seed=11)
-        assert res.estimate.within(exact, k=3.0)
+        exact = exact_plane_survival(srw2, 0.3, 2, 8)
+        w = survival_samples(srw2, 0.3, [2], 30000, 8, seed=11)[:, 0]
+        assert estimate_from_samples(w).within(exact, k=3.0)
 
     def test_dominated_by_hitting_indicator(self, srw2):
-        w = survival_samples(srw2, 0.3, (2, 0), 1500, 50, seed=5)[:, 0]
-        hit = survival_samples(srw2, 0.0, (2, 0), 1500, 50, seed=5)[:, 0]
+        w = survival_samples(srw2, 0.3, [2], 1500, 50, seed=5)[:, 0]
+        hit = survival_samples(srw2, 0.0, [2], 1500, 50, seed=5)[:, 0]
         assert np.all(w <= hit + 1e-15)
         assert np.all((w > 0) == (hit > 0))
-
-    def test_target_origin_rejected(self, srw2):
-        with pytest.raises(ValidationError):
-            survival_to_target(srw2, 0.3, (0, 0), reps=10, n_max=5, seed=1)
 
 
 # symmetric under negation, not under x_2 -> -x_2: the plane exponent may
@@ -92,7 +59,7 @@ UNREFLECTED = [((1, 1), 1.0), ((-1, -1), 1.0), ((1, 0), 1.0), ((-1, 0), 1.0),
 class TestPlaneSurvival:
     @staticmethod
     def _check(kernel, p, rs, n_max, reps, seed):
-        w = survival_samples(kernel, p, rs, reps, n_max, seed, plane=True)
+        w = survival_samples(kernel, p, rs, reps, n_max, seed)
         for t, r in enumerate(rs):
             est = estimate_from_samples(w[:, t])
             assert est.within(exact_plane_survival(kernel, p, r, n_max), k=3.0)
@@ -105,13 +72,6 @@ class TestPlaneSurvival:
         k = make_kernel([((1, 0), 1.0), ((-1, 0), 1.0), ((2, 0), 1.0),
                          ((-2, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)], 2)
         self._check(k, 0.3, [2, 3], 6, 30000, 12)
-
-    def test_dominates_point_target(self, srw2):
-        # the plane is reached no later than the site on it, with no more
-        # distinct sites visited
-        plane = survival_samples(srw2, 0.3, [3], 1500, 40, seed=5, plane=True)
-        point = survival_samples(srw2, 0.3, (3, 0), 1500, 40, seed=5)
-        assert np.all(point <= plane + 1e-15)
 
     def test_unreflected_kernel_rejected(self):
         k = make_kernel(UNREFLECTED, 2)
@@ -232,17 +192,16 @@ class TestScans:
 
 class TestSandwich:
     def test_exact_covariance_between_bernoulli_mixtures(self, srw2_lazy):
-        # pins restricted to a 4x4 window in a 9x9 box; exact enumeration
-        region = box_region(srw2_lazy, 4)
-        window = [(i, j) for i in range(-2, 2) for j in range(-2, 2)]
-        widx = [region.site_index(s) for s in window]
+        # every site of a 4x4 box may pin; exact enumeration
+        region = Region(srw2_lazy, (-2, -2), (1, 1))
+        sites = [tuple(s) for s in region.sites]
         probes = [((-2, 0), (1, 0))]  # distance 3
-        gvals = subset_green_table(region, widx, probes)[:, 0]
+        gvals = subset_green_table(region, probes)[:, 0]
         sizes = np.array([bin(m).count("1") for m in range(1 << 16)])
         for eps in (0.3, 0.5):
-            table = exact_pin_measure(region, eps, pin_window=window)
+            table = exact_pin_measure(region, eps)
             exact = float(table.probs @ gvals)
-            p_lo, p_hi = domination_densities(region, eps, window)
+            p_lo, p_hi = domination_densities(region, eps, sites)
             logw_lo = sizes * math.log(p_lo) + (16 - sizes) * math.log1p(-p_lo)
             logw_hi = sizes * math.log(p_hi) + (16 - sizes) * math.log1p(-p_hi)
             bern_lo = float(np.exp(logw_lo - logw_lo.max())

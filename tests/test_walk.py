@@ -5,32 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gffpin.errors import NumericalError, ValidationError, WindowTooSmall
+from gffpin.errors import ValidationError
 from gffpin.walk import (
     crossing_cells,
-    first_return_pmf,
     kernel_from_file,
     make_kernel,
-    pmf_origin_series,
     pmf_series,
-    potential_kernel,
     range_samples,
     range_tail,
-    rate_function,
-    saddle_pmf_approx,
-    simple_random_walk,
     simulate_range,
-    step_pmf_n,
-    tied_down_range_mean,
-    write_kernel_file,
 )
 
-from oracles import (
-    exact_bridge_range_mean,
-    exact_first_returns,
-    exact_pmf,
-    exact_range_mean,
-)
+from oracles import exact_pmf, exact_range_mean, write_kernel_file
 
 SRW_SPEC = [((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)]
 
@@ -106,178 +92,34 @@ class TestMakeKernel:
 
 class TestStepPmf:
     def test_zero_steps(self, srw2):
-        arr = step_pmf_n(srw2, 0)
-        assert arr.at((0, 0)) == 1.0
-        assert arr.total() == 1.0
+        series = pmf_series(srw2, 0, points=[(0, 0), (1, 0)])
+        assert series[(0, 0)][0] == 1.0
+        assert series[(1, 0)][0] == 0.0
 
     def test_two_steps_origin(self, srw2):
-        assert math.isclose(step_pmf_n(srw2, 2).at((0, 0)), 0.25)
+        assert math.isclose(pmf_series(srw2, 2, points=[(0, 0)])[(0, 0)][2],
+                            0.25)
 
     def test_matches_enumeration(self, srw2):
-        arr = step_pmf_n(srw2, 4)
-        for site, p in exact_pmf(srw2, 4).items():
-            assert math.isclose(arr.at(site), p, abs_tol=1e-14)
+        exact = exact_pmf(srw2, 4)
+        series = pmf_series(srw2, 4, points=list(exact))
+        for site, p in exact.items():
+            assert math.isclose(series[site][4], p, abs_tol=1e-14)
 
     def test_local_clt_normalization(self, srw2_lazy):
         # aperiodic local limit: p_n(0) ~ (2 pi n sqrt(det Q))^-1
-        p0 = step_pmf_n(srw2_lazy, 200).at((0, 0))
+        p0 = pmf_series(srw2_lazy, 200, points=[(0, 0)])[(0, 0)][200]
         val = p0 * 2.0 * np.pi * srw2_lazy.sqrt_det_cov * 200
         assert abs(val - 1.0) <= 0.05
 
-    def test_window_too_small_reports_mass(self, srw2):
-        with pytest.raises(WindowTooSmall) as err:
-            step_pmf_n(srw2, 10, window=2)
-        assert 0.0 < err.value.captured < 1.0
-
     def test_chapman_kolmogorov(self, srw2_lazy):
-        import scipy.signal
-
+        # p_{m+n}(0) = sum_y p_m(y) p_n(-y), y over every site in reach
         for m, n in [(3, 5), (7, 9), (10, 10)]:
-            a = step_pmf_n(srw2_lazy, m).values
-            b = step_pmf_n(srw2_lazy, n).values
-            c = step_pmf_n(srw2_lazy, m + n).values
-            conv = scipy.signal.convolve(a, b)
-            assert conv.shape == c.shape
-            assert np.abs(conv - c).max() <= 1e-12
-
-
-class TestFirstReturns:
-    def test_srw_small_orders(self, srw2):
-        q = first_return_pmf(srw2, 6)
-        assert q[1] == 0.0
-        assert math.isclose(q[2], 0.25, abs_tol=1e-15)
-        exact = exact_first_returns(srw2, 6)
-        assert np.abs(q - exact).max() <= 1e-12
-
-    def test_lazy_first_step(self, srw2_lazy):
-        q = first_return_pmf(srw2_lazy, 3)
-        assert math.isclose(q[1], 0.5, abs_tol=1e-15)
-
-    def test_renewal_identity_to_n200(self, srw2_lazy):
-        n = 200
-        p0 = pmf_origin_series(srw2_lazy, n)
-        q = first_return_pmf(srw2_lazy, n, origin_series=p0)
-        for m in range(1, n + 1):
-            lhs = float(np.dot(q[1:m + 1], p0[m - 1::-1]))
-            assert abs(lhs - p0[m]) <= 1e-12
-        assert q[1:].sum() <= 1.0
-
-    def test_taboo_trend_diagnostic(self, srw2_lazy):
-        # q_l * l * (log l)^2 should drift upward toward its constant;
-        # checked as a coarse monotone trend over dyadic l
-        q = first_return_pmf(srw2_lazy, 1024)
-        ls = np.array([64, 256, 1024])
-        vals = q[ls] * ls * np.log(ls) ** 2
-        assert np.all(vals > 0)
-        assert vals[2] > vals[0]
-
-
-class TestPotentialKernel:
-    def test_origin_is_zero(self, srw2):
-        assert potential_kernel(srw2, (0, 0), 100).value == 0.0
-
-    def test_requires_d2(self, srw3):
-        with pytest.raises(ValidationError):
-            potential_kernel(srw3, (1, 0, 0), 100)
-
-    def test_matches_dp_partial_sums(self, srw2):
-        # independent oracle: direct DP partial sums at moderate n_max
-        n_max = 512
-        series = pmf_series(srw2, n_max, points=[(0, 0), (1, 0)])
-        direct = float(np.sum(series[(0, 0)] - series[(1, 0)]))
-        fourier = potential_kernel(srw2, (1, 0), n_max).value
-        assert abs(direct - fourier) <= 1e-9
-
-    def test_unit_neighbor_value(self, srw2):
-        # frozen from the accelerated-partial-sum oracle: a((1,0)) = 1
-        res = potential_kernel(srw2, (1, 0), 10**5)
-        assert abs(res.value - 1.0) <= 0.01
-        assert res.tail_estimate < 1e-4
-
-    def test_symmetry_and_positivity(self, srw2):
-        for x in [(1, 0), (2, 1), (3, 3), (5, 2)]:
-            a = potential_kernel(srw2, x, 20000)
-            b = potential_kernel(srw2, tuple(-c for c in x), 20000)
-            assert a.value >= 0.0
-            assert math.isclose(a.value, b.value, rel_tol=1e-12)
-
-    def test_log_asymptotics_constant_stabilizes(self, srw2):
-        kappa = 1.0 / (np.pi * srw2.sqrt_det_cov)
-        qinv = np.linalg.inv(srw2.cov)
-        consts = []
-        for r in (16, 32, 64):
-            x = np.array([r, 0])
-            val = potential_kernel(srw2, x, 3 * 10**5).value
-            consts.append(val - kappa * np.log(np.sqrt(x @ qinv @ x)))
-        assert max(consts) - min(consts) <= 0.05
-
-
-class TestRateFunction:
-    def test_zero_velocity(self, srw2):
-        rf = rate_function(srw2, (0.0, 0.0))
-        assert rf.rate == 0.0
-        assert np.allclose(rf.tilt, 0.0)
-        assert np.allclose(rf.tilted_cov, srw2.cov)
-
-    def test_small_velocity_quadratic(self, srw2):
-        for xi in [(0.05, 0.0), (0.03, 0.04)]:
-            rf = rate_function(srw2, xi)
-            quad = 0.5 * np.asarray(xi) @ np.linalg.solve(srw2.cov, xi)
-            assert abs(rf.rate - quad) <= 0.15 * quad
-
-    def test_boundary_velocity(self, srw2):
-        # the hull corner has finite rate -log p(e1) = log 4; the solver may
-        # reach it with a huge tilt or report divergence
-        try:
-            rf = rate_function(srw2, (1.0, 0.0))
-        except NumericalError:
-            return
-        assert rf.rate >= 0.9 * math.log(4.0)
-        assert np.linalg.norm(rf.tilt) > 10.0
-
-    def test_outside_hull_fails(self, srw2):
-        with pytest.raises(NumericalError):
-            rate_function(srw2, (1.5, 0.0))
-
-    def test_near_boundary_flag_or_converge(self, srw2):
-        # either outcome is acceptable this close to the maximum speed
-        try:
-            rf = rate_function(srw2, (0.99, 0.0))
-        except NumericalError:
-            return
-        assert rf.rate > 0.0
-        assert np.linalg.norm(rf.tilt) > 3.0
-
-    def test_symmetry_and_convexity_on_ray(self, srw2_lazy):
-        xs = np.linspace(0.02, 0.4, 12)
-        rates = [rate_function(srw2_lazy, (x, 0.0)).rate for x in xs]
-        second = np.diff(rates, 2)
-        assert np.all(second >= -1e-8)
-        plus = rate_function(srw2_lazy, (0.2, 0.1)).rate
-        minus = rate_function(srw2_lazy, (-0.2, -0.1)).rate
-        assert math.isclose(plus, minus, rel_tol=1e-9)
-
-
-class TestSaddlePmf:
-    def test_origin_specialization(self, srw2_lazy):
-        n = 400
-        val = saddle_pmf_approx(srw2_lazy, n, (0, 0))
-        ref = 1.0 / (2.0 * np.pi * n * srw2_lazy.sqrt_det_cov)
-        assert math.isclose(val, ref, rel_tol=1e-9)
-
-    def test_against_exact_dp(self, srw2_lazy):
-        n, x = 100, (10, 0)
-        approx = saddle_pmf_approx(srw2_lazy, n, x)
-        exact = step_pmf_n(srw2_lazy, n).at(x)
-        assert abs(approx - exact) <= 0.10 * exact
-
-    def test_outside_domain(self, srw2_lazy):
-        with pytest.raises(NumericalError):
-            saddle_pmf_approx(srw2_lazy, 10, (20, 0))
-
-    def test_periodic_kernel_refused(self, srw2):
-        with pytest.raises(ValidationError):
-            saddle_pmf_approx(srw2, 10, (2, 0))
+            r = min(m, n)
+            ys = list(itertools.product(range(-r, r + 1), repeat=2))
+            series = pmf_series(srw2_lazy, m + n, points=ys)
+            conv = sum(series[y][m] * series[(-y[0], -y[1])][n] for y in ys)
+            assert abs(conv - series[(0, 0)][m + n]) <= 1e-12
 
 
 class TestRangeSimulation:
@@ -309,47 +151,6 @@ class TestRangeSimulation:
         tiny = range_tail(srw2, 10, kappa=0.01, reps=50, seed=2)
         assert tiny.estimate.mean == 0.0
         assert 0.0 < tiny.upper95 < 1.0
-
-
-class TestTiedDownRange:
-    def test_bridge_two_steps(self, srw2):
-        assert math.isclose(tied_down_range_mean(srw2, 2, (0, 0)), 2.0,
-                            abs_tol=1e-12)
-
-    def test_empty_walk(self, srw2):
-        assert tied_down_range_mean(srw2, 0, (0, 0)) == 1.0
-
-    def test_unreachable_endpoint(self, srw2):
-        with pytest.raises(ValidationError):
-            tied_down_range_mean(srw2, 2, (1, 0))  # parity mismatch
-
-    def test_matches_bridge_enumeration(self, srw2):
-        for n in range(2, 7):
-            for x in [(0, 0), (2, 0), (1, 1), (n % 2, (n + 1) % 2 + 1)]:
-                oracle = exact_bridge_range_mean(srw2, n, x)
-                if oracle is None:
-                    continue
-                val = tied_down_range_mean(srw2, n, x)
-                assert abs(val - oracle) <= 1e-12
-
-    @given(st.sampled_from([1, 2]), st.integers(2, 6))
-    @settings(max_examples=12, deadline=None)
-    def test_matches_enumeration_on_small_kernels(self, style, n):
-        if style == 1:
-            spec = [((1,), 1.0), ((-1,), 1.0), ((2,), 0.5), ((-2,), 0.5)]
-            k = make_kernel(spec, 1)
-            x = (n % 2,)
-        else:
-            # the axis steps make the diagonal support generate Z^2
-            spec = [((1, 1), 1.0), ((-1, -1), 1.0), ((1, -1), 1.0),
-                    ((-1, 1), 1.0), ((1, 0), 1.0), ((-1, 0), 1.0),
-                    ((0, 0), 1.0)]
-            k = make_kernel(spec, 2)
-            x = (0, 0)
-        oracle = exact_bridge_range_mean(k, n, x)
-        if oracle is None:
-            return
-        assert abs(tied_down_range_mean(k, n, x) - oracle) <= 1e-12
 
 
 class TestCrossingCells:
