@@ -59,8 +59,11 @@ def survival_samples(kernel, p, targets, reps, n_max, seed) -> np.ndarray:
     """Per-path weights (1-p)^{|X_[0,T]|} 1(T <= n_max), one column per
     target distance r, T the first passage to the plane {x_1 >= r}; `>=`
     scores long jumps that overshoot the plane. p = 0 reduces each column to
-    the plain hitting indicator."""
+    the plain hitting indicator. Each r must be >= 1: a plane at r <= 0
+    holds the origin."""
     tg = np.asarray(targets, dtype=np.int64).reshape(-1)
+    if np.any(tg < 1):
+        raise ValidationError("target distances must be >= 1")
     out = np.zeros((reps, len(tg)))
     pos = 0
     for chunk_pos, ranges in _ensemble_chunks(kernel, n_max, reps, seed):

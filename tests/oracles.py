@@ -1,7 +1,13 @@
 """Test oracles, independent of the library's fast paths.
 
-- Path enumeration: exact pmfs, range means and plane-survival weights of
-  short walks.
+- Path enumeration: exact pmfs, first returns, free and bridge range means
+  and plane-survival weights of short walks.
+- Exact identities on `gffpin.walk.pmf_series`: first returns by the renewal
+  recursion and the tied-down range of the bridge.
+- A saddle-point pmf from the Legendre rate function, an independent
+  large-deviation check of the exact n-step pmf.
+- Hitting probabilities by one sparse solve on a Region, checked against
+  `green_killed` through the last-exit identity.
 - Dense small-box oracles of the pinned field: the Green function given
   every pin subset, the heat-bath pin probability from a fresh Region, an
   exact Gaussian field draw given the pins, and a scalar heat bath.
@@ -12,14 +18,17 @@
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from scipy.special import gamma, gammaincc
 
+from gffpin.errors import NumericalError, ValidationError
 from gffpin.green import Region
 from gffpin.stats import replica_rng
+from gffpin.walk import pmf_origin_series, pmf_series
 
 
 def write_kernel_file(path, support, d, lazify=False, beta=1.0):
@@ -54,6 +63,28 @@ def exact_range_mean(kernel, n):
     for prob, path in iter_paths(kernel, n):
         total += prob * len(set(path))
     return total
+
+
+def exact_bridge_range_mean(kernel, n, x):
+    """E(|X_[0,n]| | X_n = x) by full enumeration; None if unreachable."""
+    x = tuple(int(c) for c in x)
+    num = den = 0.0
+    for prob, path in iter_paths(kernel, n):
+        if path[-1] == x:
+            num += prob * len(set(path))
+            den += prob
+    return num / den if den > 0 else None
+
+
+def exact_first_returns(kernel, L):
+    """q_l for l = 1..L by enumeration (origin avoided strictly between)."""
+    out = np.zeros(L + 1)
+    origin = (0,) * kernel.d
+    for n in range(1, L + 1):
+        for prob, path in iter_paths(kernel, n):
+            if path[-1] == origin and origin not in path[1:-1]:
+                out[n] += prob
+    return out
 
 
 def exact_pmf(kernel, n):
@@ -193,3 +224,124 @@ def batch_stderr(values, batches=20):
     cut = (x.size // b) * b
     means = x[:cut].reshape(b, -1).mean(axis=1)
     return float(means.std(ddof=1) / np.sqrt(b))
+
+
+def first_return_pmf(kernel, L, origin_series=None):
+    """First-return probabilities q_1..q_L from the renewal recursion
+    p_n(0) = sum_{l<=n} q_l p_{n-l}(0). Entry 0 of the result is unused."""
+    if L < 1:
+        raise ValidationError("L must be >= 1")
+    p0 = origin_series if origin_series is not None else pmf_origin_series(kernel, L)
+    q = np.zeros(L + 1)
+    for n in range(1, L + 1):
+        s = float(np.dot(q[1:n], p0[n - 1:0:-1]))
+        q[n] = max(p0[n] - s, 0.0)
+    return q
+
+
+def tied_down_range_mean(kernel, n, x):
+    """Exact expected range of the bridge from 0 to x in n steps, from the
+    first returns and the n-step pmf at x."""
+    x = tuple(int(c) for c in x)
+    series = pmf_series(kernel, n, points=[(0,) * kernel.d, x])
+    px = series[x]
+    if px[n] <= 0.0:
+        raise ValidationError(f"p_{n}({x}) = 0: conditioning undefined")
+    if n == 0:
+        return 1.0
+    q = first_return_pmf(kernel, n, origin_series=series[(0,) * kernel.d])
+    ls = np.arange(1, n + 1)
+    correction = float(np.sum((n - ls + 1) * q[1:] * px[n - ls] / px[n]))
+    return n + 1 - correction
+
+
+def hitting_prob(region, target, x):
+    """P_x(hit target before dying), Dirichlet outside the alive set: one
+    solve on the region with the target sites dead."""
+    tgt = {region.site_index(t) for t in target}
+    if not tgt:
+        raise ValidationError("empty target")
+    if any(t < 0 for t in tgt):
+        raise ValidationError("target sites must be alive in the region")
+    ix = region.site_index(x)
+    if ix < 0:
+        raise ValidationError("x must be alive")
+    if ix in tgt:
+        return 1.0
+    tcols = sorted(tgt)
+    dead = np.vstack([np.argwhere(~region.alive) + region.lo,
+                      region.sites[tcols]])
+    sub = Region(region.kernel, region.lo, region.hi, pins=dead)
+    keep = region.index[sub.alive]
+    # mass stepping from kept sites directly into the target
+    rhs = -np.asarray(region.matrix[keep][:, tcols].sum(axis=1)).ravel()
+    h, _ = sub.solve(rhs)
+    return float(h[sub.site_index(x)])
+
+
+@dataclass(frozen=True)
+class RateFunctionPoint:
+    velocity: np.ndarray
+    tilt: np.ndarray
+    rate: float
+    tilted_cov: np.ndarray
+
+
+def rate_function(kernel, xi, tol=1e-10, max_iter=50):
+    """Solve grad log z(lambda) = xi by damped Newton; returns the Legendre
+    rate I(xi) = (lambda, xi) - log z(lambda) and the tilted covariance."""
+    xi = np.asarray(xi, dtype=float)
+    steps = kernel.steps.astype(float)
+    probs = kernel.probs
+
+    def moments(lam):
+        expo = steps @ lam
+        shift = expo.max()
+        w = probs * np.exp(expo - shift)
+        z = w.sum()
+        mean = steps.T @ w / z
+        cov = (steps.T * w) @ steps / z - np.outer(mean, mean)
+        return np.log(z) + shift, mean, cov
+
+    lam = np.linalg.solve(kernel.cov, xi)
+    logz, mean, cov = moments(lam)
+    res = np.linalg.norm(mean - xi)
+    for _ in range(max_iter):
+        if res <= tol:
+            break
+        try:
+            delta = np.linalg.solve(cov, xi - mean)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("singular tilted covariance") from exc
+        t = 1.0
+        while t > 1e-14:
+            cand = lam + t * delta
+            logz_c, mean_c, cov_c = moments(cand)
+            res_c = np.linalg.norm(mean_c - xi)
+            if np.isfinite(res_c) and res_c < res:
+                lam, logz, mean, cov, res = cand, logz_c, mean_c, cov_c, res_c
+                break
+            t /= 2.0
+        else:
+            raise NumericalError(f"Newton stalled at residual {res:.3e}: "
+                                 f"velocity {tuple(xi)} outside the domain")
+    else:
+        raise NumericalError(f"Newton did not converge in {max_iter} "
+                             f"iterations: velocity {tuple(xi)} outside the domain")
+    rate = float(lam @ xi - logz)
+    return RateFunctionPoint(velocity=xi, tilt=lam, rate=rate, tilted_cov=cov)
+
+
+def saddle_pmf_approx(kernel, n, x):
+    """Saddle-point approximation of p_n(x); requires an aperiodic kernel."""
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    if not kernel.aperiodic:
+        raise ValidationError("saddle-point pmf uses the aperiodic local CLT")
+    x = np.asarray(x, dtype=float)
+    rf = rate_function(kernel, x / n)
+    det = np.linalg.det(rf.tilted_cov)
+    if det <= 0:
+        raise NumericalError("tilted covariance not positive definite")
+    return float(np.exp(-n * rf.rate)
+                 / ((2.0 * np.pi * n) ** (kernel.d / 2.0) * np.sqrt(det)))

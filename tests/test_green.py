@@ -7,6 +7,8 @@ from gffpin.errors import ValidationError
 from gffpin.green import Region, box_region, green_killed, green_nstep
 from gffpin.walk import pmf_origin_series
 
+from oracles import hitting_prob
+
 
 class TestGreenKilled:
     def test_singleton_unit_value(self, srw2):
@@ -134,3 +136,48 @@ class TestGreenNStep:
                 w += t
             total += w * p0[k]
         assert abs(lazy - total) <= 1e-12
+
+
+class TestHittingProb:
+    def test_in_target(self, srw2):
+        region = box_region(srw2, 4)
+        assert hitting_prob(region, [(1, 1)], (1, 1)) == 1.0
+
+    def test_empty_target(self, srw2):
+        region = box_region(srw2, 4)
+        with pytest.raises(ValidationError):
+            hitting_prob(region, [], (0, 0))
+
+    def test_disconnected_target(self, srw2):
+        # a pinned wall the walk cannot jump across separates x from target
+        wall = [(1, y) for y in range(-4, 5)]
+        region = Region(srw2, (-4, -4), (4, 4), pins=wall)
+        h = hitting_prob(region, [(3, 0)], (0, 0))
+        assert h == 0.0
+
+    def test_probability_bounds_and_monotonicity(self, srw2):
+        region = box_region(srw2, 8)
+        h_near = hitting_prob(region, [(0, 0)], (1, 0))
+        h_far = hitting_prob(region, [(0, 0)], (5, 5))
+        assert 0.0 < h_far < h_near < 1.0
+
+    def test_log_scaled_product_stable(self, srw2):
+        products = []
+        for radius in (64, 128):
+            region = box_region(srw2, radius)
+            h = hitting_prob(region, [(0, 0)], (16, 0))
+            products.append(h * math.log(radius))
+        assert all(p > 0.5 for p in products)
+        assert min(products) / max(products) >= 0.5
+
+    @pytest.mark.parametrize("radius, pins, target, x", [
+        (3, [(1, 1), (-2, 0)], (1, 0), (2, -1)),  # 47 sites: dense solve
+        (24, [], (3, -2), (10, -7)),  # 2401 sites: CG
+    ])
+    def test_last_exit_identity(self, srw2, radius, pins, target, x):
+        # G(x, t) = P_x(T_t < inf) G(t, t): strong Markov property at T_t
+        region = box_region(srw2, radius, pins=pins)
+        h = hitting_prob(region, [target], x)
+        ratio = (green_killed(region, x, target).value
+                 / green_killed(region, target, target).value)
+        assert math.isclose(h, ratio, rel_tol=1e-12)

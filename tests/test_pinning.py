@@ -65,6 +65,14 @@ class TestExactPinMeasure:
         with pytest.raises(ResourceError):
             exact_pin_measure(box_region(srw2, 2), 0.5)
 
+    def test_restricted_window(self, box3, table3):
+        # nu conditioned on no pins off the origin has a one-site window;
+        # it agrees with the Gibbs conditional at the empty environment
+        i = box3.site_index((0, 0))
+        p_empty, p_origin = table3.probs[0], table3.probs[1 << i]
+        pr = gibbs_pin_prob(box3, [], (0, 0), EPS)
+        assert math.isclose(p_origin / (p_empty + p_origin), pr, rel_tol=1e-10)
+
 
 class TestSingleFlipBalance:
     def test_matches_exact_ratios(self, box3, table3):

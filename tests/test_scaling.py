@@ -9,6 +9,7 @@ from gffpin.green import Region
 from gffpin.pinning import domination_densities, exact_pin_measure
 from gffpin.scaling import (
     MassCurve,
+    _ensemble_chunks,
     mass_fit,
     mass_scan,
     survival_samples,
@@ -49,6 +50,12 @@ class TestSurvival:
         assert np.all(w <= hit + 1e-15)
         assert np.all((w > 0) == (hit > 0))
 
+    def test_target_origin_rejected(self, srw2):
+        # a plane {x_1 >= r} with r <= 0 holds the origin: T = 0 on every path
+        for r in (0, -1):
+            with pytest.raises(ValidationError):
+                survival_samples(srw2, 0.3, [2, r], 10, 5, seed=1)
+
 
 # symmetric under negation, not under x_2 -> -x_2: the plane exponent may
 # differ from the axis one
@@ -72,6 +79,20 @@ class TestPlaneSurvival:
         k = make_kernel([((1, 0), 1.0), ((-1, 0), 1.0), ((2, 0), 1.0),
                          ((-2, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)], 2)
         self._check(k, 0.3, [2, 3], 6, 30000, 12)
+
+    def test_dominates_point_target(self, srw2):
+        # the plane is reached no later than the site (3, 0) on it, with no
+        # more distinct sites visited: point-target weights on the same paths
+        plane = survival_samples(srw2, 0.3, [3], 1500, 40, seed=5)[:, 0]
+        point = []
+        for pos, ranges in _ensemble_chunks(srw2, 40, 1500, 5):
+            hit = np.all(pos == (3, 0), axis=2)
+            t_hit = np.argmax(hit, axis=1)
+            first = ranges[np.arange(len(pos)), t_hit]
+            point.append(np.where(hit.any(axis=1), 0.7 ** first, 0.0))
+        point = np.concatenate(point)
+        assert np.count_nonzero(point) > 0
+        assert np.all(point <= plane + 1e-15)
 
     def test_unreflected_kernel_rejected(self):
         k = make_kernel(UNREFLECTED, 2)
