@@ -11,6 +11,7 @@ never changes output bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import math
@@ -268,12 +269,17 @@ def _fmt(value):
 
 def write_csv(path, header, rows):
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _sha256(path):
@@ -307,6 +313,10 @@ class Manifest:
 
     def add_file(self, name):
         self.files.append(name)
+
+    def record(self, key, value):
+        """A run diagnostic, written with the finished manifest."""
+        self.entries.append((key, value))
 
     def finalize(self):
         self.entries[0] = ("status", "done")
@@ -413,6 +423,7 @@ def _cmd_variance_scan(cfg, out, manifest, jobs):
            ("dof", d["dof"]), ("policy", d["policy"])]
     write_csv(os.path.join(out, "variance_scan_fit.csv"), ("key", "value"), fit)
     manifest.add_file("variance_scan_fit.csv")
+    manifest.record("gn0_audit_max_rel_err", repr(max(d["gn0_audit_rel_err"])))
 
 
 def _cmd_mass_scan(cfg, out, manifest, jobs):

@@ -6,9 +6,12 @@ simultaneously the covariances of the free field given the dead set, after
 the 1/beta_eff scaling. All solves run at beta = 1 internally.
 
 There is one solve path: a sparse LU factor of (I - P)|alive, built on first
-use and cached on the Region, serves every `Region.solve` and the diagonal
-of the Green matrix. A Region is immutable, so every chain and every probe
-on one Region shares that factor.
+use and cached on the Region, serves every `Region.solve`. A Region is
+immutable, so every chain and every probe on one Region shares that factor.
+The diagonal of the Green matrix comes from block-tridiagonal selected
+inversion over slabs of the box and is cached like the factor. The n-step
+Green function at the origin is a Fourier sum on a torus, audited against
+the exact DP pmf of `walk`.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NumericalError, ValidationError
-from .walk import StepKernel, pmf_origin_series
+from .errors import NumericalError, ResourceError, ValidationError
+from .walk import WINDOW_CELL_CAP, StepKernel, _auto_radius, pmf_origin_series
 
 RESIDUAL_TARGET = 1e-10
-_DIAG_BLOCK = 32  # unit columns per block solve of the Green diagonal
+COLUMN_BYTES_CAP = 1 << 30  # bytes of dense Green blocks per chain or Region
+NSTEP_AUDIT_STEPS = 16  # the exact DP checks green_nstep at min(n, 16) steps
+NSTEP_AUDIT_TOL = 1e-10
 
 
 class Region:
@@ -126,20 +131,22 @@ class Region:
 
     @property
     def green_diag(self) -> np.ndarray:
-        """diag((I - P)|alive^{-1}), beta = 1, by block solves; read-only."""
-        lu = self.factor
+        """diag((I - P)|alive^{-1}), beta = 1, by selected inversion over
+        slabs of the box; read-only."""
         with self._lock:
             if self._green_diag is None:
-                n = self.n_alive
-                out = np.empty(n)
-                for start in range(0, n, _DIAG_BLOCK):
-                    cols = np.arange(start, min(start + _DIAG_BLOCK, n))
-                    block = np.zeros((n, len(cols)))
-                    block[cols, np.arange(len(cols))] = 1.0
-                    out[cols] = lu.solve(block)[cols, np.arange(len(cols))]
+                out = _slab_green_diag(self._matrix, self._slab_edges())
                 out.flags.writeable = False
                 self._green_diag = out
             return self._green_diag
+
+    def _slab_edges(self):
+        """Index bounds of the non-empty slabs of thickness max_step along
+        axis 0. Sites are in lexicographic order, so each slab is one index
+        range, and no step joins two slabs that are not neighbours."""
+        slab = (self.sites[:, 0] - self.lo[0]) // self.kernel.max_step
+        cuts = np.flatnonzero(np.diff(slab)) + 1
+        return np.concatenate(([0], cuts, [self.n_alive]))
 
     def solve(self, rhs):
         """Solve (I - P)|alive g = rhs; returns (g, relative residual)."""
@@ -178,8 +185,111 @@ def green_killed(region: Region, x, y) -> GreenProbe:
                       float(g[ix]) / region.beta, resid)
 
 
-def green_nstep(kernel: StepKernel, n: int) -> float:
-    """n-step Green function at the origin, sum_{m<=n} p_m(0), exact."""
+def _slab_green_diag(m, edges) -> np.ndarray:
+    """diag(m^{-1}) for a symmetric positive definite sparse m that is block
+    tridiagonal over the index ranges edges[k]:edges[k+1].
+
+    Forward Schur complements S_k = D_k - A_{k-1,k}^T S_{k-1}^{-1} A_{k-1,k}
+    with g_k = S_k^{-1}, then backward G_kk = g_k + X G_{k+1,k+1} X^T with
+    X = g_k A_{k,k+1} (Erisman and Tinney 1975). The g_k are the only blocks
+    kept, and their size is checked before any is allocated.
+    """
+    sizes = np.diff(edges)
+    need = 8 * int((sizes**2).sum())
+    if need > COLUMN_BYTES_CAP:
+        raise ResourceError(
+            f"slab inverses of the Green diagonal need {need} bytes, above "
+            f"the {COLUMN_BYTES_CAP}-byte cap")
+    out = np.empty(edges[-1])
+    # one buffer holds every g_k: freed as one block it leaves the process,
+    # where separately allocated blocks can stay resident on the heap
+    store = np.empty(need // 8)
+    starts = np.cumsum(sizes**2) - sizes**2
+    inv = [store[o:o + b * b].reshape(b, b) for o, b in zip(starts, sizes)]
+    spans = list(zip(edges[:-1], edges[1:]))
+    for k, (a, b) in enumerate(spans):
+        s = m[a:b, a:b].toarray()
+        if k:
+            up = m[spans[k - 1][0]:a, a:b]
+            s -= up.T @ (inv[k - 1] @ up)
+        inv[k][...] = np.linalg.inv(s)
+    g = inv[-1]
+    out[spans[-1][0]:] = np.diagonal(g)
+    for k in range(len(spans) - 2, -1, -1):
+        a, b = spans[k]
+        x = inv[k] @ m[a:b, b:spans[k + 1][1]]
+        g = inv[k] + x @ g @ x.T
+        out[a:b] = np.diagonal(g)
+    return out
+
+
+class NStepGreen(float):
+    """sum_{m<=n} p_m(0), carrying the relative error of its DP audit as
+    `audit_rel_err`."""
+
+    audit_rel_err: float
+
+
+def _torus_green(kernel: StepKernel, n: int) -> float:
+    """sum_{m<=n} p_m(0) = 1 + L^-d sum_theta phi (1 - phi^n) / (1 - phi) on
+    the torus of side L = 2 * _auto_radius(kernel, n) + 1, the theta = 0
+    term being n.
+
+    No path of n steps wraps the torus when the radius is n * max_step, so
+    the sum is then exact; on the CLT window the wrapped mass is below the
+    DP's 1e-12 tolerance. 1 - phi = sum_s 2 p_s sin^2(theta.s / 2), with
+    theta.s reduced mod 2 pi first, stays accurate near theta = 0, and so
+    do 1 - phi^n = -expm1(n log1p(phi - 1)), used where phi > 0, and
+    phi / (1 - phi) = 1 / (1 - phi) - 1.
+    """
+    radius = _auto_radius(kernel, n)
+    side = 2 * radius + 1
+    if side**kernel.d > WINDOW_CELL_CAP:
+        raise ResourceError(f"Fourier torus {side}^{kernel.d} too large")
+    k = np.arange(-radius, radius + 1)
+    axes = [k.reshape((-1,) + (1,) * (kernel.d - 1 - ax))
+            for ax in range(kernel.d)]
+    omp = np.zeros((side,) * kernel.d)  # 1 - phi
+    for s, p in zip(kernel.steps, kernel.probs):
+        if np.any(s):
+            ks = sum(axes[ax] * int(c) for ax, c in enumerate(s) if c)
+            ks = (ks + radius) % side - radius
+            omp += 2.0 * p * np.sin(np.pi / side * ks) ** 2
+    origin = (radius,) * kernel.d
+    omp[origin] = 1.0  # placeholder: the theta = 0 term is set below
+    near = omp < 1.0  # phi > 0
+    tail = np.zeros_like(omp)  # 1 - phi^n, in place to bound memory
+    np.log1p(-omp, out=tail, where=near)
+    tail *= n
+    np.expm1(tail, out=tail)
+    np.negative(tail, out=tail)
+    far = np.logical_not(near, out=near)
+    tail[far] = 1.0 - (1.0 - omp[far]) ** n
+    np.reciprocal(omp, out=omp)
+    omp -= 1.0  # phi / (1 - phi)
+    tail *= omp
+    tail[origin] = n
+    return 1.0 + float(tail.sum()) / side**kernel.d
+
+
+def green_nstep(kernel: StepKernel, n: int) -> NStepGreen:
+    """n-step Green function at the origin, sum_{m<=n} p_m(0), exact.
+
+    The Fourier sum of `_torus_green`, audited against the exact DP pmf at
+    min(n, 16) steps: a relative gap above NSTEP_AUDIT_TOL raises
+    NumericalError, and the gap is returned as `audit_rel_err`.
+    """
     if n < 0:
         raise ValidationError("n must be >= 0")
-    return float(pmf_origin_series(kernel, n).sum())
+    value = _torus_green(kernel, n)
+    n_a = min(n, NSTEP_AUDIT_STEPS)
+    ref = float(pmf_origin_series(kernel, n_a).sum())
+    audit = value if n_a == n else _torus_green(kernel, n_a)
+    err = abs(audit - ref) / ref
+    if not err <= NSTEP_AUDIT_TOL:
+        raise NumericalError(
+            f"n-step Green audit at n = {n_a}: closed form {audit!r} vs "
+            f"DP {ref!r}, relative gap {err:.3e}")
+    out = NStepGreen(value)
+    out.audit_rel_err = err
+    return out

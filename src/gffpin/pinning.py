@@ -25,14 +25,13 @@ import scipy.sparse.linalg as spla
 from scipy.special import logsumexp
 
 from .errors import NumericalError, ResourceError, ValidationError
-from .green import Region, box_region
+from .green import COLUMN_BYTES_CAP, Region, box_region
 from .stats import Estimate, parallel_map, replica_rng
 
 ENUM_LIMIT = 16  # subsets are enumerated for at most 2^16 pinnable sites
 PAIR_LIMIT = 9  # exhaustive lattice-condition pair checks
 AUDIT_TOL = 1e-2
 _AUDIT_VISITS = (1, 13, 137, 1371, 13711, 137111, 1371111)
-COLUMN_BYTES_CAP = 1 << 30  # bytes of Green columns and K^{-1} per chain
 
 
 # ---------------------------------------------------------------------------

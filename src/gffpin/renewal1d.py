@@ -29,14 +29,6 @@ _N = np.arange(SERIES_TERMS)
 _ZETA = zeta(_S[:, None] - _N) / factorial(_N)  # zeta(s - n) / n!
 
 
-def f_pmf(k) -> float:
-    """Return-height density f(k) = 1/sqrt(2 pi k) for the Gaussian step."""
-    k = np.asarray(k)
-    if np.any(k < 1):
-        raise ValidationError("k must be >= 1")
-    return 1.0 / np.sqrt(2.0 * np.pi * k)
-
-
 def _polylogs(lam):
     """lam^{1/2} Li_{1/2}, lam^{3/2} Li_{-1/2}, lam^{5/2} (Li_{-3/2} - Li_{1/2})
     at z = e^{-lam}, Li_s(z) = sum_k k^{-s} z^k; the scaling keeps them O(1)
@@ -91,11 +83,6 @@ class RenewalModel:
     eps: float
     lam: float
     k_max: int  # terms of the series or direct sum evaluated at lam
-
-    def spacing_pmf(self, k) -> np.ndarray:
-        """eps e^{-lam k} f(k), the normalized spacing law, at gaps k >= 1."""
-        k = np.asarray(k, dtype=float)
-        return self.eps * np.exp(-self.lam * k) * f_pmf(k)
 
     def residual(self) -> float:
         return abs(_normalizer(self.eps, self.lam) - 1.0)

@@ -414,13 +414,15 @@ def variance_scan(kernel, eps_grid, budget=400, seed=0, replicas=4,
         est = pinning.variance_origin(region, e, samples=budget,
                                       seed=(seed, i), replicas=replicas)
         n0 = int(math.ceil(abs(math.log(e)) ** eta / e))
-        return est, n0, green_nstep(kernel, n0) / kernel.beta_eff
+        gn0 = green_nstep(kernel, n0)
+        return est, n0, gn0 / kernel.beta_eff, gn0.audit_rel_err
 
     results = parallel_map(point, list(enumerate(eps)), jobs)
     values = [r[0] for r in results]
     flags = ["" for _ in results]
     diag = {"box_radius": radii, "policy": policy,
             "n0": [r[1] for r in results], "gn0": [r[2] for r in results],
+            "gn0_audit_rel_err": [r[3] for r in results],
             "offsets": [], "slope_reference": variance_slope_reference(kernel)}
     lx = np.abs(np.log(eps))
     ly = np.array([v.mean for v in values])

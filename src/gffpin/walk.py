@@ -2,8 +2,10 @@
 
 A kernel is a symmetric finite-support step law on Z^d. The n-step pmf at
 chosen points comes from an exact dynamic-programming convolution on a
-window that grows until it holds all but 1e-12 of the mass; the range of
-the walk (distinct sites visited) is estimated from seeded path ensembles.
+window that grows until it holds all but 1e-12 of the mass; it is the
+reference that `green.green_nstep` audits its closed form against. The
+range of the walk (distinct sites visited) is estimated from seeded path
+ensembles.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import ResourceError, ValidationError
 from .stats import Estimate, binom_upper, estimate_from_samples, replica_rng
 
 MASS_TOL = 1e-12
+WINDOW_CELL_CAP = 80_000_000  # cells of a DP window or a Fourier torus
 _TAIL_SIGMAS = 10.0  # DP window half-width in units of sigma*sqrt(n)
 _CHUNK = 256  # paths per sub-seeded replica chunk; part of the seeding scheme
 
@@ -268,7 +271,7 @@ def _dp_run(kernel, n, radius, record=None):
     {point: np.ndarray of length n+1}).
     """
     side = 2 * radius + 1
-    if side**kernel.d > 80_000_000:
+    if side**kernel.d > WINDOW_CELL_CAP:
         raise ResourceError(f"DP window {side}^{kernel.d} too large")
     cur = np.zeros((side,) * kernel.d)
     cur[(radius,) * kernel.d] = 1.0

@@ -8,10 +8,13 @@
   large-deviation check of the exact n-step pmf.
 - Hitting probabilities by one sparse solve on a Region, checked against
   `green_killed` through the last-exit identity.
+- The Green diagonal of a Region by unit-column solves with its sparse
+  factor, the reference of the slab recursion in `Region.green_diag`.
 - Dense small-box oracles of the pinned field: the Green function given
   every pin subset, the heat-bath pin probability from a fresh Region, an
   exact Gaussian field draw given the pins, and a scalar heat bath.
-- Truncated direct sums of the 1D renewal chain with bounded tails.
+- The Gaussian return density f(k) and truncated direct sums of the 1D
+  renewal chain with bounded tails.
 - Batch-means standard errors for autocorrelated chain output.
 - `write_kernel_file`, the inverse of `gffpin.walk.kernel_from_file`.
 """
@@ -105,6 +108,14 @@ def exact_plane_survival(kernel, p, r, n_max):
             if path[-1][0] >= r and all(y[0] < r for y in path[:-1]):
                 total += prob * (1.0 - p) ** len(set(path))
     return total
+
+
+def f_pmf(k) -> float:
+    """Return-height density f(k) = 1/sqrt(2 pi k) for the Gaussian step."""
+    k = np.asarray(k)
+    if np.any(k < 1):
+        raise ValidationError("k must be >= 1")
+    return 1.0 / np.sqrt(2.0 * np.pi * k)
 
 
 def direct_renewal_sums(eps, lam, k_max):
@@ -253,6 +264,19 @@ def tied_down_range_mean(kernel, n, x):
     ls = np.arange(1, n + 1)
     correction = float(np.sum((n - ls + 1) * q[1:] * px[n - ls] / px[n]))
     return n + 1 - correction
+
+
+def block_solve_green_diag(region, block=32):
+    """diag((I - P)|alive^{-1}), beta = 1, from solves of `block` unit
+    columns at a time with the region's sparse factor."""
+    n = region.n_alive
+    out = np.empty(n)
+    for start in range(0, n, block):
+        cols = np.arange(start, min(start + block, n))
+        rhs = np.zeros((n, len(cols)))
+        rhs[cols, np.arange(len(cols))] = 1.0
+        out[cols] = region.factor.solve(rhs)[cols, np.arange(len(cols))]
+    return out
 
 
 def hitting_prob(region, target, x):

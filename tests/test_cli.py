@@ -217,6 +217,38 @@ def test_failed_write_keeps_existing_csv(tmp_path, monkeypatch):
     assert target.read_bytes() == before
 
 
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    real_writer = csv.writer
+
+    def failing_writer(fh):
+        writer = real_writer(fh)
+        rows = []
+
+        class Failing:
+            def writerow(self, row):
+                rows.append(row)
+                if len(rows) == 2:
+                    raise OSError("disk full")
+                writer.writerow(row)
+
+        return Failing()
+
+    monkeypatch.setattr(csv, "writer", failing_writer)
+    with pytest.raises(OSError, match="disk full"):
+        cli.write_csv(tmp_path / "x.csv", ("r", "value"), [(1, 0.1), (2, 0.2)])
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("x.csv")]
+
+
+def test_variance_scan_manifest_records_gn0_audit(tmp_path, srw2_file):
+    code, out = _run(tmp_path, "variance-scan",
+                     "eps_list = 0.3 0.2 0.1\nbudget = 8\n"
+                     f"kernel_file = {srw2_file}\nseed = 2\n")
+    assert code == 0
+    assert 0.0 <= float(_manifest(out)["gn0_audit_max_rel_err"]) <= 1e-10
+    with open(out / "variance_scan_points.csv") as fh:
+        assert "audit" not in fh.readline()
+
+
 def test_import_leaves_out_scipy_stats():
     src = os.path.dirname(os.path.dirname(gffpin.__file__))
     env = dict(os.environ, PYTHONPATH=src)

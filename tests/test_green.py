@@ -3,11 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from gffpin.errors import ValidationError
+from gffpin import green, simple_random_walk
+from gffpin.errors import NumericalError, ResourceError, ValidationError
 from gffpin.green import Region, box_region, green_killed, green_nstep
-from gffpin.walk import pmf_origin_series
+from gffpin.walk import make_kernel, pmf_origin_series
 
-from oracles import hitting_prob
+from oracles import block_solve_green_diag, hitting_prob
+
+KERNELS = {
+    "srw1": simple_random_walk(1),
+    "srw2": simple_random_walk(2),
+    "srw2_lazy": simple_random_walk(2, lazify=True),
+    "srw3": simple_random_walk(3),
+    # max_step 2 and period 2: x1 + x2 is odd on every step
+    "knight": make_kernel([((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0),
+                           ((0, -1), 1.0), ((2, 1), 0.5), ((-2, -1), 0.5)], 2),
+}
 
 
 class TestGreenKilled:
@@ -38,11 +49,36 @@ class TestGreenKilled:
             box_region(srw2, 2, pins=[(1, 0, 0)])
 
     def test_green_diag_matches_dense_inverse(self, srw2_lazy):
-        # 120 sites: the last block of the diagonal solves is partial
+        # 120 sites, one of the 11 slabs holding a pin
         region = box_region(srw2_lazy, 5, pins=[(1, 1)])
         inv = np.linalg.inv(region.matrix.toarray())
         assert np.abs(region.green_diag - np.diag(inv)).max() <= 1e-12
         assert region.factor is region.factor
+
+    @pytest.mark.parametrize("name, radius, pins", [
+        ("srw2_lazy", 21, []),
+        ("knight", 6, [(1, -2)]),
+        ("srw3", 4, [(0, 0, 1), (-4, 2, 2)]),
+        # whole rows pinned: the first slab, and one splitting the box
+        ("srw2_lazy", 4, [(x, y) for x in (-4, 1) for y in range(-4, 5)]),
+        # knight slabs are rows {-4, -3}, {-2, -1}, {0, 1}, {2, 3}, {4}
+        ("knight", 4, [(x, y) for x in (0, 1) for y in range(-4, 5)]),
+    ], ids=["srw2-lazy-R21", "max-step-2", "d3", "empty-slabs",
+            "empty-slab-max-step-2"])
+    def test_green_diag_matches_oracles(self, name, radius, pins):
+        # the slab recursion against unit-column solves and the dense inverse
+        region = box_region(KERNELS[name], radius, pins=pins)
+        diag = region.green_diag
+        assert np.abs(diag - block_solve_green_diag(region)).max() \
+            <= 1e-12 * diag.max()
+        inv = np.linalg.inv(region.matrix.toarray())
+        assert np.abs(diag - np.diag(inv)).max() <= 1e-12 * diag.max()
+
+    def test_green_diag_size_checked_before_allocation(self, srw2):
+        # one slab of 10^6 sites: 8 TB of slab inverse, far beyond memory
+        region = Region(srw2, (0, 0), (0, 10**6 - 1))
+        with pytest.raises(ResourceError, match="cap"):
+            region.green_diag
 
     def test_symmetry(self, srw2):
         region = box_region(srw2, 3, pins=[(2, 2)])
@@ -120,6 +156,29 @@ class TestGreenNStep:
         g1024 = green_nstep(srw2_lazy, 1024)
         target = math.log(2.0) / (2.0 * math.pi * srw2_lazy.sqrt_det_cov)
         assert abs((g1024 - g512) - target) <= 0.05
+
+    @pytest.mark.parametrize("name, n", [
+        (name, n) for name in KERNELS for n in (0, 1, 2, 7, 16, 100, 400)
+        if name != "srw3" or n <= 100])  # the d = 3 DP is slow beyond
+    def test_matches_dp(self, name, n):
+        kernel = KERNELS[name]
+        exact = float(pmf_origin_series(kernel, n).sum())
+        value = green_nstep(kernel, n)
+        assert abs(value - exact) <= 1e-12 * exact
+        assert 0.0 <= value.audit_rel_err <= 1e-12
+
+    def test_torus_size_checked_before_allocation(self, srw2):
+        # a 1.4e6^2 torus is 16 TB, far beyond memory
+        with pytest.raises(ResourceError, match="too large"):
+            green_nstep(srw2, 10**10)
+
+    def test_audit_failure_is_numerical_error(self, srw2_lazy, monkeypatch):
+        def off(kernel, n):
+            return pmf_origin_series(kernel, n) * (1.0 + 1e-8)
+
+        monkeypatch.setattr(green, "pmf_origin_series", off)
+        with pytest.raises(NumericalError, match="audit"):
+            green_nstep(srw2_lazy, 50)
 
     def test_lazification_identity(self, srw2, srw2_lazy):
         # G-lazy^n(0,0) = sum_k w_{n,k} p_k(0) with w the binomial thinning

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import direct_renewal_sums
+from oracles import direct_renewal_sums, f_pmf
 
 from gffpin.errors import NumericalError, ValidationError
 from gffpin.renewal1d import (
@@ -10,7 +10,6 @@ from gffpin.renewal1d import (
     RenewalModel,
     _normalizer,
     _polylogs,
-    f_pmf,
     renewal_mean,
     renewal_model,
     solve_lambda,
