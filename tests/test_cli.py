@@ -192,10 +192,8 @@ def test_manifest_checksums_match_files(tmp_path, srw2_file, command, body):
     assert not [p.name for p in out.iterdir() if ".tmp." in p.name]
 
 
-def test_failed_write_keeps_existing_csv(tmp_path, monkeypatch):
-    target = tmp_path / "points.csv"
-    cli.write_csv(target, ("r", "value"), [(1, 0.5), (2, 0.25)])
-    before = target.read_bytes()
+def _fail_csv_writes_at_row(monkeypatch, fail_at):
+    """Make csv.writer raise "disk full" on its `fail_at`-th row."""
     real_writer = csv.writer
 
     def failing_writer(fh):
@@ -205,35 +203,27 @@ def test_failed_write_keeps_existing_csv(tmp_path, monkeypatch):
         class Failing:
             def writerow(self, row):
                 rows.append(row)
-                if len(rows) == 3:
+                if len(rows) == fail_at:
                     raise OSError("disk full")
                 writer.writerow(row)
 
         return Failing()
 
     monkeypatch.setattr(csv, "writer", failing_writer)
+
+
+def test_failed_write_keeps_existing_csv(tmp_path, monkeypatch):
+    target = tmp_path / "points.csv"
+    cli.write_csv(target, ("r", "value"), [(1, 0.5), (2, 0.25)])
+    before = target.read_bytes()
+    _fail_csv_writes_at_row(monkeypatch, 3)
     with pytest.raises(OSError, match="disk full"):
         cli.write_csv(target, ("r", "value"), [(1, 0.1), (2, 0.2), (3, 0.3)])
     assert target.read_bytes() == before
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
-    real_writer = csv.writer
-
-    def failing_writer(fh):
-        writer = real_writer(fh)
-        rows = []
-
-        class Failing:
-            def writerow(self, row):
-                rows.append(row)
-                if len(rows) == 2:
-                    raise OSError("disk full")
-                writer.writerow(row)
-
-        return Failing()
-
-    monkeypatch.setattr(csv, "writer", failing_writer)
+    _fail_csv_writes_at_row(monkeypatch, 2)
     with pytest.raises(OSError, match="disk full"):
         cli.write_csv(tmp_path / "x.csv", ("r", "value"), [(1, 0.1), (2, 0.2)])
     assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("x.csv")]
