@@ -4,8 +4,8 @@ Config files are flat `key = value` text; every command requires an explicit
 seed. Artifacts are CSV written atomically (temp file + rename) and listed
 with checksums in a manifest that is created before and finalized after the
 run. Exit codes: 0 ok, 2 config validation, 3 numerical failure, 4 resource
-exceeded. `--jobs N` parallelizes independent grid points and replicas and
-never changes output bytes.
+exceeded. Every command runs serially, so its output bytes are a function
+of the config alone.
 """
 
 from __future__ import annotations
@@ -169,9 +169,19 @@ def _check(command, raw_config):
     if violations:
         return violations, parsed
 
+    for key, (typ, _) in schema.items():
+        if key in parsed and typ in ("float", "floats"):
+            values = parsed[key] if typ == "floats" else [parsed[key]]
+            if not all(map(math.isfinite, values)):
+                violations.append(f"{key} must be finite")
+
     def positive(key, what="positive"):
         if key in parsed and not parsed[key] > 0:
             violations.append(f"{key} must be {what}")
+
+    def at_least(key, low):
+        if key in parsed and parsed[key] < low:
+            violations.append(f"{key} must be >= {low}")
 
     positive("epsilon")
     positive("sweeps")
@@ -182,17 +192,22 @@ def _check(command, raw_config):
     positive("kappa")
     positive("tol")
     positive("replicas")
-    for key in ("box_radius", "region_radius"):
-        if key in parsed and parsed[key] < 0:
-            violations.append(f"{key} must be >= 0")
+    at_least("box_radius", 0)
+    # the pinned mass fit probes distances up to max(6, radius - 2)
+    at_least("region_radius", 6)
+    at_least("crossing_k", 1)
+    at_least("crossing_n", 1)
+    at_least("crossing_reps", 2)
+    if "kappa" in parsed:
+        at_least("n", 3)
     if any(r < 0 for r in parsed.get("radii", ())):
         violations.append("radii must be >= 0")
     if "burnin" in parsed and not 0 <= parsed["burnin"] <= parsed["sweeps"]:
         violations.append("burnin must lie in [0, sweeps]")
     if "eps_list" in parsed:
         eps = parsed["eps_list"]
-        if not all(0 < e < math.inf for e in eps):
-            violations.append("epsilon must be positive and finite")
+        if not all(e > 0 for e in eps):
+            violations.append("epsilon must be positive")
         if command in ("variance-scan", "mass-scan"):
             if len(eps) < 3:
                 violations.append("eps_list needs at least 3 points")
@@ -291,11 +306,11 @@ def _sha256(path):
 
 
 class Manifest:
-    def __init__(self, out_dir, command, raw_config, jobs):
+    def __init__(self, out_dir, command, raw_config):
         self.path = os.path.join(out_dir, "manifest.txt")
         self.out_dir = out_dir
         self.entries = [("status", "running"), ("command", command),
-                        ("toolkit_version", __version__), ("jobs", str(jobs)),
+                        ("toolkit_version", __version__),
                         ("seed_scheme",
                          "counter-derived: SeedSequence([seed, index...])")]
         for key in sorted(raw_config):
@@ -332,7 +347,7 @@ class Manifest:
 # command implementations
 
 
-def _cmd_kernel_info(cfg, out, manifest, jobs):
+def _cmd_kernel_info(cfg, out, manifest):
     k = cfg["kernel"]
     rows = [("dim", k.d), ("lazy", k.lazy), ("beta_eff", k.beta_eff),
             ("p0", k.p0), ("aperiodic", k.aperiodic), ("max_step", k.max_step),
@@ -348,7 +363,7 @@ def _cmd_kernel_info(cfg, out, manifest, jobs):
     manifest.add_file("kernel_support.csv")
 
 
-def _cmd_green_probe(cfg, out, manifest, jobs):
+def _cmd_green_probe(cfg, out, manifest):
     k = cfg["kernel"]
     region = box_region(k, cfg["box_radius"], pins=cfg.get("pins", ()))
     rows = []
@@ -362,7 +377,7 @@ def _cmd_green_probe(cfg, out, manifest, jobs):
     manifest.add_file("green_probes.csv")
 
 
-def _cmd_pins_sample(cfg, out, manifest, jobs):
+def _cmd_pins_sample(cfg, out, manifest):
     k = cfg["kernel"]
     region = box_region(k, cfg["box_radius"])
     state = pinning.sample_pins(region, cfg["epsilon"], cfg["sweeps"],
@@ -374,7 +389,7 @@ def _cmd_pins_sample(cfg, out, manifest, jobs):
     manifest.add_file("pin_samples.csv")
 
 
-def _cmd_fkg_check(cfg, out, manifest, jobs):
+def _cmd_fkg_check(cfg, out, manifest):
     k = cfg["kernel"]
     region = box_region(k, cfg["box_radius"])
     rows = []
@@ -387,7 +402,7 @@ def _cmd_fkg_check(cfg, out, manifest, jobs):
     manifest.add_file("fkg_check.csv")
 
 
-def _cmd_domination_check(cfg, out, manifest, jobs):
+def _cmd_domination_check(cfg, out, manifest):
     k = cfg["kernel"]
     region = box_region(k, cfg["box_radius"])
     res = pinning.empty_probability(
@@ -402,13 +417,13 @@ def _cmd_domination_check(cfg, out, manifest, jobs):
     manifest.add_file("domination_check.csv")
 
 
-def _cmd_variance_scan(cfg, out, manifest, jobs):
+def _cmd_variance_scan(cfg, out, manifest):
     k = cfg["kernel"]
     res = scaling.variance_scan(
         k, cfg["eps_list"], budget=cfg["budget"], seed=cfg["seed"],
         replicas=cfg.get("replicas", 4), policy_c=cfg.get("policy_c", 1.5),
         min_radius=cfg.get("min_radius", 8), box_radius=cfg.get("box_radius"),
-        eta=cfg.get("eta", 3.0), jobs=jobs)
+        eta=cfg.get("eta", 3.0))
     d = res.diagnostics
     rows = [(e, v.mean, v.stderr, v.n, f, br, n0, g, off)
             for e, v, f, br, n0, g, off in zip(
@@ -426,14 +441,13 @@ def _cmd_variance_scan(cfg, out, manifest, jobs):
     manifest.record("gn0_audit_max_rel_err", repr(max(d["gn0_audit_rel_err"])))
 
 
-def _cmd_mass_scan(cfg, out, manifest, jobs):
+def _cmd_mass_scan(cfg, out, manifest):
     k = cfg["kernel"]
     res = scaling.mass_scan(
         k, cfg["eps_list"], mode=cfg.get("mode", "bernoulli-surrogate"),
         budget=cfg["budget"], seed=cfg["seed"],
         mapping=cfg.get("mapping", "default"),
-        region_radius=cfg.get("region_radius"), samples=cfg.get("samples"),
-        jobs=jobs)
+        region_radius=cfg.get("region_radius"), samples=cfg.get("samples"))
     d = res.diagnostics
     rows = [(e, v.mean, v.stderr, v.n, f, dens, nmax)
             for e, v, f, dens, nmax in zip(res.eps, res.values, res.flags,
@@ -453,7 +467,7 @@ def _cmd_mass_scan(cfg, out, manifest, jobs):
     manifest.add_file("mass_scan_fit.csv")
 
 
-def _cmd_range_stats(cfg, out, manifest, jobs):
+def _cmd_range_stats(cfg, out, manifest):
     k = cfg["kernel"]
     rows = []
     _, est = simulate_range(k, cfg["n"], cfg["reps"], cfg["seed"])
@@ -476,7 +490,7 @@ def _cmd_range_stats(cfg, out, manifest, jobs):
     manifest.add_file("range_stats.csv")
 
 
-def _cmd_renewal1d(cfg, out, manifest, jobs):
+def _cmd_renewal1d(cfg, out, manifest):
     rows = []
     for eps in cfg["eps_list"]:
         model = renewal1d.renewal_model(eps, tol=cfg.get("tol", 1e-12))
@@ -497,12 +511,12 @@ def _cmd_renewal1d(cfg, out, manifest, jobs):
     manifest.add_file("renewal1d.csv")
 
 
-def _cmd_box_stability(cfg, out, manifest, jobs):
+def _cmd_box_stability(cfg, out, manifest):
     k = cfg["kernel"]
     rows = [(r.radius, cfg["probe"], r.value.mean, r.value.stderr, r.value.n)
             for r in pinning.box_stability(
                 k, cfg["epsilon"], cfg["radii"], cfg["probe"], cfg["samples"],
-                cfg["seed"], replicas=cfg.get("replicas", 4), jobs=jobs)]
+                cfg["seed"], replicas=cfg.get("replicas", 4))]
     write_csv(os.path.join(out, "box_stability.csv"),
               ("radius", "probe", "estimate", "stderr", "n_used"), rows)
     manifest.add_file("box_stability.csv")
@@ -522,7 +536,7 @@ _HANDLERS = {
 }
 
 
-def run(command, raw_config, out_dir, jobs=1) -> int:
+def run(command, raw_config, out_dir) -> int:
     """Validate, dispatch, and write artifacts; returns the exit status."""
     violations, cfg = _check(command, raw_config)
     if violations:
@@ -530,9 +544,9 @@ def run(command, raw_config, out_dir, jobs=1) -> int:
             print(f"config error: {v}", file=sys.stderr)
         return 2
     os.makedirs(out_dir, exist_ok=True)
-    manifest = Manifest(out_dir, command, raw_config, jobs)
+    manifest = Manifest(out_dir, command, raw_config)
     try:
-        _HANDLERS[command](cfg, out_dir, manifest, jobs)
+        _HANDLERS[command](cfg, out_dir, manifest)
     except ResourceError as exc:
         print(f"resource exceeded: {exc}", file=sys.stderr)
         return 4
@@ -551,7 +565,7 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("config", help="flat key = value config file")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads; never changes output bytes")
+                        help="must be >= 1; has no effect, every run is serial")
     parser.add_argument("--output-dir", default=None)
     args = parser.parse_args(argv)
     if args.jobs < 1:
@@ -568,7 +582,7 @@ def main(argv=None) -> int:
         return 2
     out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
     try:
-        return run(args.command, raw, out_dir, jobs=args.jobs)
+        return run(args.command, raw, out_dir)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -16,7 +16,7 @@ the exact DP pmf of `walk`.
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import NumericalError, ResourceError, ValidationError
 from .walk import WINDOW_CELL_CAP, StepKernel, _auto_radius, pmf_origin_series
 
 RESIDUAL_TARGET = 1e-10
-COLUMN_BYTES_CAP = 1 << 30  # bytes of dense Green blocks per chain or Region
+COLUMN_BYTES_CAP = 1 << 30  # bytes of dense blocks per chain or Region
 NSTEP_AUDIT_STEPS = 16  # the exact DP checks green_nstep at min(n, 16) steps
 NSTEP_AUDIT_TOL = 1e-10
 
@@ -42,12 +42,16 @@ class Region:
 
     def __init__(self, kernel: StepKernel, lo, hi, pins=()):
         self.kernel = kernel
+        # sized in Python ints, before a corner can overflow int64
+        shape = tuple(int(h) - int(l) + 1 for l, h in zip(lo, hi))
+        if math.prod(shape) > WINDOW_CELL_CAP:
+            raise ResourceError(f"box {shape} holds more than "
+                                f"{WINDOW_CELL_CAP} cells")
         self.lo = np.asarray(lo, dtype=np.int64)
         self.hi = np.asarray(hi, dtype=np.int64)
         if self.lo.shape != (kernel.d,) or np.any(self.hi < self.lo):
             raise ValidationError("bad box bounds")
         self.beta = float(kernel.beta_eff)
-        shape = tuple(int(h - l + 1) for l, h in zip(self.lo, self.hi))
         alive = np.ones(shape, dtype=bool)
         for pin in pins:
             if len(pin) != kernel.d:
@@ -64,7 +68,6 @@ class Region:
         self.index[alive] = np.arange(len(self.sites))
         self.n_alive = len(self.sites)
         self._matrix = self._build_matrix()
-        self._lock = threading.Lock()
         self._lu = None
         self._green_diag = None
 
@@ -119,26 +122,24 @@ class Region:
     @property
     def factor(self):
         """Sparse LU factor of `matrix`, built once and shared."""
-        with self._lock:
-            if self._lu is None:
-                # symmetric positive definite: a symmetric fill-reducing
-                # order needs no pivoting
-                self._lu = spla.splu(self._matrix.tocsc(),
-                                     permc_spec="MMD_AT_PLUS_A",
-                                     diag_pivot_thresh=0.0,
-                                     options={"SymmetricMode": True})
-            return self._lu
+        if self._lu is None:
+            # symmetric positive definite: a symmetric fill-reducing
+            # order needs no pivoting
+            self._lu = spla.splu(self._matrix.tocsc(),
+                                 permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0,
+                                 options={"SymmetricMode": True})
+        return self._lu
 
     @property
     def green_diag(self) -> np.ndarray:
         """diag((I - P)|alive^{-1}), beta = 1, by selected inversion over
         slabs of the box; read-only."""
-        with self._lock:
-            if self._green_diag is None:
-                out = _slab_green_diag(self._matrix, self._slab_edges())
-                out.flags.writeable = False
-                self._green_diag = out
-            return self._green_diag
+        if self._green_diag is None:
+            out = _slab_green_diag(self._matrix, self._slab_edges())
+            out.flags.writeable = False
+            self._green_diag = out
+        return self._green_diag
 
     def _slab_edges(self):
         """Index bounds of the non-empty slabs of thickness max_step along

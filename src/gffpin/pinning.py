@@ -26,7 +26,7 @@ from scipy.special import logsumexp
 
 from .errors import NumericalError, ResourceError, ValidationError
 from .green import COLUMN_BYTES_CAP, Region, box_region
-from .stats import Estimate, parallel_map, replica_rng
+from .stats import Estimate, replica_rng
 
 ENUM_LIMIT = 16  # subsets are enumerated for at most 2^16 pinnable sites
 PAIR_LIMIT = 9  # exhaustive lattice-condition pair checks
@@ -245,6 +245,11 @@ def sample_pins(region, eps, sweeps, seed, burnin=None) -> PinState:
     burnin = sweeps // 2 if burnin is None else int(burnin)
     if not 0 <= burnin <= sweeps:
         raise ValidationError("burnin must lie in [0, sweeps]")
+    need = (sweeps - burnin) * region.n_alive  # one byte per recorded site
+    if need > COLUMN_BYTES_CAP:
+        raise ResourceError(
+            f"{sweeps - burnin} recorded sweeps of {region.n_alive} sites "
+            f"need {need} bytes, above the {COLUMN_BYTES_CAP}-byte cap")
     chain = GibbsChain(region, eps, seed)
     chain.run(burnin)
     rows = np.empty((sweeps - burnin, region.n_alive), dtype=np.uint8)
@@ -399,15 +404,11 @@ def domination_densities(region, eps, sites) -> tuple[float, float]:
     beta = region.beta
     g_hi = 1.0 / math.sqrt(2.0 * math.pi / (beta * (1.0 - region.kernel.p0)))
     sigma_max = 0.0
-    rhs = np.zeros(region.n_alive)
     for s in sites:
         i = region.site_index(s)
         if i < 0:
             raise ValidationError(f"site {tuple(s)} is not alive")
-        rhs[:] = 0.0
-        rhs[i] = 1.0
-        g_vec, _ = region.solve(rhs)
-        sigma_max = max(sigma_max, float(g_vec[i]) / beta)
+        sigma_max = max(sigma_max, float(region.green_diag[i]) / beta)
     g_lo = 1.0 / math.sqrt(2.0 * math.pi * sigma_max)
     p_hi = eps * g_hi / (1.0 + eps * g_hi)
     p_lo = eps * g_lo / (1.0 + eps * g_lo)
@@ -447,23 +448,22 @@ class StabilityRow:
     value: Estimate
 
 
-def box_stability(kernel, eps, radii, probe, samples, seed, replicas=4,
-                  jobs=1) -> list[StabilityRow]:
+def box_stability(kernel, eps, radii, probe, samples, seed,
+                  replicas=4) -> list[StabilityRow]:
     """Track a probe across nested boxes; same master seed at every size."""
     if list(radii) != sorted(set(int(r) for r in radii)):
         raise ValidationError("radii must be strictly increasing")
     if probe not in ("unpinned-marginal", "variance"):
         raise ValidationError(f"unknown probe {probe!r}")
-
-    def row(radius):
+    rows = []
+    for radius in radii:
         region = box_region(kernel, radius)
         origin = region.site_index((0,) * kernel.d)
         if probe == "unpinned-marginal":
             fn = lambda ch: float(not ch.pinned[origin])  # noqa: E731
         else:
             fn = lambda ch: ch.covariance(origin, origin)  # noqa: E731
-        return StabilityRow(int(radius),
-                            _chain_average(region, eps, fn, samples, seed,
-                                           replicas=replicas))
-
-    return parallel_map(row, [int(r) for r in radii], jobs)
+        rows.append(StabilityRow(int(radius),
+                                 _chain_average(region, eps, fn, samples, seed,
+                                                replicas=replicas)))
+    return rows

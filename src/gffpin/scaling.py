@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .green import box_region, green_nstep
-from .stats import Estimate, parallel_map, replica_rng
+from .stats import Estimate, replica_rng
 from .walk import _CHUNK, _path_positions, _site_codes
 from . import pinning
 
@@ -295,8 +295,8 @@ def _surrogate_point(kernel, eps, budget, seed, mapping, point_index):
 
 
 def mass_scan(kernel, eps_grid, mode="bernoulli-surrogate", budget=20000,
-              seed=0, mapping="default", region_radius=None, samples=None,
-              jobs=1) -> ScanResult:
+              seed=0, mapping="default", region_radius=None,
+              samples=None) -> ScanResult:
     """Mass versus epsilon, with the fitted log-log exponent.
 
     Modes: "bernoulli-surrogate" simulates annealed traps of density p(eps)
@@ -310,8 +310,8 @@ def mass_scan(kernel, eps_grid, mode="bernoulli-surrogate", budget=20000,
     if mode == "bernoulli-surrogate":
         check_plane_target(kernel)
 
-    def point(arg):
-        i, e = arg
+    masses, flags, extras = [], [], []
+    for i, e in enumerate(eps):
         try:
             if mode == "bernoulli-surrogate":
                 p, n_max, rs, _curve, fit = _surrogate_point(
@@ -325,17 +325,16 @@ def mass_scan(kernel, eps_grid, mode="bernoulli-surrogate", budget=20000,
                                                  region_radius, samples)
                 extra = {"density": None, "n_max": None, "r_grid": None,
                          "monotone_ok": fit.monotone_ok, "truncation": None}
-            return Estimate(fit.mass, fit.stderr, n_used, seed), "", extra
+            est, flag = Estimate(fit.mass, fit.stderr, n_used, seed), ""
         except (ValidationError, NumericalError) as exc:
-            return (Estimate(float("nan"), float("inf"), 0, seed),
-                    f"fit-failed: {exc}", {})
-
-    results = parallel_map(point, list(enumerate(eps)), jobs)
-    masses = [r[0] for r in results]
-    flags = [r[1] for r in results]
+            est, flag, extra = (Estimate(float("nan"), float("inf"), 0, seed),
+                                f"fit-failed: {exc}", {})
+        masses.append(est)
+        flags.append(flag)
+        extras.append(extra)
     diag = {"mode": mode, "mapping": mapping}
     for key in ("density", "n_max", "r_grid", "monotone_ok", "truncation"):
-        diag[key] = [r[2].get(key) for r in results]
+        diag[key] = [x.get(key) for x in extras]
     ok = [i for i, m in enumerate(masses) if np.isfinite(m.mean) and m.mean > 0]
     if len(ok) < 3:
         raise NumericalError("fewer than 3 usable scan points")
@@ -358,7 +357,8 @@ def _pinned_mass_point(kernel, eps, seed, point_index, region_radius, samples):
     """Mass fit of the pinned two-point function along the first axis, and
     the sweeps recorded per distance."""
     xi_guess = 1.0 / math.sqrt(eps)
-    radius = int(region_radius or max(10, math.ceil(4 * xi_guess)))
+    radius = (max(10, math.ceil(4 * xi_guess)) if region_radius is None
+              else int(region_radius))
     region = box_region(kernel, radius)
     rs = np.unique(np.round(np.linspace(2, max(6, radius - 2), 5)).astype(int))
     vals, errs = [], []
@@ -391,8 +391,8 @@ def variance_box_policy(eps, c=1.5, min_radius=8) -> int:
 
 
 def variance_scan(kernel, eps_grid, budget=400, seed=0, replicas=4,
-                  policy_c=1.5, min_radius=8, box_radius=None, eta=3.0,
-                  jobs=1) -> ScanResult:
+                  policy_c=1.5, min_radius=8, box_radius=None,
+                  eta=3.0) -> ScanResult:
     """Variance at the origin versus |log eps|, with the fitted slope and the
     n0-step Green cross-check value per point."""
     eps = _check_grid(eps_grid)
@@ -408,21 +408,17 @@ def variance_scan(kernel, eps_grid, budget=400, seed=0, replicas=4,
             radius = int(box_radius)
         radii.append(radius)
 
-    def point(arg):
-        i, e = arg
+    values, n0, gn0 = [], [], []
+    for i, e in enumerate(eps):
         region = box_region(kernel, radii[i])
-        est = pinning.variance_origin(region, e, samples=budget,
-                                      seed=(seed, i), replicas=replicas)
-        n0 = int(math.ceil(abs(math.log(e)) ** eta / e))
-        gn0 = green_nstep(kernel, n0)
-        return est, n0, gn0 / kernel.beta_eff, gn0.audit_rel_err
-
-    results = parallel_map(point, list(enumerate(eps)), jobs)
-    values = [r[0] for r in results]
-    flags = ["" for _ in results]
-    diag = {"box_radius": radii, "policy": policy,
-            "n0": [r[1] for r in results], "gn0": [r[2] for r in results],
-            "gn0_audit_rel_err": [r[3] for r in results],
+        values.append(pinning.variance_origin(
+            region, e, samples=budget, seed=(seed, i), replicas=replicas))
+        n0.append(int(math.ceil(abs(math.log(e)) ** eta / e)))
+        gn0.append(green_nstep(kernel, n0[-1]))
+    flags = ["" for _ in values]
+    diag = {"box_radius": radii, "policy": policy, "n0": n0,
+            "gn0": [g / kernel.beta_eff for g in gn0],
+            "gn0_audit_rel_err": [g.audit_rel_err for g in gn0],
             "offsets": [], "slope_reference": variance_slope_reference(kernel)}
     lx = np.abs(np.log(eps))
     ly = np.array([v.mean for v in values])

@@ -2,7 +2,7 @@
 
 Every sampling operation in the toolkit derives its generators through
 ``replica_rng`` so that results are a pure function of (master seed, replica
-index), independent of how replicas are scheduled across workers.
+index), independent of the order in which replicas run.
 """
 
 from __future__ import annotations
@@ -65,14 +65,3 @@ def binom_upper(successes: int, trials: int, conf: float = 0.95) -> float:
         return 1.0
     return float(betaincinv(successes + 1, trials - successes, 1.0 - alpha / 2.0))
 
-
-def parallel_map(fn, items, jobs=1):
-    """Map over independent tasks, preserving order; results are identical
-    for any worker count because tasks share no mutable state."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))

@@ -118,14 +118,14 @@ def _is_aperiodic(steps, probs) -> bool:
     return True
 
 
-def make_kernel(spec, d, lazify=False, beta=1.0, symmetrize=False) -> StepKernel:
+def make_kernel(spec, d, lazify=False, beta=1.0) -> StepKernel:
     """Build a StepKernel from (vector, weight) pairs.
 
     Parameters
     ----------
     spec : iterable of (vector, weight)
         Finite support; weights nonnegative, not all zero. Must be symmetric
-        under negation unless ``symmetrize`` is set.
+        under negation.
     d : int
         Lattice dimension.
     lazify : bool
@@ -144,13 +144,6 @@ def make_kernel(spec, d, lazify=False, beta=1.0, symmetrize=False) -> StepKernel
         if w < 0:
             raise ValidationError("weights must be nonnegative")
         acc[v] = acc.get(v, 0.0) + float(w)
-    if symmetrize:
-        sym = {}
-        for v, w in acc.items():
-            neg = tuple(-c for c in v)
-            sym[v] = sym.get(v, 0.0) + w / 2.0
-            sym[neg] = sym.get(neg, 0.0) + w / 2.0
-        acc = sym
     total = sum(acc.values())
     if total <= 0:
         raise ValidationError("zero total weight")
@@ -158,9 +151,7 @@ def make_kernel(spec, d, lazify=False, beta=1.0, symmetrize=False) -> StepKernel
         neg = tuple(-c for c in v)
         if not math.isclose(w, acc.get(neg, 0.0), rel_tol=1e-12, abs_tol=1e-15):
             raise ValidationError(
-                f"support is not symmetric under negation at {v}; "
-                "pass symmetrize=True to symmetrize"
-            )
+                f"support is not symmetric under negation at {v}")
     probs = {v: w / total for v, w in acc.items()}
     beta_eff = float(beta)
     if lazify:

@@ -87,6 +87,19 @@ class TestHandlerInputs:
          "box_radius = 2\nepsilon = 0.3\ntargets = 0 0\nsamples = 10\nreplicas = 0"),
         ("box-stability",
          "epsilon = 0.3\nradii = -1 1\nprobe = variance\nsamples = 10"),
+        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\neta = nan"),
+        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\neta = inf"),
+        ("variance-scan",
+         "eps_list = 0.3 0.2 0.1\nbudget = 8\npolicy_c = nan"),
+        ("range-stats", "n = 2\nreps = 10\nkappa = 0.5"),
+        ("range-stats", "n = 10\nreps = 10\ncrossing_k = 0"),
+        ("range-stats", "n = 10\nreps = 10\ncrossing_k = 2\ncrossing_n = 0"),
+        ("range-stats",
+         "n = 10\nreps = 10\ncrossing_k = 2\ncrossing_reps = 1"),
+        ("mass-scan", "eps_list = 0.3 0.2 0.1\nmode = pinning-exact\n"
+                      "budget = 1\nsamples = 4\nregion_radius = 3"),
+        ("mass-scan", "eps_list = 0.3 0.2 0.1\nmode = pinning-exact\n"
+                      "budget = 1\nsamples = 4\nregion_radius = 0"),
     ])
     def test_config_error(self, tmp_path, capsys, srw2_file, command, body):
         code, out = _run(tmp_path, command,
@@ -94,6 +107,24 @@ class TestHandlerInputs:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, body, output", [
+        ("green-probe", "box_radius = 1000000000\nprobes = 0 0 1 0",
+         "green_probes.csv"),
+        # corners beyond int64
+        ("green-probe", "box_radius = 10000000000000000000\nprobes = 0 0 1 0",
+         "green_probes.csv"),
+        ("pins-sample", "box_radius = 2\nepsilon = 0.5\n"
+                        "sweeps = 100000000000\nburnin = 0", "pin_samples.csv"),
+    ])
+    def test_size_checked_before_allocation(self, tmp_path, capsys, srw2_file,
+                                            command, body, output):
+        code, out = _run(tmp_path, command,
+                         f"{body}\nkernel_file = {srw2_file}\nseed = 1\n")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "resource exceeded" in err and "Traceback" not in err
+        assert not (out / output).exists()
 
 
 class TestPinsSample:

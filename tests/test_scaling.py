@@ -181,12 +181,6 @@ class TestScans:
         assert 0.2 <= res.slope <= 0.9
         assert all(v.mean > 0 for v in res.values)
 
-    def test_jobs_do_not_change_results(self, srw3):
-        a = mass_scan(srw3, [0.3, 0.2, 0.1], budget=3000, seed=4, jobs=1)
-        b = mass_scan(srw3, [0.3, 0.2, 0.1], budget=3000, seed=4, jobs=4)
-        assert a.slope == b.slope
-        assert [v.mean for v in a.values] == [v.mean for v in b.values]
-
     def test_variance_policy_floor(self):
         assert variance_box_policy(0.03, 1.0, 8) >= 21
         assert variance_box_policy(0.3, 1.0, 8) == 8

@@ -60,11 +60,8 @@ class TestMakeKernel:
 
     def test_asymmetric_support_needs_flag(self):
         spec = [((1, 0), 2.0), ((-1, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)]
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="not symmetric"):
             make_kernel(spec, 2)
-        k = make_kernel(spec, 2, symmetrize=True)
-        sup = dict(k.support())
-        assert math.isclose(sup[(1, 0)], sup[(-1, 0)])
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ValidationError):
@@ -86,7 +83,10 @@ class TestMakeKernel:
         spec = [((a, b), w) for a, b, w in raw]
         spec.append(((1, 0), 1.0))
         spec.append(((0, 1), 1.0))
-        k = make_kernel(spec, 2, symmetrize=True)
+        # close the support under negation, half the weight on each side
+        spec = [(tuple(sign * c for c in v), w / 2.0)
+                for v, w in spec for sign in (1, -1)]
+        k = make_kernel(spec, 2)
         assert math.isclose(float(k.probs.sum()), 1.0, abs_tol=1e-12)
         assert np.allclose(k.cov, k.cov.T)
         # negation symmetry of the stored support
