@@ -24,12 +24,12 @@ import numpy as np
 from . import __version__, pinning, renewal1d, scaling
 from .errors import NumericalError, ResourceError, ToolkitError, ValidationError
 from .green import box_region, green_killed
-from .walk import kernel_from_file, crossing_cells, range_tail, simulate_range
+from .walk import kernel_from_file
 
 COMMANDS = (
     "kernel-info", "green-probe", "pins-sample", "fkg-check",
-    "domination-check", "variance-scan", "mass-scan", "range-stats",
-    "renewal1d", "box-stability",
+    "domination-check", "variance-scan", "mass-scan", "renewal1d",
+    "box-stability",
 )
 
 OUTPUT_DIR_ENV = "GFFPIN_OUT"
@@ -124,12 +124,6 @@ SCHEMAS = {
         "mapping": ("str", False), "region_radius": ("int", False),
         "samples": ("int", False),
     },
-    "range-stats": {
-        "kernel_file": ("str", True), "n": ("int", True),
-        "reps": ("int", True), "kappa": ("float", False),
-        "crossing_k": ("int", False), "crossing_n": ("int", False),
-        "crossing_reps": ("int", False),
-    },
     "renewal1d": {"eps_list": ("floats", True), "tol": ("float", False)},
     "box-stability": {
         "kernel_file": ("str", True), "epsilon": ("float", True),
@@ -187,19 +181,12 @@ def _check(command, raw_config):
     positive("sweeps")
     positive("samples")
     positive("budget")
-    positive("reps")
-    positive("n")
-    positive("kappa")
     positive("tol")
     positive("replicas")
     at_least("box_radius", 0)
     # the pinned mass fit probes distances up to max(6, radius - 2)
     at_least("region_radius", 6)
-    at_least("crossing_k", 1)
-    at_least("crossing_n", 1)
-    at_least("crossing_reps", 2)
-    if "kappa" in parsed:
-        at_least("n", 3)
+    at_least("eta", 0)
     if any(r < 0 for r in parsed.get("radii", ())):
         violations.append("radii must be >= 0")
     if "burnin" in parsed and not 0 <= parsed["burnin"] <= parsed["sweeps"]:
@@ -387,6 +374,7 @@ def _cmd_pins_sample(cfg, out, manifest):
     rows = [(state.burnin + 1 + i, *row) for i, row in enumerate(state.samples)]
     write_csv(os.path.join(out, "pin_samples.csv"), header, rows)
     manifest.add_file("pin_samples.csv")
+    manifest.record("audit_max_rel_err", repr(state.audit_max_rel_err))
 
 
 def _cmd_fkg_check(cfg, out, manifest):
@@ -465,29 +453,11 @@ def _cmd_mass_scan(cfg, out, manifest):
         fit.append(("log_correction_monotone", d["log_correction_monotone"]))
     write_csv(os.path.join(out, "mass_scan_fit.csv"), ("key", "value"), fit)
     manifest.add_file("mass_scan_fit.csv")
-
-
-def _cmd_range_stats(cfg, out, manifest):
-    k = cfg["kernel"]
-    rows = []
-    _, est = simulate_range(k, cfg["n"], cfg["reps"], cfg["seed"])
-    rows.append(("mean_range", cfg["n"], est.mean, est.stderr, est.n, ""))
-    if "kappa" in cfg:
-        tail = range_tail(k, cfg["n"], cfg["kappa"], cfg["reps"], cfg["seed"])
-        rows.append(("tail_prob", tail.threshold, tail.estimate.mean,
-                     tail.estimate.stderr, tail.estimate.n,
-                     f"upper95={tail.upper95!r}"))
-    if "crossing_k" in cfg:
-        cn = cfg.get("crossing_n", 10)
-        creps = cfg.get("crossing_reps", 200)
-        eta = crossing_cells(k, cn, cfg["crossing_k"], creps, cfg["seed"])
-        rows.append(("crossing_cells_mean", cn, float(eta.mean()),
-                     float(eta.std(ddof=1) / math.sqrt(creps)), creps,
-                     f"K={cfg['crossing_k']}"))
-    write_csv(os.path.join(out, "range_stats.csv"),
-              ("statistic", "param", "value", "stderr", "n_used", "extra"),
-              rows)
-    manifest.add_file("range_stats.csv")
+    # one entry per epsilon; "-" where a point has none (failed fit, or the
+    # truncation bound of a pinning-exact point)
+    for key in ("monotone_ok", "truncation"):
+        manifest.record(key, " ".join("-" if v is None else _fmt(v)
+                                      for v in d[key]))
 
 
 def _cmd_renewal1d(cfg, out, manifest):
@@ -530,7 +500,6 @@ _HANDLERS = {
     "domination-check": _cmd_domination_check,
     "variance-scan": _cmd_variance_scan,
     "mass-scan": _cmd_mass_scan,
-    "range-stats": _cmd_range_stats,
     "renewal1d": _cmd_renewal1d,
     "box-stability": _cmd_box_stability,
 }

@@ -231,6 +231,16 @@ class NStepGreen(float):
     audit_rel_err: float
 
 
+def nstep_torus_radius(kernel: StepKernel, n: int) -> int:
+    """Radius of the torus `green_nstep(kernel, n)` sums on; ResourceError
+    when the torus holds more than WINDOW_CELL_CAP cells."""
+    radius = _auto_radius(kernel, n)
+    side = 2 * radius + 1
+    if side**kernel.d > WINDOW_CELL_CAP:
+        raise ResourceError(f"Fourier torus {side}^{kernel.d} too large")
+    return radius
+
+
 def _torus_green(kernel: StepKernel, n: int) -> float:
     """sum_{m<=n} p_m(0) = 1 + L^-d sum_theta phi (1 - phi^n) / (1 - phi) on
     the torus of side L = 2 * _auto_radius(kernel, n) + 1, the theta = 0
@@ -243,10 +253,8 @@ def _torus_green(kernel: StepKernel, n: int) -> float:
     do 1 - phi^n = -expm1(n log1p(phi - 1)), used where phi > 0, and
     phi / (1 - phi) = 1 / (1 - phi) - 1.
     """
-    radius = _auto_radius(kernel, n)
+    radius = nstep_torus_radius(kernel, n)
     side = 2 * radius + 1
-    if side**kernel.d > WINDOW_CELL_CAP:
-        raise ResourceError(f"Fourier torus {side}^{kernel.d} too large")
     k = np.arange(-radius, radius + 1)
     axes = [k.reshape((-1,) + (1,) * (kernel.d - 1 - ax))
             for ax in range(kernel.d)]

@@ -1,5 +1,10 @@
-"""Critical-behavior estimators: Bernoulli-environment survival weights,
-exponential mass fits, and parameter scans for the variance and the mass.
+"""Critical-behavior estimators: seeded path ensembles, Bernoulli-environment
+survival weights, exponential mass fits, and parameter scans for the
+variance and the mass.
+
+This module owns the seeded path ensembles: paths come in chunks of
+`_CHUNK`, chunk c drawn from `replica_rng(seed, c)`, so asking for fewer
+paths leaves every leading whole chunk unchanged.
 
 The Bernoulli surrogate replaces the pinned-site law by independent traps of
 density p(eps); a walk surviving among annealed traps carries the weight
@@ -23,17 +28,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .green import box_region, green_nstep
+from .errors import NumericalError, ResourceError, ValidationError
+from .green import box_region, green_nstep, nstep_torus_radius
 from .stats import Estimate, replica_rng
-from .walk import _CHUNK, _path_positions, _site_codes
 from . import pinning
 
 TRUNCATION_KAPPA = 0.1
+_CHUNK = 256  # paths per sub-seeded replica chunk; part of the seeding scheme
 
 
 # ---------------------------------------------------------------------------
 # path ensembles with range tracking
+
+
+def _site_codes(positions, span):
+    # positions: (..., d) ints with |coordinate| <= span
+    mult = 2 * span + 1
+    code = positions[..., 0].astype(np.int64) + span
+    for ax in range(1, positions.shape[-1]):
+        code = code * mult + (positions[..., ax].astype(np.int64) + span)
+    return code
+
+
+def _path_positions(kernel, n, b, rng):
+    idx = rng.choice(len(kernel.probs), size=(b, n), p=kernel.probs)
+    steps = kernel.steps[idx]
+    pos = np.zeros((b, n + 1, kernel.d), dtype=np.int64)
+    np.cumsum(steps, axis=1, out=pos[:, 1:, :])
+    return pos
 
 
 def _range_profile(codes):
@@ -390,6 +412,18 @@ def variance_box_policy(eps, c=1.5, min_radius=8) -> int:
     return max(int(min_radius), int(math.ceil(c * abs(math.log(eps)) / math.sqrt(eps))))
 
 
+def _green_steps(kernel, eps, eta) -> int:
+    """n0 = ceil(|log eps|^eta / eps), the steps of the Green cross-check;
+    ResourceError when n0 overflows a float or its torus is over the cap."""
+    try:
+        n0 = math.ceil(abs(math.log(eps)) ** eta / eps)
+    except OverflowError:
+        raise ResourceError(f"n0 = |log eps|^{eta!r} / eps overflows "
+                            f"at eps={float(eps)!r}") from None
+    nstep_torus_radius(kernel, n0)
+    return n0
+
+
 def variance_scan(kernel, eps_grid, budget=400, seed=0, replicas=4,
                   policy_c=1.5, min_radius=8, box_radius=None,
                   eta=3.0) -> ScanResult:
@@ -408,13 +442,16 @@ def variance_scan(kernel, eps_grid, budget=400, seed=0, replicas=4,
             radius = int(box_radius)
         radii.append(radius)
 
-    values, n0, gn0 = [], [], []
+    if not eta >= 0:
+        raise ValidationError("eta must be >= 0")
+    n0 = [_green_steps(kernel, e, eta) for e in eps]  # fail before any chain
+
+    values, gn0 = [], []
     for i, e in enumerate(eps):
         region = box_region(kernel, radii[i])
         values.append(pinning.variance_origin(
             region, e, samples=budget, seed=(seed, i), replicas=replicas))
-        n0.append(int(math.ceil(abs(math.log(e)) ** eta / e)))
-        gn0.append(green_nstep(kernel, n0[-1]))
+        gn0.append(green_nstep(kernel, n0[i]))
     flags = ["" for _ in values]
     diag = {"box_radius": radii, "policy": policy, "n0": n0,
             "gn0": [g / kernel.beta_eff for g in gn0],

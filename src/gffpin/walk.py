@@ -1,11 +1,9 @@
-"""Lattice step kernels, exact return probabilities and range statistics.
+"""Lattice step kernels and exact return probabilities.
 
 A kernel is a symmetric finite-support step law on Z^d. The n-step pmf at
 chosen points comes from an exact dynamic-programming convolution on a
 window that grows until it holds all but 1e-12 of the mass; it is the
-reference that `green.green_nstep` audits its closed form against. The
-range of the walk (distinct sites visited) is estimated from seeded path
-ensembles.
+reference that `green.green_nstep` audits its closed form against.
 """
 
 from __future__ import annotations
@@ -17,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceError, ValidationError
-from .stats import Estimate, binom_upper, estimate_from_samples, replica_rng
 
 MASS_TOL = 1e-12
 WINDOW_CELL_CAP = 80_000_000  # cells of a DP window or a Fourier torus
 _TAIL_SIGMAS = 10.0  # DP window half-width in units of sigma*sqrt(n)
-_CHUNK = 256  # paths per sub-seeded replica chunk; part of the seeding scheme
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +246,8 @@ def _shifted_add(dst, src, shift, weight):
 
 def _auto_radius(kernel, n):
     exact = n * kernel.max_step
-    clt = int(np.ceil(_TAIL_SIGMAS * kernel.sigma_max * np.sqrt(max(n, 1)))) + kernel.max_step
+    # math.sqrt, unlike np.sqrt, takes Python ints past int64
+    clt = math.ceil(_TAIL_SIGMAS * kernel.sigma_max * math.sqrt(max(n, 1))) + kernel.max_step
     return max(kernel.max_step, min(exact, clt))
 
 
@@ -304,110 +301,3 @@ def pmf_series(kernel, n_max, points=((0,),)) -> dict:
 def pmf_origin_series(kernel, n_max) -> np.ndarray:
     origin = (0,) * kernel.d
     return pmf_series(kernel, n_max, points=[origin])[origin]
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo range statistics
-
-
-def _site_codes(positions, span):
-    # positions: (..., d) ints with |coordinate| <= span
-    mult = 2 * span + 1
-    code = positions[..., 0].astype(np.int64) + span
-    for ax in range(1, positions.shape[-1]):
-        code = code * mult + (positions[..., ax].astype(np.int64) + span)
-    return code
-
-
-def _path_positions(kernel, n, b, rng):
-    idx = rng.choice(len(kernel.probs), size=(b, n), p=kernel.probs)
-    steps = kernel.steps[idx]
-    pos = np.zeros((b, n + 1, kernel.d), dtype=np.int64)
-    np.cumsum(steps, axis=1, out=pos[:, 1:, :])
-    return pos
-
-
-def range_samples(kernel, n, reps, seed) -> np.ndarray:
-    """Number of distinct sites visited by each of `reps` seeded paths."""
-    if n < 0 or reps < 1:
-        raise ValidationError("need n >= 0 and reps >= 1")
-    if n == 0:
-        return np.ones(reps, dtype=np.int64)
-    out = np.empty(reps, dtype=np.int64)
-    span = n * kernel.max_step
-    for c, start in enumerate(range(0, reps, _CHUNK)):
-        b = min(_CHUNK, reps - start)
-        pos = _path_positions(kernel, n, b, replica_rng(seed, c))
-        codes = np.sort(_site_codes(pos, span), axis=1)
-        out[start:start + b] = 1 + np.count_nonzero(np.diff(codes, axis=1), axis=1)
-    return out
-
-
-def simulate_range(kernel, n, reps, seed):
-    """Range samples plus the Estimate of E|X_[0,n]|."""
-    samples = range_samples(kernel, n, reps, seed)
-    return samples, estimate_from_samples(samples, seed=seed)
-
-
-@dataclass(frozen=True)
-class TailProbability:
-    estimate: Estimate
-    upper95: float
-    threshold: float
-    successes: int
-
-
-def range_tail(kernel, n, kappa, reps, seed) -> TailProbability:
-    """Empirical P(|X_[0,n]| <= kappa n / log n) with a binomial upper bound."""
-    if n < 3:
-        raise ValidationError("need n >= 3 so that log n > 1")
-    if kappa <= 0:
-        raise ValidationError("kappa must be positive")
-    threshold = kappa * n / math.log(n)
-    samples = range_samples(kernel, n, reps, seed)
-    hits = int(np.count_nonzero(samples <= threshold))
-    est = Estimate(
-        mean=hits / reps,
-        stderr=float(np.sqrt(max(hits / reps * (1 - hits / reps), 0.0) / reps)),
-        n=reps,
-        seed=seed,
-    )
-    return TailProbability(est, binom_upper(hits, reps), threshold, hits)
-
-
-def crossing_cells(kernel, n, K, reps, seed, block=4096) -> np.ndarray:
-    """Samples of the number of side-K cells visited before leaving the
-    centered box {-nK+1, ..., nK}^d. The starting cell always counts."""
-    if n < 1 or K < 1 or reps < 1:
-        raise ValidationError("need n, K, reps >= 1")
-    lo, hi = -n * K + 1, n * K
-    nsup = len(kernel.probs)
-    out = np.empty(reps, dtype=np.int64)
-    cell_mult = 2 * n + 2
-    for r in range(reps):
-        rng = replica_rng(seed, r)
-        pos = np.zeros(kernel.d, dtype=np.int64)
-        visited = set()
-
-        def cell_code(pts):
-            c = (pts - 1) // K + n  # in [0, 2n) while inside the box
-            code = c[..., 0].astype(np.int64)
-            for ax in range(1, kernel.d):
-                code = code * cell_mult + c[..., ax]
-            return code
-
-        visited.add(int(cell_code(pos[None, :])[0]))
-        while True:
-            idx = rng.choice(nsup, size=block, p=kernel.probs)
-            traj = pos + np.cumsum(kernel.steps[idx], axis=0)
-            inside = np.all((traj >= lo) & (traj <= hi), axis=1)
-            if inside.all():
-                visited.update(np.unique(cell_code(traj)).tolist())
-                pos = traj[-1]
-                continue
-            exit_at = int(np.argmin(inside))
-            if exit_at > 0:
-                visited.update(np.unique(cell_code(traj[:exit_at])).tolist())
-            break
-        out[r] = len(visited)
-    return out

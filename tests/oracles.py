@@ -30,7 +30,7 @@ from scipy.special import gamma, gammaincc
 
 from gffpin.errors import NumericalError, ValidationError
 from gffpin.green import Region
-from gffpin.stats import replica_rng
+from gffpin.stats import Estimate, replica_rng
 from gffpin.walk import pmf_origin_series, pmf_series
 
 
@@ -224,6 +224,16 @@ def sample_field(region, pins, seed):
     for val, site in zip(phi, sub.sites):
         out[tuple(int(c - l) for c, l in zip(site, region.lo))] = val
     return out
+
+
+def estimate_from_samples(samples, seed=None) -> Estimate:
+    """Mean and standard error of i.i.d. samples."""
+    x = np.asarray(samples, dtype=float)
+    n = x.size
+    if n == 0:
+        raise ValueError("no samples")
+    se = float(x.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
+    return Estimate(mean=float(x.mean()), stderr=se, n=n, seed=seed)
 
 
 def batch_stderr(values, batches=20):

@@ -91,11 +91,7 @@ class TestHandlerInputs:
         ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\neta = inf"),
         ("variance-scan",
          "eps_list = 0.3 0.2 0.1\nbudget = 8\npolicy_c = nan"),
-        ("range-stats", "n = 2\nreps = 10\nkappa = 0.5"),
-        ("range-stats", "n = 10\nreps = 10\ncrossing_k = 0"),
-        ("range-stats", "n = 10\nreps = 10\ncrossing_k = 2\ncrossing_n = 0"),
-        ("range-stats",
-         "n = 10\nreps = 10\ncrossing_k = 2\ncrossing_reps = 1"),
+        ("variance-scan", "eps_list = 1.0 0.5 0.3\nbudget = 8\neta = -1"),
         ("mass-scan", "eps_list = 0.3 0.2 0.1\nmode = pinning-exact\n"
                       "budget = 1\nsamples = 4\nregion_radius = 3"),
         ("mass-scan", "eps_list = 0.3 0.2 0.1\nmode = pinning-exact\n"
@@ -116,6 +112,9 @@ class TestHandlerInputs:
          "green_probes.csv"),
         ("pins-sample", "box_radius = 2\nepsilon = 0.5\n"
                         "sweeps = 100000000000\nburnin = 0", "pin_samples.csv"),
+        # n0 = |log eps|^eta / eps overflows a float
+        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\neta = 1e300",
+         "variance_scan_points.csv"),
     ])
     def test_size_checked_before_allocation(self, tmp_path, capsys, srw2_file,
                                             command, body, output):
@@ -133,7 +132,9 @@ class TestPinsSample:
                          "box_radius = 1\nepsilon = 0.5\nsweeps = 10\n"
                          f"burnin = 4\nkernel_file = {srw2_file}\nseed = 3\n")
         assert code == 0
-        assert _manifest(out)["status"] == "done"
+        manifest = _manifest(out)
+        assert manifest["status"] == "done"
+        assert 0.0 <= float(manifest["audit_max_rel_err"]) <= pinning.AUDIT_TOL
         with open(out / "pin_samples.csv") as fh:
             rows = list(csv.reader(fh))
         assert len(rows[0]) == 1 + 9  # sweep, then one column per site
@@ -200,6 +201,11 @@ def test_pinned_mass_points_report_sweeps_and_blanks(tmp_path):
         # distance; the surrogate-only columns stay empty
         assert (row["n_used"], row["density"], row["n_max"]) == ("4", "", "")
         assert row["flags"] == ""
+    # per-point fit diagnostics; a pinning-exact point has no truncation bound
+    manifest = _manifest(out)
+    assert set(manifest["monotone_ok"].split()) <= {"0", "1"}
+    assert len(manifest["monotone_ok"].split()) == 3
+    assert manifest["truncation"] == "- - -"
 
 
 @pytest.mark.parametrize("command, body", [
@@ -317,7 +323,8 @@ class TestRenewalCommand:
 def _library_graph(src):
     """Top-level definitions of every module under `src`, the (module, name)
     pairs each one's body refers to by name or module attribute, and the
-    roots: every definition in `cli` and every name the package exports."""
+    roots: the CLI entry point `cli.main` and every name the package
+    exports."""
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(src.glob("*.py"))}
     defs, refs = {}, {}
@@ -359,14 +366,33 @@ def _library_graph(src):
             refs[key] = out
         if mod == "__init__":
             exports = {v for v in bound.values() if isinstance(v, tuple)}
-    return defs, refs, exports | {k for k in defs if k[0] == "cli"}
+    return defs, refs, exports | {("cli", "main")}
+
+
+def _benchmark_roots(bench):
+    """(module, name) for every `module.name` the benchmark scripts under
+    `bench` read after `from gffpin import module`."""
+    roots = set()
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        mods = {alias.asname or alias.name: alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "gffpin"
+                for alias in node.names}
+        roots |= {(mods[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in mods}
+    return roots
 
 
 def test_every_library_name_is_reached():
     # the library is what the CLI runs: a top-level function, class or
-    # constant that no command and no package export reaches is dead code,
-    # however well its own tests cover it
-    defs, refs, roots = _library_graph(Path(gffpin.__file__).parent)
+    # constant that no command, no package export and no call of the
+    # benchmark reaches is dead code, however well its own tests cover it
+    src = Path(gffpin.__file__).parent
+    defs, refs, roots = _library_graph(src)
+    roots |= _benchmark_roots(src.parents[1] / "perfbench")
     seen, todo = set(), list(roots)
     while todo:
         key = todo.pop()

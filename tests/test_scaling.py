@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gffpin import cli
-from gffpin.errors import ValidationError
+from gffpin import cli, scaling
+from gffpin.errors import ResourceError, ValidationError
 from gffpin.green import Region
 from gffpin.pinning import domination_densities, exact_pin_measure
 from gffpin.scaling import (
@@ -18,10 +18,40 @@ from gffpin.scaling import (
     variance_scan,
     variance_slope_reference,
 )
-from gffpin.stats import estimate_from_samples
 from gffpin.walk import make_kernel
 
-from oracles import exact_plane_survival, subset_green_table, write_kernel_file
+from oracles import (
+    estimate_from_samples,
+    exact_plane_survival,
+    exact_range_mean,
+    subset_green_table,
+    write_kernel_file,
+)
+
+
+class TestPathEnsembles:
+    @staticmethod
+    def _final_ranges(kernel, n, reps, seed):
+        return np.concatenate([ranges[:, -1] for _, ranges in
+                               _ensemble_chunks(kernel, n, reps, seed)])
+
+    def test_zero_steps(self, srw2):
+        assert np.all(self._final_ranges(srw2, 0, 50, 1) == 1)
+
+    def test_one_step_always_moves(self, srw2):
+        assert np.all(self._final_ranges(srw2, 1, 100, 1) == 2)
+
+    def test_matches_enumeration_n4(self, srw2):
+        est = estimate_from_samples(self._final_ranges(srw2, 4, 4000, 9))
+        assert est.within(exact_range_mean(srw2, 4), k=3.0)
+
+    def test_reproducible_and_chunk_invariant(self, srw2):
+        a = survival_samples(srw2, 0.1, [3, 6], 700, 50, seed=5)
+        b = survival_samples(srw2, 0.1, [3, 6], 700, 50, seed=5)
+        assert np.array_equal(a, b)
+        # a prefix of the replica stream is unchanged by asking for fewer reps
+        c = survival_samples(srw2, 0.1, [3, 6], 300, 50, seed=5)
+        assert np.array_equal(a[:256], c[:256])
 
 
 class TestSurvival:
@@ -196,6 +226,21 @@ class TestScans:
                             rel_tol=1e-12)
         assert math.isclose(variance_slope_reference(srw2), 1.0 / math.pi,
                             rel_tol=1e-12)
+
+    def test_variance_scan_n0_fails_before_chains(self, srw2_lazy,
+                                                  monkeypatch):
+        # n0 at eps = 0.1 is about 5e22 steps, past int64; its torus is
+        # refused before the first chain runs
+        def no_chains(*args, **kwargs):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(scaling.pinning, "variance_origin", no_chains)
+        with pytest.raises(ResourceError, match="torus"):
+            variance_scan(srw2_lazy, [0.1, 0.05, 0.02], budget=8, seed=0,
+                          eta=60.0)
+        with pytest.raises(ValidationError, match="eta"):
+            variance_scan(srw2_lazy, [1.0, 0.5, 0.3], budget=8, seed=0,
+                          eta=-1.0)
 
     def test_variance_scan_small(self, srw2_lazy):
         res = variance_scan(srw2_lazy, [0.5, 0.3, 0.2], budget=120, seed=3,

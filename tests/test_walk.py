@@ -8,21 +8,16 @@ from hypothesis import given, settings, strategies as st
 from gffpin.errors import NumericalError, ValidationError
 from gffpin.walk import (
     _dp_run,
-    crossing_cells,
     kernel_from_file,
     make_kernel,
     pmf_origin_series,
     pmf_series,
-    range_samples,
-    range_tail,
-    simulate_range,
 )
 
 from oracles import (
     exact_bridge_range_mean,
     exact_first_returns,
     exact_pmf,
-    exact_range_mean,
     first_return_pmf,
     rate_function,
     saddle_pmf_approx,
@@ -241,37 +236,6 @@ class TestSaddlePmf:
             saddle_pmf_approx(srw2, 10, (2, 0))
 
 
-class TestRangeSimulation:
-    def test_zero_steps(self, srw2):
-        samples, est = simulate_range(srw2, 0, 50, seed=1)
-        assert np.all(samples == 1)
-        assert est.mean == 1.0
-
-    def test_one_step_always_moves(self, srw2):
-        samples, _ = simulate_range(srw2, 1, 100, seed=1)
-        assert np.all(samples == 2)
-
-    def test_matches_enumeration_n4(self, srw2):
-        exact = exact_range_mean(srw2, 4)
-        _, est = simulate_range(srw2, 4, 4000, seed=9)
-        assert est.within(exact, k=3.0)
-
-    def test_reproducible_and_chunk_invariant(self, srw2):
-        a = range_samples(srw2, 50, 700, seed=5)
-        b = range_samples(srw2, 50, 700, seed=5)
-        assert np.array_equal(a, b)
-        # a prefix of the replica stream is unchanged by asking for fewer reps
-        c = range_samples(srw2, 50, 300, seed=5)
-        assert np.array_equal(a[:256], c[:256])
-
-    def test_range_tail_trivial_bounds(self, srw2):
-        huge = range_tail(srw2, 10, kappa=1000.0, reps=50, seed=2)
-        assert huge.estimate.mean == 1.0
-        tiny = range_tail(srw2, 10, kappa=0.01, reps=50, seed=2)
-        assert tiny.estimate.mean == 0.0
-        assert 0.0 < tiny.upper95 < 1.0
-
-
 class TestTiedDownRange:
     def test_bridge_two_steps(self, srw2):
         assert math.isclose(tied_down_range_mean(srw2, 2, (0, 0)), 2.0,
@@ -311,33 +275,3 @@ class TestTiedDownRange:
         if oracle is None:
             return
         assert abs(tied_down_range_mean(k, n, x) - oracle) <= 1e-12
-
-
-class TestCrossingCells:
-    def test_at_least_one_cell(self, srw2):
-        eta = crossing_cells(srw2, 2, 3, reps=40, seed=4)
-        assert np.all(eta >= 1)
-
-    def test_n1_cell_bound(self, srw2):
-        eta = crossing_cells(srw2, 1, 2, reps=60, seed=4)
-        assert np.all(eta <= (2 * 1) ** 2)
-
-    def test_radial_lower_bound_without_jumps(self, srw2):
-        # a unit-step walk must cross >= n+1 cells to leave the box
-        eta = crossing_cells(srw2, 3, 4, reps=40, seed=8)
-        assert np.all(eta >= 4)
-
-    def test_small_cell_fraction_decreases(self, srw2):
-        p = []
-        for n in (4, 8):
-            eta = crossing_cells(srw2, n, 4, reps=120, seed=10)
-            p.append(float(np.mean(eta <= n / 2)))
-        assert p[1] <= p[0]
-
-    def test_long_jump_kernel_can_skip_cells(self):
-        spec = [((3, 0), 1.0), ((-3, 0), 1.0), ((0, 3), 1.0), ((0, -3), 1.0),
-                ((1, 0), 0.5), ((-1, 0), 0.5), ((0, 1), 0.5), ((0, -1), 0.5)]
-        k = make_kernel(spec, 2)
-        eta = crossing_cells(k, 6, 2, reps=150, seed=3)
-        assert np.all(eta >= 1)
-        assert eta.min() < 7  # some run skipped at least one ring
