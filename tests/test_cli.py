@@ -11,7 +11,7 @@ import pytest
 
 import gffpin
 
-from gffpin import cli, pinning
+from gffpin import cli, pinning, scaling
 from oracles import write_kernel_file
 
 ZETA_HALF = -1.4603545088095868  # zeta(1/2)
@@ -276,6 +276,32 @@ def test_variance_scan_manifest_records_gn0_audit(tmp_path, srw2_file):
         assert "audit" not in fh.readline()
 
 
+def test_range_stats_is_unknown_command(tmp_path, capsys):
+    # the command is retired: argparse refuses it before reading the config
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, "range-stats", "n = 10\nreps = 10\nseed = 1\n")
+    assert exc.value.code == 2
+    assert "invalid choice: 'range-stats'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_surrogate_mass_manifest_records_truncation(tmp_path, srw2_file):
+    code, out = _run(tmp_path, "mass-scan",
+                     "eps_list = 0.3 0.2 0.1\nbudget = 300\n"
+                     f"kernel_file = {srw2_file}\nseed = 3\n")
+    assert code == 0
+    manifest = _manifest(out)
+    with open(out / "mass_scan_points.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    truncation = [float(t) for t in manifest["truncation"].split()]
+    # the bound (1-p)^{kappa n_max / log n_max} of each point's own p, n_max
+    assert truncation == [scaling.truncation_bound(float(r["density"]),
+                                                   int(r["n_max"]))
+                          for r in rows]
+    assert all(0.0 < t < 1.0 for t in truncation)
+    assert len(manifest["monotone_ok"].split()) == len(rows) == 3
+
+
 def test_import_leaves_out_scipy_stats():
     src = os.path.dirname(os.path.dirname(gffpin.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -386,19 +412,58 @@ def _benchmark_roots(bench):
     return roots
 
 
-def test_every_library_name_is_reached():
-    # the library is what the CLI runs: a top-level function, class or
-    # constant that no command, no package export and no call of the
-    # benchmark reaches is dead code, however well its own tests cover it
-    src = Path(gffpin.__file__).parent
+def _unreached(src, extra_roots=()):
+    """Sorted `module.name` of the definitions under `src` that no root of
+    `_library_graph` and none of `extra_roots` reaches."""
     defs, refs, roots = _library_graph(src)
-    roots |= _benchmark_roots(src.parents[1] / "perfbench")
-    seen, todo = set(), list(roots)
+    seen, todo = set(), list(roots | set(extra_roots))
     while todo:
         key = todo.pop()
         if key in seen:
             continue
         seen.add(key)
         todo.extend(refs.get(key, ()))
-    unreached = sorted(f"{m}.{n}" for m, n in set(defs) - seen)
+    return sorted(f"{m}.{n}" for m, n in set(defs) - seen)
+
+
+def test_every_library_name_is_reached():
+    # the library is what the CLI runs: a top-level function, class or
+    # constant that no command, no package export and no call of the
+    # benchmark reaches is dead code, however well its own tests cover it
+    src = Path(gffpin.__file__).parent
+    unreached = _unreached(src, _benchmark_roots(src.parents[1] / "perfbench"))
     assert not unreached, "reached by no command: " + ", ".join(unreached)
+
+
+def _write_tree(root, files):
+    root.mkdir()
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return root
+
+
+def test_reachability_guard_reports_dead_cli_helper(tmp_path):
+    # a cli definition is no root of its own: one that `main` never calls
+    # is reported, with what only it reaches
+    src = _write_tree(tmp_path / "pkg", {
+        "__init__.py": "from .walk import make  # noqa: F401\n",
+        "walk.py": ("def make():\n    return _helper()\n\n\n"
+                    "def _helper():\n    return 1\n\n\n"
+                    "def orphan():\n    return 2\n"),
+        "cli.py": ("from . import walk\n\n\n"
+                   "def main():\n    return walk.make()\n\n\n"
+                   "def validate():\n    return walk.orphan()\n"),
+    })
+    assert _unreached(src) == ["cli.validate", "walk.orphan"]
+    assert _unreached(src, {("cli", "validate")}) == []
+
+
+def test_benchmark_roots_read_module_attributes(tmp_path):
+    bench = _write_tree(tmp_path / "bench", {
+        "probe.py": ("import os\n\nfrom gffpin import cli, scaling as sc\n\n"
+                     "cli.validate('mass-scan', {})\n"
+                     "print(sc.mass_scan, os.path.sep)\n"),
+        "notes.txt": "cli.main is not read from a non-Python file\n",
+    })
+    assert _benchmark_roots(bench) == {("cli", "validate"),
+                                       ("scaling", "mass_scan")}

@@ -5,8 +5,14 @@ import pytest
 
 from gffpin import green, simple_random_walk
 from gffpin.errors import NumericalError, ResourceError, ValidationError
-from gffpin.green import Region, box_region, green_killed, green_nstep
-from gffpin.walk import make_kernel, pmf_origin_series
+from gffpin.green import (
+    Region,
+    box_region,
+    green_killed,
+    green_nstep,
+    nstep_torus_radius,
+)
+from gffpin.walk import _auto_radius, make_kernel, pmf_origin_series
 
 from oracles import block_solve_green_diag, hitting_prob
 
@@ -171,6 +177,19 @@ class TestGreenNStep:
         # a 1.4e6^2 torus is 16 TB, far beyond memory
         with pytest.raises(ResourceError, match="too large"):
             green_nstep(srw2, 10**10)
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_torus_radius_is_the_auto_radius(self, name):
+        kernel = KERNELS[name]
+        for n in (0, 1, 7, 100, 1000):
+            radius = nstep_torus_radius(kernel, n)
+            assert radius == _auto_radius(kernel, n)
+            assert radius >= kernel.max_step
+
+    def test_torus_radius_past_int64_is_resource_error(self, srw2):
+        # n0 of a variance scan can pass 2**63; the cap check must see it
+        with pytest.raises(ResourceError, match="too large"):
+            nstep_torus_radius(srw2, 10**25)
 
     def test_audit_failure_is_numerical_error(self, srw2_lazy, monkeypatch):
         def off(kernel, n):

@@ -9,7 +9,12 @@ from gffpin.green import Region
 from gffpin.pinning import domination_densities, exact_pin_measure
 from gffpin.scaling import (
     MassCurve,
+    _CHUNK,
     _ensemble_chunks,
+    _green_steps,
+    _path_positions,
+    _range_profile,
+    _site_codes,
     mass_fit,
     mass_scan,
     survival_samples,
@@ -18,6 +23,7 @@ from gffpin.scaling import (
     variance_scan,
     variance_slope_reference,
 )
+from gffpin.stats import replica_rng
 from gffpin.walk import make_kernel
 
 from oracles import (
@@ -52,6 +58,72 @@ class TestPathEnsembles:
         # a prefix of the replica stream is unchanged by asking for fewer reps
         c = survival_samples(srw2, 0.1, [3, 6], 300, 50, seed=5)
         assert np.array_equal(a[:256], c[:256])
+
+    @pytest.mark.parametrize("name", ["srw2", "srw2_lazy", "srw3"])
+    def test_range_profile_matches_enumeration(self, request, name):
+        # column m of the profile is |X_[0,m]|, for every m up to n_max
+        kernel = request.getfixturevalue(name)
+        ranges = np.concatenate([r for _, r in
+                                 _ensemble_chunks(kernel, 4, 4000, 13)])
+        assert ranges.shape == (4000, 5)
+        for m in range(5):
+            est = estimate_from_samples(ranges[:, m])
+            exact = exact_range_mean(kernel, m)
+            # columns 0 and 1 of srw2 and srw3 are constant (stderr 0); the
+            # enumeration sums path probabilities with rounding
+            assert abs(est.mean - exact) <= 4.0 * est.stderr + 1e-12 * exact, m
+
+    def test_range_profile_counts_first_visits(self):
+        codes = np.array([[5, 5, 3, 5, 3, 7],
+                          [1, 2, 3, 4, 5, 6],
+                          [0, 0, 0, 0, 0, 0],
+                          [9, 1, 9, 1, 2, 1]])
+        assert np.array_equal(_range_profile(codes),
+                              [[1, 1, 2, 2, 2, 3],
+                               [1, 2, 3, 4, 5, 6],
+                               [1, 1, 1, 1, 1, 1],
+                               [1, 2, 2, 2, 3, 3]])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_site_codes_are_a_bijection_of_the_box(self, d):
+        span = 3
+        axis = np.arange(-span, span + 1)
+        sites = np.stack(np.meshgrid(*[axis] * d, indexing="ij"),
+                         axis=-1).reshape(-1, d)
+        codes = _site_codes(sites, span)
+        assert sorted(codes.tolist()) == list(range((2 * span + 1) ** d))
+
+    @pytest.mark.parametrize("name", ["srw2", "srw2_lazy", "srw3"])
+    def test_paths_start_at_origin_and_step_in_support(self, request, name):
+        kernel = request.getfixturevalue(name)
+        pos = _path_positions(kernel, 30, 40, np.random.default_rng(3))
+        assert pos.shape == (40, 31, kernel.d)
+        assert not pos[:, 0].any()
+        steps = {tuple(s) for s in np.diff(pos, axis=1).reshape(-1, kernel.d)}
+        # 1200 steps visit every support vector of these kernels
+        assert steps == {tuple(s) for s in kernel.steps}
+
+    def test_chunk_sizes(self, srw2):
+        sizes = [pos.shape[0] for pos, _ in
+                 _ensemble_chunks(srw2, 3, 2 * _CHUNK + 10, 4)]
+        assert sizes == [_CHUNK, _CHUNK, 10]
+
+    def test_chunk_c_drawn_from_replica_rng(self, srw2):
+        # chunk c comes from replica_rng(seed, c) alone, so asking for fewer
+        # paths leaves every leading whole chunk unchanged
+        full = [pos for pos, _ in _ensemble_chunks(srw2, 6, 2 * _CHUNK, 4)]
+        fewer = [pos for pos, _ in _ensemble_chunks(srw2, 6, _CHUNK + 1, 4)]
+        for c in range(2):
+            expected = _path_positions(srw2, 6, _CHUNK, replica_rng(4, c))
+            assert np.array_equal(full[c], expected)
+        assert np.array_equal(fewer[0], full[0])
+        assert np.array_equal(fewer[1], _path_positions(srw2, 6, 1,
+                                                        replica_rng(4, 1)))
+
+    def test_seed_changes_paths(self, srw2):
+        (a, _), = _ensemble_chunks(srw2, 10, 100, 4)
+        (b, _), = _ensemble_chunks(srw2, 10, 100, 5)
+        assert not np.array_equal(a, b)
 
 
 class TestSurvival:
@@ -241,6 +313,18 @@ class TestScans:
         with pytest.raises(ValidationError, match="eta"):
             variance_scan(srw2_lazy, [1.0, 0.5, 0.3], budget=8, seed=0,
                           eta=-1.0)
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0, 3.0])
+    def test_green_steps_formula(self, srw2_lazy, eta):
+        for eps in (0.5, 0.3, 0.1, 0.05):
+            assert _green_steps(srw2_lazy, eps, eta) == \
+                math.ceil(abs(math.log(eps)) ** eta / eps)
+        if eta == 0.0:
+            assert _green_steps(srw2_lazy, 0.05, eta) == 20
+
+    def test_green_steps_overflow_is_resource_error(self, srw2_lazy):
+        with pytest.raises(ResourceError, match="overflows"):
+            _green_steps(srw2_lazy, 0.3, 1e300)
 
     def test_variance_scan_small(self, srw2_lazy):
         res = variance_scan(srw2_lazy, [0.5, 0.3, 0.2], budget=120, seed=3,
