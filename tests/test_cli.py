@@ -395,21 +395,10 @@ def _library_graph(src):
     return defs, refs, exports | {("cli", "main")}
 
 
-def _benchmark_roots(bench):
-    """(module, name) for every `module.name` the benchmark scripts under
-    `bench` read after `from gffpin import module`."""
-    roots = set()
-    for path in sorted(bench.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        mods = {alias.asname or alias.name: alias.name
-                for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.module == "gffpin"
-                for alias in node.names}
-        roots |= {(mods[node.value.id], node.attr) for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute)
-                  and isinstance(node.value, ast.Name)
-                  and node.value.id in mods}
-    return roots
+# the benchmark's set-up probe (perfbench/child.py `setup`) calls these two
+# and nothing else does; drop them here, and delete them from `cli`, once the
+# probe calls `cli._check` instead (ROADMAP, items for the next benchmark PR)
+_PROBE_ROOTS = {("cli", "validate"), ("cli", "parse_command_config")}
 
 
 def _unreached(src, extra_roots=()):
@@ -428,24 +417,21 @@ def _unreached(src, extra_roots=()):
 
 def test_every_library_name_is_reached():
     # the library is what the CLI runs: a top-level function, class or
-    # constant that no command, no package export and no call of the
-    # benchmark reaches is dead code, however well its own tests cover it
+    # constant that no command, no package export and no name of the set-up
+    # probe reaches is dead code, however well its own tests cover it
     src = Path(gffpin.__file__).parent
-    unreached = _unreached(src, _benchmark_roots(src.parents[1] / "perfbench"))
+    unreached = _unreached(src, _PROBE_ROOTS)
     assert not unreached, "reached by no command: " + ", ".join(unreached)
-
-
-def _write_tree(root, files):
-    root.mkdir()
-    for name, text in files.items():
-        (root / name).write_text(text)
-    return root
+    # each probe root is needed, and reaches nothing of its own
+    assert _unreached(src) == sorted(f"{m}.{n}" for m, n in _PROBE_ROOTS)
 
 
 def test_reachability_guard_reports_dead_cli_helper(tmp_path):
     # a cli definition is no root of its own: one that `main` never calls
     # is reported, with what only it reaches
-    src = _write_tree(tmp_path / "pkg", {
+    src = tmp_path / "pkg"
+    src.mkdir()
+    for name, text in {
         "__init__.py": "from .walk import make  # noqa: F401\n",
         "walk.py": ("def make():\n    return _helper()\n\n\n"
                     "def _helper():\n    return 1\n\n\n"
@@ -453,17 +439,7 @@ def test_reachability_guard_reports_dead_cli_helper(tmp_path):
         "cli.py": ("from . import walk\n\n\n"
                    "def main():\n    return walk.make()\n\n\n"
                    "def validate():\n    return walk.orphan()\n"),
-    })
+    }.items():
+        (src / name).write_text(text)
     assert _unreached(src) == ["cli.validate", "walk.orphan"]
     assert _unreached(src, {("cli", "validate")}) == []
-
-
-def test_benchmark_roots_read_module_attributes(tmp_path):
-    bench = _write_tree(tmp_path / "bench", {
-        "probe.py": ("import os\n\nfrom gffpin import cli, scaling as sc\n\n"
-                     "cli.validate('mass-scan', {})\n"
-                     "print(sc.mass_scan, os.path.sep)\n"),
-        "notes.txt": "cli.main is not read from a non-Python file\n",
-    })
-    assert _benchmark_roots(bench) == {("cli", "validate"),
-                                       ("scaling", "mass_scan")}
