@@ -6,6 +6,9 @@ with checksums in a manifest that is created before and finalized after the
 run. Exit codes: 0 ok, 2 config validation, 3 numerical failure, 4 resource
 exceeded. Every command runs serially, so its output bytes are a function
 of the config alone.
+
+Every config rule is checked once, in `_check`, before the output directory
+is made; the library functions the handlers call do not check them again.
 """
 
 from __future__ import annotations
@@ -55,14 +58,6 @@ def parse_config_text(text) -> dict:
     return out
 
 
-def _parse_bool(s):
-    if s.lower() in ("1", "true", "yes", "on"):
-        return True
-    if s.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def _parse_floats(s):
     parts = s.replace(",", " ").split()
     if not parts:
@@ -87,8 +82,8 @@ def _parse_sites(s):
 
 
 _PARSERS = {
-    "int": int, "float": float, "bool": _parse_bool, "floats": _parse_floats,
-    "ints": _parse_ints, "sites": _parse_sites, "str": str,
+    "int": int, "float": float, "floats": _parse_floats, "ints": _parse_ints,
+    "sites": _parse_sites, "str": str,
 }
 
 # key -> (type, required)
@@ -182,8 +177,11 @@ def _check(command, raw_config):
     positive("samples")
     positive("budget")
     positive("tol")
-    positive("replicas")
+    positive("policy_c")
+    # the error bar is the spread of the replica means
+    at_least("replicas", 2)
     at_least("box_radius", 0)
+    at_least("min_radius", 0)
     # the pinned mass fit probes distances up to max(6, radius - 2)
     at_least("region_radius", 6)
     at_least("eta", 0)
@@ -242,11 +240,25 @@ def _check(command, raw_config):
             violations.append("mapping must be default or direct")
         if (not violations
                 and parsed.get("mode", "bernoulli-surrogate") == "bernoulli-surrogate"):
-            try:
-                scaling.check_plane_target(parsed["kernel"])
-            except ValidationError as exc:
-                violations.append(str(exc))
+            violations.extend(_plane_target_violations(parsed["kernel"]))
     return violations, parsed
+
+
+def _plane_target_violations(kernel):
+    """The surrogate mass scores the first passage to a plane, whose decay
+    rate is the axis mass only for a kernel invariant under x_j -> -x_j for
+    every j >= 2 (see `scaling`); names the first step without a mirror."""
+    table = dict(kernel.support())
+    for j in range(1, kernel.d):
+        for s, w in table.items():
+            image = s[:j] + (-s[j],) + s[j + 1:]
+            if not math.isclose(table.get(image, 0.0), w, rel_tol=1e-12,
+                                abs_tol=1e-15):
+                return [f"the surrogate mass needs a kernel invariant under "
+                        f"x_{j + 1} -> -x_{j + 1}; step {s} has no mirror "
+                        f"image {image} of equal weight, so the first passage "
+                        f"to {{x_1 >= r}} need not decay at the axis rate"]
+    return []
 
 
 def parse_command_config(command, raw_config) -> dict:
@@ -453,11 +465,9 @@ def _cmd_mass_scan(cfg, out, manifest):
         fit.append(("log_correction_monotone", d["log_correction_monotone"]))
     write_csv(os.path.join(out, "mass_scan_fit.csv"), ("key", "value"), fit)
     manifest.add_file("mass_scan_fit.csv")
-    # one entry per epsilon; "-" where a point has none (failed fit, or the
-    # truncation bound of a pinning-exact point)
-    for key in ("monotone_ok", "truncation"):
-        manifest.record(key, " ".join("-" if v is None else _fmt(v)
-                                      for v in d[key]))
+    # one entry per epsilon; "-" where a fit failed
+    manifest.record("monotone_ok", " ".join(
+        "-" if v is None else _fmt(v) for v in d["monotone_ok"]))
 
 
 def _cmd_renewal1d(cfg, out, manifest):
@@ -520,7 +530,8 @@ def run(command, raw_config, out_dir) -> int:
         print(f"resource exceeded: {exc}", file=sys.stderr)
         return 4
     except (NumericalError, ValidationError) as exc:
-        # post-validation ValidationError means a numerically unusable setup
+        # config rules all live in _check: a ValidationError here is a fit
+        # guard refusing the data, a numerically unusable setup
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     manifest.finalize()
@@ -543,10 +554,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             raw = parse_config_text(fh.read())
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
+    except (OSError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."

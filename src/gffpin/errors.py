@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto exit codes: ValidationError -> 2,
-NumericalError -> 3, ResourceError -> 4.
+The CLI maps these onto exit codes. Config rules live in `cli._check`, and
+a config that breaks one exits 2 before any output is written. Kernel-file
+errors raised while `_check` loads the kernel are config errors too. After
+validation, NumericalError exits 3 and ResourceError exits 4; a
+ValidationError raised then, by a fit guard refusing the data, exits 3.
 """
 
 
@@ -10,7 +13,7 @@ class ToolkitError(Exception):
 
 
 class ValidationError(ToolkitError):
-    """Bad inputs: malformed kernels, configs, out-of-domain arguments."""
+    """Bad inputs: malformed configs and kernels, or data a fit refuses."""
 
 
 class NumericalError(ToolkitError):

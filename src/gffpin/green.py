@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NumericalError, ResourceError, ValidationError
+from .errors import NumericalError, ResourceError
 from .walk import WINDOW_CELL_CAP, StepKernel, _auto_radius, pmf_origin_series
 
 RESIDUAL_TARGET = 1e-10
@@ -49,18 +49,10 @@ class Region:
                                 f"{WINDOW_CELL_CAP} cells")
         self.lo = np.asarray(lo, dtype=np.int64)
         self.hi = np.asarray(hi, dtype=np.int64)
-        if self.lo.shape != (kernel.d,) or np.any(self.hi < self.lo):
-            raise ValidationError("bad box bounds")
         self.beta = float(kernel.beta_eff)
         alive = np.ones(shape, dtype=bool)
         for pin in pins:
-            if len(pin) != kernel.d:
-                raise ValidationError(
-                    f"pin {tuple(pin)} must hold {kernel.d} coordinates")
-            idx = tuple(int(c) - int(l) for c, l in zip(pin, self.lo))
-            if any(i < 0 or i >= s for i, s in zip(idx, shape)):
-                raise ValidationError(f"pin {tuple(pin)} outside the box")
-            alive[idx] = False
+            alive[tuple(int(c) - int(l) for c, l in zip(pin, self.lo))] = False
         self.shape = shape
         self.alive = alive
         self.index = np.full(shape, -1, dtype=np.int64)
@@ -177,8 +169,6 @@ class GreenProbe:
 def green_killed(region: Region, x, y) -> GreenProbe:
     """Field covariance G(x, y)/beta_eff for the walk killed on dead sites."""
     ix, iy = region.site_index(x), region.site_index(y)
-    if ix < 0 or iy < 0:
-        raise ValidationError("x and y must both be alive in the region")
     rhs = np.zeros(region.n_alive)
     rhs[iy] = 1.0
     g, resid = region.solve(rhs)
@@ -288,8 +278,6 @@ def green_nstep(kernel: StepKernel, n: int) -> NStepGreen:
     min(n, 16) steps: a relative gap above NSTEP_AUDIT_TOL raises
     NumericalError, and the gap is returned as `audit_rel_err`.
     """
-    if n < 0:
-        raise ValidationError("n must be >= 0")
     value = _torus_green(kernel, n)
     n_a = min(n, NSTEP_AUDIT_STEPS)
     ref = float(pmf_origin_series(kernel, n_a).sum())

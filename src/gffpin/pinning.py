@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.special import logsumexp
 
-from .errors import NumericalError, ResourceError, ValidationError
+from .errors import NumericalError, ResourceError
 from .green import COLUMN_BYTES_CAP, Region, box_region
 from .stats import Estimate, replica_rng
 
@@ -52,8 +52,6 @@ class GibbsChain:
     """
 
     def __init__(self, region: Region, eps: float, seed: int, replica: int = 0):
-        if eps <= 0:
-            raise ValidationError("epsilon must be positive")
         self.region = region
         self.eps = float(eps)
         self.rng = replica_rng(seed, replica)
@@ -240,11 +238,7 @@ def sample_pins(region, eps, sweeps, seed, burnin=None) -> PinState:
 
     Burn-in defaults to half the sweeps. Deterministic in the seed.
     """
-    if sweeps < 1:
-        raise ValidationError("sweeps must be >= 1")
     burnin = sweeps // 2 if burnin is None else int(burnin)
-    if not 0 <= burnin <= sweeps:
-        raise ValidationError("burnin must lie in [0, sweeps]")
     need = (sweeps - burnin) * region.n_alive  # one byte per recorded site
     if need > COLUMN_BYTES_CAP:
         raise ResourceError(
@@ -291,8 +285,6 @@ def _mask_members(mask, n):
 def exact_pin_measure(region, eps) -> ExactPinTable:
     """Enumerate nu(A) over all pin sets A of the alive sites. Weights:
     eps^|A| (2 pi)^{|A^c|/2} det(beta (I-P)|_{A^c})^{-1/2}."""
-    if eps <= 0:
-        raise ValidationError("epsilon must be positive")
     n = region.n_alive
     if n > ENUM_LIMIT:
         raise ResourceError(f"box too large: 2^{n} subsets exceed 2^{ENUM_LIMIT}")
@@ -367,9 +359,8 @@ def _chain_average(region, eps, record_fn, samples, seed, replicas=4):
             acc += record_fn(chain)
         means.append(acc / per)
     means = np.asarray(means)
-    stderr = float(means.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 \
-        else float("inf")
-    return Estimate(mean=float(means.mean()), stderr=stderr,
+    return Estimate(mean=float(means.mean()),
+                    stderr=float(means.std(ddof=1) / math.sqrt(replicas)),
                     n=per * replicas, seed=seed)
 
 
@@ -377,8 +368,6 @@ def variance_origin(region, eps, samples, seed, replicas=4) -> Estimate:
     """Rao-Blackwellized mu(phi_0^2): average of G_{A^c}(0,0)/beta over the
     pin chain; no field draws involved."""
     origin = region.site_index((0,) * region.kernel.d)
-    if origin < 0:
-        raise ValidationError("origin must be alive in the region")
     return _chain_average(region, eps, lambda ch: ch.covariance(origin, origin),
                           samples, seed, replicas=replicas)
 
@@ -386,8 +375,6 @@ def variance_origin(region, eps, samples, seed, replicas=4) -> Estimate:
 def covariance(region, eps, x, y, samples, seed, replicas=4) -> Estimate:
     """mu(phi_x phi_y) as the chain average of G_{A^c}(x,y)/beta."""
     ix, iy = region.site_index(x), region.site_index(y)
-    if ix < 0 or iy < 0:
-        raise ValidationError("x and y must be alive in the region")
     return _chain_average(region, eps, lambda ch: ch.covariance(ix, iy),
                           samples, seed, replicas=replicas)
 
@@ -403,12 +390,8 @@ def domination_densities(region, eps, sites) -> tuple[float, float]:
     """
     beta = region.beta
     g_hi = 1.0 / math.sqrt(2.0 * math.pi / (beta * (1.0 - region.kernel.p0)))
-    sigma_max = 0.0
-    for s in sites:
-        i = region.site_index(s)
-        if i < 0:
-            raise ValidationError(f"site {tuple(s)} is not alive")
-        sigma_max = max(sigma_max, float(region.green_diag[i]) / beta)
+    sigma_max = max(float(region.green_diag[region.site_index(s)])
+                    for s in sites) / beta
     g_lo = 1.0 / math.sqrt(2.0 * math.pi * sigma_max)
     p_hi = eps * g_hi / (1.0 + eps * g_hi)
     p_lo = eps * g_lo / (1.0 + eps * g_lo)
@@ -427,12 +410,7 @@ class EmptyProbability:
 def empty_probability(region, eps, sites, samples, seed,
                       replicas=4) -> EmptyProbability:
     """nu(A n B = empty) by Monte Carlo plus the fitted Bernoulli curves."""
-    idx = [region.site_index(s) for s in sites]
-    if any(i < 0 for i in idx):
-        raise ValidationError("all of B must be alive in the region")
-    if not idx:
-        return EmptyProbability(Estimate(1.0, 0.0, 0, seed), 1.0, 1.0, 0.0, 0.0)
-    idx = np.asarray(idx)
+    idx = np.asarray([region.site_index(s) for s in sites])
     est = _chain_average(
         region, eps, lambda ch: float(not ch.pinned[idx].any()),
         samples, seed, replicas=replicas)
@@ -451,10 +429,6 @@ class StabilityRow:
 def box_stability(kernel, eps, radii, probe, samples, seed,
                   replicas=4) -> list[StabilityRow]:
     """Track a probe across nested boxes; same master seed at every size."""
-    if list(radii) != sorted(set(int(r) for r in radii)):
-        raise ValidationError("radii must be strictly increasing")
-    if probe not in ("unpinned-marginal", "variance"):
-        raise ValidationError(f"unknown probe {probe!r}")
     rows = []
     for radius in radii:
         region = box_region(kernel, radius)

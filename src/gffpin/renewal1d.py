@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import factorial, gamma, zeta
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError
 
 TOL = 1e-12
 ZETA_HALF = -1.4603545088095868  # zeta(1/2)
@@ -62,8 +62,6 @@ def solve_lambda(eps, tol=TOL) -> float:
     decreasing, so after the first step the iterates rise to the root; a
     step to lam <= 0 halves lam instead. Stops at |g| <= tol, else raises
     NumericalError with the residual."""
-    if not 0.0 < eps < math.inf:
-        raise ValidationError("epsilon must be positive and finite")
     lam = max((math.sqrt(2.0) / eps - ZETA_HALF / math.sqrt(math.pi)) ** -2,
               math.log(eps / _SQRT_2PI))
     if lam < 1e-300:

@@ -17,8 +17,8 @@ the minimum of the point-to-point exponent (a norm) over the plane {x_1 = 1}
 (Zerner 1998, Ann. Appl. Probab. 8; Flury 2007, Stoch. Proc. Appl. 117).
 For a kernel invariant under x_j -> -x_j for every j >= 2 that norm is even
 in the transverse coordinates, so by convexity its minimum sits on the axis:
-the plane rate equals the rate of hitting (r, 0, ...). Other kernels are
-rejected. The plane is reached by far more paths than the site.
+the plane rate equals the rate of hitting (r, 0, ...). The CLI rejects
+other kernels. The plane is reached by far more paths than the site.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .green import box_region, green_nstep, nstep_torus_radius
 from .stats import Estimate, replica_rng
 from . import pinning
 
-TRUNCATION_KAPPA = 0.1
 _CHUNK = 256  # paths per sub-seeded replica chunk; part of the seeding scheme
 
 
@@ -84,8 +83,6 @@ def survival_samples(kernel, p, targets, reps, n_max, seed) -> np.ndarray:
     the plain hitting indicator. Each r must be >= 1: a plane at r <= 0
     holds the origin."""
     tg = np.asarray(targets, dtype=np.int64).reshape(-1)
-    if np.any(tg < 1):
-        raise ValidationError("target distances must be >= 1")
     out = np.zeros((reps, len(tg)))
     pos = 0
     for chunk_pos, ranges in _ensemble_chunks(kernel, n_max, reps, seed):
@@ -98,13 +95,6 @@ def survival_samples(kernel, p, targets, reps, n_max, seed) -> np.ndarray:
             out[pos:pos + b, t] = w
         pos += b
     return out
-
-
-def truncation_bound(p, n_max) -> float:
-    """Reported tail heuristic (1-p)^{kappa n_max / log n_max}, kappa = 0.1."""
-    if n_max < 3:
-        return 1.0
-    return float((1.0 - p) ** (TRUNCATION_KAPPA * n_max / math.log(n_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,25 +193,12 @@ class ScanResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _check_grid(eps_grid):
-    eps = np.asarray(list(eps_grid), dtype=float)
-    if len(eps) < 3:
-        raise ValidationError("scan grid needs at least 3 points")
-    if np.any(np.diff(eps) >= 0) or np.any(eps <= 0):
-        raise ValidationError("epsilon grid must be positive, strictly decreasing")
-    return eps
-
-
 def surrogate_density(eps, d, mapping="default") -> float:
     """Trap density for the Bernoulli surrogate; the paper-style mapping uses
     eps/sqrt|log eps| in d = 2 (constants set to 1 and recorded)."""
-    if mapping == "direct":
+    if mapping == "direct" or d >= 3:
         return float(eps)
-    if mapping == "default":
-        if d >= 3:
-            return float(eps)
-        return float(eps / math.sqrt(abs(math.log(eps))))
-    raise ValidationError(f"unknown surrogate mapping {mapping!r}")
+    return float(eps / math.sqrt(abs(math.log(eps))))
 
 
 _MIN_HITS = 50  # drop fit points supported by fewer surviving paths
@@ -230,25 +207,9 @@ _FIT_LO = 3.0  # fit window, in units of the guessed correlation length
 _FIT_HI = 6.0
 
 
-def check_plane_target(kernel):
-    """Raise ValidationError unless the kernel is invariant under x_j -> -x_j
-    for every j >= 2, which makes the plane-target mass the axis mass."""
-    table = dict(kernel.support())
-    for j in range(1, kernel.d):
-        for s, w in table.items():
-            image = s[:j] + (-s[j],) + s[j + 1:]
-            if not math.isclose(table.get(image, 0.0), w, rel_tol=1e-12,
-                                abs_tol=1e-15):
-                raise ValidationError(
-                    f"the surrogate mass needs a kernel invariant under "
-                    f"x_{j + 1} -> -x_{j + 1}; step {s} has no mirror image "
-                    f"{image} of equal weight, so the first passage to "
-                    f"{{x_1 >= r}} need not decay at the axis rate")
-
-
 def _survival_curve(kernel, p, rs, budget, n_max, seed):
     # score the first passage to the plane {x_1 >= r}, not hits of the site
-    # (r, 0, ...): under check_plane_target both decay at the axis rate, and
+    # (r, 0, ...): under the mirror symmetry both decay at the axis rate, and
     # the plane is reached by far more paths, without the r^{-(d-1)/2}
     # transverse prefactor that biases the local slope of point hits upward
     weights = survival_samples(kernel, p, rs, budget, n_max, seed)
@@ -322,16 +283,11 @@ def mass_scan(kernel, eps_grid, mode="bernoulli-surrogate", budget=20000,
     """Mass versus epsilon, with the fitted log-log exponent.
 
     Modes: "bernoulli-surrogate" simulates annealed traps of density p(eps)
-    and scores the first passage to {x_1 >= r}; it needs a kernel that
-    passes check_plane_target. "pinning-exact" measures the pinned two-point
-    function on a box.
+    and scores the first passage to {x_1 >= r}; it needs a kernel invariant
+    under x_j -> -x_j for every j >= 2. "pinning-exact" measures the pinned
+    two-point function on a box.
     """
-    eps = _check_grid(eps_grid)
-    if mode not in ("bernoulli-surrogate", "pinning-exact"):
-        raise ValidationError(f"unknown mode {mode!r}")
-    if mode == "bernoulli-surrogate":
-        check_plane_target(kernel)
-
+    eps = np.asarray(eps_grid, dtype=float)
     masses, flags, extras = [], [], []
     for i, e in enumerate(eps):
         try:
@@ -340,13 +296,12 @@ def mass_scan(kernel, eps_grid, mode="bernoulli-surrogate", budget=20000,
                     kernel, e, budget, seed, mapping, i)
                 n_used = budget
                 extra = {"density": p, "n_max": n_max, "r_grid": rs.tolist(),
-                         "monotone_ok": fit.monotone_ok,
-                         "truncation": truncation_bound(p, n_max)}
+                         "monotone_ok": fit.monotone_ok}
             else:
                 fit, n_used = _pinned_mass_point(kernel, e, seed, i,
                                                  region_radius, samples)
                 extra = {"density": None, "n_max": None, "r_grid": None,
-                         "monotone_ok": fit.monotone_ok, "truncation": None}
+                         "monotone_ok": fit.monotone_ok}
             est, flag = Estimate(fit.mass, fit.stderr, n_used, seed), ""
         except (ValidationError, NumericalError) as exc:
             est, flag, extra = (Estimate(float("nan"), float("inf"), 0, seed),
@@ -355,7 +310,7 @@ def mass_scan(kernel, eps_grid, mode="bernoulli-surrogate", budget=20000,
         flags.append(flag)
         extras.append(extra)
     diag = {"mode": mode, "mapping": mapping}
-    for key in ("density", "n_max", "r_grid", "monotone_ok", "truncation"):
+    for key in ("density", "n_max", "r_grid", "monotone_ok"):
         diag[key] = [x.get(key) for x in extras]
     ok = [i for i, m in enumerate(masses) if np.isfinite(m.mean) and m.mean > 0]
     if len(ok) < 3:
@@ -429,21 +384,10 @@ def variance_scan(kernel, eps_grid, budget=400, seed=0, replicas=4,
                   eta=3.0) -> ScanResult:
     """Variance at the origin versus |log eps|, with the fitted slope and the
     n0-step Green cross-check value per point."""
-    eps = _check_grid(eps_grid)
+    eps = np.asarray(eps_grid, dtype=float)
     policy = f"radius >= {policy_c} * eps^-1/2 |log eps|"
-    radii = []
-    for e in eps:
-        radius = variance_box_policy(e, policy_c, min_radius)
-        if box_radius is not None:
-            if int(box_radius) < radius:
-                raise ValidationError(
-                    f"box radius {box_radius} below the policy floor {radius} "
-                    f"for eps={e} ({policy})")
-            radius = int(box_radius)
-        radii.append(radius)
-
-    if not eta >= 0:
-        raise ValidationError("eta must be >= 0")
+    radii = [variance_box_policy(e, policy_c, min_radius) if box_radius is None
+             else int(box_radius) for e in eps]
     n0 = [_green_steps(kernel, e, eta) for e in eps]  # fail before any chain
 
     values, gn0 = [], []

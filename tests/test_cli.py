@@ -11,7 +11,7 @@ import pytest
 
 import gffpin
 
-from gffpin import cli, pinning, scaling
+from gffpin import cli, pinning
 from oracles import write_kernel_file
 
 ZETA_HALF = -1.4603545088095868  # zeta(1/2)
@@ -70,38 +70,92 @@ class TestValidation:
 
 
 class TestHandlerInputs:
-    """Input errors that only a handler used to catch, after the manifest
-    was written, now stop in validation."""
+    """Every config rule stops a run in validation: exit 2, a "config error"
+    naming the rule, and no output directory. The library does not check
+    these rules again."""
 
-    @pytest.mark.parametrize("command, body", [
-        ("green-probe", "box_radius = 2\nprobes = 0 0 1"),
-        ("green-probe", "box_radius = 2\nprobes = 0 0 3 0"),
-        ("green-probe", "box_radius = 2\npins = 1 0\nprobes = 0 0; 0 0 1 0"),
-        ("green-probe", "box_radius = 2\npins = 1\nprobes = 0 0 0 0"),
-        ("green-probe", "box_radius = -1\nprobes = 0 0 0 0"),
-        ("pins-sample", "box_radius = 1\nepsilon = 0.5\nsweeps = 10\nburnin = 11"),
-        ("pins-sample", "box_radius = 1\nepsilon = 0.5\nsweeps = 10\nburnin = -1"),
+    @pytest.mark.parametrize("command, body, reason", [
+        ("green-probe", "box_radius = 2\nprobes = 0 0 1", "probes entry"),
+        ("green-probe", "box_radius = 2\nprobes = 0 0 3 0", "probes entry"),
+        ("green-probe", "box_radius = 2\npins = 1 0\nprobes = 0 0; 0 0 1 0",
+         "sits on a pin"),
+        ("green-probe", "box_radius = 2\npins = 1\nprobes = 0 0 0 0",
+         "pins entry"),
+        ("green-probe", "box_radius = 2\npins = 1 0 0\nprobes = 0 0 0 0",
+         "pins entry"),
+        ("green-probe", "box_radius = -1\nprobes = 0 0 0 0",
+         "box_radius must be >= 0"),
+        ("pins-sample", "box_radius = 1\nepsilon = 0.5\nsweeps = 10\nburnin = 11",
+         "burnin must lie"),
+        ("pins-sample", "box_radius = 1\nepsilon = 0.5\nsweeps = 10\nburnin = -1",
+         "burnin must lie"),
         ("domination-check",
-         "box_radius = 2\nepsilon = 0.3\ntargets = 7 7\nsamples = 10"),
+         "box_radius = 2\nepsilon = 0.3\ntargets = 7 7\nsamples = 10",
+         "targets entry"),
         ("domination-check",
-         "box_radius = 2\nepsilon = 0.3\ntargets = 0 0\nsamples = 10\nreplicas = 0"),
+         "box_radius = 2\nepsilon = 0.3\ntargets = ;\nsamples = 10",
+         "bad value for 'targets'"),
+        ("domination-check",
+         "box_radius = 2\nepsilon = 0.3\ntargets = 0 0\nsamples = 10\nreplicas = 0",
+         "replicas must be >= 2"),
+        ("domination-check",
+         "box_radius = 2\nepsilon = 0.3\ntargets = 0 0\nsamples = 10\nreplicas = 1",
+         "replicas must be >= 2"),
         ("box-stability",
-         "epsilon = 0.3\nradii = -1 1\nprobe = variance\nsamples = 10"),
-        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\neta = nan"),
-        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\neta = inf"),
+         "epsilon = 0.3\nradii = -1 1\nprobe = variance\nsamples = 10",
+         "radii must be >= 0"),
+        ("box-stability",
+         "epsilon = 0.3\nradii = 2 1\nprobe = variance\nsamples = 10",
+         "radii must be strictly increasing"),
+        ("box-stability",
+         "epsilon = 0.3\nradii = 1 2\nprobe = nope\nsamples = 10",
+         "probe must be"),
+        ("box-stability",
+         "epsilon = 0.3\nradii = 1 2\nprobe = variance\nsamples = 10\n"
+         "replicas = 1", "replicas must be >= 2"),
+        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\neta = nan",
+         "eta must be finite"),
+        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\neta = inf",
+         "eta must be finite"),
         ("variance-scan",
-         "eps_list = 0.3 0.2 0.1\nbudget = 8\npolicy_c = nan"),
-        ("variance-scan", "eps_list = 1.0 0.5 0.3\nbudget = 8\neta = -1"),
+         "eps_list = 0.3 0.2 0.1\nbudget = 8\npolicy_c = nan",
+         "policy_c must be finite"),
+        ("variance-scan", "eps_list = 1.0 0.5 0.3\nbudget = 8\neta = -1",
+         "eta must be >= 0"),
+        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\npolicy_c = -1\n"
+                          "min_radius = -5", "policy_c must be positive"),
+        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\npolicy_c = 0\n"
+                          "min_radius = -3", "policy_c must be positive"),
+        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\n"
+                          "min_radius = -3", "min_radius must be >= 0"),
+        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\nreplicas = 1",
+         "replicas must be >= 2"),
+        ("variance-scan", "eps_list = 0.3 0.1\nbudget = 8",
+         "at least 3 points"),
+        ("variance-scan", "eps_list = 0.3 0.1 0.03\nbudget = 8\nbox_radius = 10",
+         "below the policy floor"),
         ("mass-scan", "eps_list = 0.3 0.2 0.1\nmode = pinning-exact\n"
-                      "budget = 1\nsamples = 4\nregion_radius = 3"),
+                      "budget = 1\nsamples = 4\nregion_radius = 3",
+         "region_radius must be >= 6"),
         ("mass-scan", "eps_list = 0.3 0.2 0.1\nmode = pinning-exact\n"
-                      "budget = 1\nsamples = 4\nregion_radius = 0"),
+                      "budget = 1\nsamples = 4\nregion_radius = 0",
+         "region_radius must be >= 6"),
+        ("mass-scan", "eps_list = 0.2 0.1\nbudget = 100", "at least 3 points"),
+        ("mass-scan", "eps_list = 0.1 0.2 0.3\nbudget = 100",
+         "strictly decreasing"),
+        ("mass-scan", "eps_list = 0.3 0.2 0.1\nbudget = 100\nmapping = nope",
+         "mapping must be"),
+        ("renewal1d", "eps_list = 0", "epsilon must be positive"),
+        ("renewal1d", "eps_list = 0.1 -0.1", "epsilon must be positive"),
     ])
-    def test_config_error(self, tmp_path, capsys, srw2_file, command, body):
-        code, out = _run(tmp_path, command,
-                         f"{body}\nkernel_file = {srw2_file}\nseed = 1\n")
+    def test_config_error(self, tmp_path, capsys, srw2_file, command, body,
+                          reason):
+        if "kernel_file" in cli.SCHEMAS[command]:
+            body += f"\nkernel_file = {srw2_file}"
+        code, out = _run(tmp_path, command, f"{body}\nseed = 1\n")
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and reason in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, body, output", [
@@ -201,11 +255,10 @@ def test_pinned_mass_points_report_sweeps_and_blanks(tmp_path):
         # distance; the surrogate-only columns stay empty
         assert (row["n_used"], row["density"], row["n_max"]) == ("4", "", "")
         assert row["flags"] == ""
-    # per-point fit diagnostics; a pinning-exact point has no truncation bound
+    # per-point fit diagnostics
     manifest = _manifest(out)
     assert set(manifest["monotone_ok"].split()) <= {"0", "1"}
     assert len(manifest["monotone_ok"].split()) == 3
-    assert manifest["truncation"] == "- - -"
 
 
 @pytest.mark.parametrize("command, body", [
@@ -285,7 +338,7 @@ def test_range_stats_is_unknown_command(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_surrogate_mass_manifest_records_truncation(tmp_path, srw2_file):
+def test_surrogate_mass_manifest_records_monotone_ok(tmp_path, srw2_file):
     code, out = _run(tmp_path, "mass-scan",
                      "eps_list = 0.3 0.2 0.1\nbudget = 300\n"
                      f"kernel_file = {srw2_file}\nseed = 3\n")
@@ -293,13 +346,9 @@ def test_surrogate_mass_manifest_records_truncation(tmp_path, srw2_file):
     manifest = _manifest(out)
     with open(out / "mass_scan_points.csv") as fh:
         rows = list(csv.DictReader(fh))
-    truncation = [float(t) for t in manifest["truncation"].split()]
-    # the bound (1-p)^{kappa n_max / log n_max} of each point's own p, n_max
-    assert truncation == [scaling.truncation_bound(float(r["density"]),
-                                                   int(r["n_max"]))
-                          for r in rows]
-    assert all(0.0 < t < 1.0 for t in truncation)
+    assert set(manifest["monotone_ok"].split()) <= {"0", "1", "-"}
     assert len(manifest["monotone_ok"].split()) == len(rows) == 3
+    assert "truncation" not in manifest
 
 
 def test_import_leaves_out_scipy_stats():

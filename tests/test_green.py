@@ -40,20 +40,6 @@ class TestGreenKilled:
         assert math.isclose(green_killed(region, (0, 0), (0, 0)).value, 1.0,
                             abs_tol=1e-12)
 
-    def test_dead_site_rejected(self, srw2):
-        region = box_region(srw2, 2, pins=[(1, 0)])
-        with pytest.raises(ValidationError):
-            green_killed(region, (1, 0), (0, 0))
-        with pytest.raises(ValidationError):
-            green_killed(region, (5, 5), (0, 0))
-
-    def test_short_pin_rejected(self, srw2):
-        # a pin with fewer than d coordinates used to kill a whole slab
-        with pytest.raises(ValidationError, match="2 coordinates"):
-            box_region(srw2, 2, pins=[(1,)])
-        with pytest.raises(ValidationError):
-            box_region(srw2, 2, pins=[(1, 0, 0)])
-
     def test_green_diag_matches_dense_inverse(self, srw2_lazy):
         # 120 sites, one of the 11 slabs holding a pin
         region = box_region(srw2_lazy, 5, pins=[(1, 1)])

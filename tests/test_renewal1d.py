@@ -68,11 +68,6 @@ class TestTiltSolve:
         with pytest.raises(NumericalError, match="residual"):
             solve_lambda(0.1, tol=1e-30)
 
-    def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ValidationError):
-            solve_lambda(0.0)
-
-
 class TestClosedForm:
     """Polylogarithm forms against truncated direct sums with bounded tails."""
 

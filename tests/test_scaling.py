@@ -152,13 +152,6 @@ class TestSurvival:
         assert np.all(w <= hit + 1e-15)
         assert np.all((w > 0) == (hit > 0))
 
-    def test_target_origin_rejected(self, srw2):
-        # a plane {x_1 >= r} with r <= 0 holds the origin: T = 0 on every path
-        for r in (0, -1):
-            with pytest.raises(ValidationError):
-                survival_samples(srw2, 0.3, [2, r], 10, 5, seed=1)
-
-
 # symmetric under negation, not under x_2 -> -x_2: the plane exponent may
 # differ from the axis one
 UNREFLECTED = [((1, 1), 1.0), ((-1, -1), 1.0), ((1, 0), 1.0), ((-1, 0), 1.0),
@@ -195,11 +188,6 @@ class TestPlaneSurvival:
         point = np.concatenate(point)
         assert np.count_nonzero(point) > 0
         assert np.all(point <= plane + 1e-15)
-
-    def test_unreflected_kernel_rejected(self):
-        k = make_kernel(UNREFLECTED, 2)
-        with pytest.raises(ValidationError, match="invariant under x_2"):
-            mass_scan(k, [0.3, 0.2, 0.1], budget=100, seed=1)
 
     def test_cli_rejects_unreflected_kernel(self, tmp_path):
         kernel = tmp_path / "skew.kernel"
@@ -261,21 +249,11 @@ class TestScans:
                                        np.zeros(4))
         assert math.isclose(slope, 0.5, abs_tol=1e-12)
 
-    def test_grid_validation(self, srw2):
-        with pytest.raises(ValidationError):
-            mass_scan(srw2, [0.1, 0.2, 0.3], budget=100, seed=1)
-        with pytest.raises(ValidationError):
-            mass_scan(srw2, [0.2, 0.1], budget=100, seed=1)
-        with pytest.raises(ValidationError):
-            variance_scan(srw2, [0.3, 0.1], budget=10, seed=1)
-
     def test_surrogate_density_mappings(self, srw2, srw3):
         assert surrogate_density(0.1, 3) == 0.1
         assert math.isclose(surrogate_density(0.1, 2),
                             0.1 / math.sqrt(abs(math.log(0.1))))
         assert surrogate_density(0.1, 2, "direct") == 0.1
-        with pytest.raises(ValidationError):
-            surrogate_density(0.1, 2, "nope")
 
     def test_small_mass_scan_d3(self, srw3):
         res = mass_scan(srw3, [0.3, 0.2, 0.1], budget=6000, seed=4)
@@ -286,11 +264,6 @@ class TestScans:
     def test_variance_policy_floor(self):
         assert variance_box_policy(0.03, 1.0, 8) >= 21
         assert variance_box_policy(0.3, 1.0, 8) == 8
-
-    def test_variance_scan_box_policy_violation(self, srw2_lazy):
-        with pytest.raises(ValidationError):
-            variance_scan(srw2_lazy, [0.3, 0.1, 0.03], budget=40, seed=0,
-                          box_radius=10)
 
     def test_slope_reference_lazification_invariant(self, srw2, srw2_lazy):
         assert math.isclose(variance_slope_reference(srw2),
@@ -310,9 +283,6 @@ class TestScans:
         with pytest.raises(ResourceError, match="torus"):
             variance_scan(srw2_lazy, [0.1, 0.05, 0.02], budget=8, seed=0,
                           eta=60.0)
-        with pytest.raises(ValidationError, match="eta"):
-            variance_scan(srw2_lazy, [1.0, 0.5, 0.3], budget=8, seed=0,
-                          eta=-1.0)
 
     @pytest.mark.parametrize("eta", [0.0, 1.0, 3.0])
     def test_green_steps_formula(self, srw2_lazy, eta):
@@ -354,10 +324,3 @@ class TestSandwich:
                             / np.exp(logw_hi - logw_hi.max()).sum() @ gvals)
             assert bern_hi - 1e-12 <= exact <= bern_lo + 1e-12
             assert p_lo <= p_hi
-
-
-def test_truncation_bound_monotone(srw2):
-    from gffpin.scaling import truncation_bound
-
-    assert truncation_bound(0.5, 100) < truncation_bound(0.5, 50)
-    assert truncation_bound(0.9, 100) < truncation_bound(0.5, 100)
