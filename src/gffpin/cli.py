@@ -187,6 +187,9 @@ def _check(command, raw_config):
     at_least("eta", 0)
     if any(r < 0 for r in parsed.get("radii", ())):
         violations.append("radii must be >= 0")
+    if len(set(parsed.get("targets", ()))) < len(parsed.get("targets", ())):
+        # a repeat would count twice in the Bernoulli curves' |B|
+        violations.append("targets must be distinct sites")
     if "burnin" in parsed and not 0 <= parsed["burnin"] <= parsed["sweeps"]:
         violations.append("burnin must lie in [0, sweeps]")
     if "eps_list" in parsed:

@@ -12,6 +12,9 @@ The diagonal of the Green matrix comes from block-tridiagonal selected
 inversion over slabs of the box and is cached like the factor. The n-step
 Green function at the origin is a Fourier sum on a torus, audited against
 the exact DP pmf of `walk`.
+
+Importing this module loads only numpy: scipy.sparse loads when the first
+Region builds its matrix, and scipy.sparse.linalg at the first factor.
 """
 
 from __future__ import annotations
@@ -20,14 +23,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NumericalError, ResourceError
 from .walk import WINDOW_CELL_CAP, StepKernel, _auto_radius, pmf_origin_series
 
 RESIDUAL_TARGET = 1e-10
-COLUMN_BYTES_CAP = 1 << 30  # bytes of dense blocks per chain or Region
+COLUMN_BYTES_CAP = 1 << 30  # bytes of dense blocks per chain or Region,
+# and of the arrays of one path-ensemble chunk
 NSTEP_AUDIT_STEPS = 16  # the exact DP checks green_nstep at min(n, 16) steps
 NSTEP_AUDIT_TOL = 1e-10
 
@@ -70,6 +72,8 @@ class Region:
         return int(self.index[idx])
 
     def _build_matrix(self):
+        import scipy.sparse as sp
+
         n = self.n_alive
         grid = self.index
         rows, cols, vals = [], [], []
@@ -115,6 +119,8 @@ class Region:
     def factor(self):
         """Sparse LU factor of `matrix`, built once and shared."""
         if self._lu is None:
+            import scipy.sparse.linalg as spla
+
             # symmetric positive definite: a symmetric fill-reducing
             # order needs no pivoting
             self._lu = spla.splu(self._matrix.tocsc(),

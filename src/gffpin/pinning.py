@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.special import logsumexp
 
 from .errors import NumericalError, ResourceError
 from .green import COLUMN_BYTES_CAP, Region, box_region
@@ -85,6 +83,8 @@ class GibbsChain:
             )
 
     def _fresh_variance(self, i):
+        import scipy.sparse.linalg as spla
+
         keep = np.flatnonzero(~self.pinned | (np.arange(len(self.pinned)) == i))
         sub = self.region.matrix[np.ix_(keep, keep)].tocsc()
         rhs = np.zeros(len(keep))
@@ -308,6 +308,8 @@ def exact_pin_measure(region, eps) -> ExactPinTable:
             ld = 0.0
         logz = ((n - k) / 2.0) * (log2pi - logbeta) - 0.5 * (logdet_m + ld)
         logw[mask] = k * logeps + logz
+    from scipy.special import logsumexp
+
     logz_total = float(logsumexp(logw))
     probs = np.exp(logw - logz_total)
     probs /= probs.sum()

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.special import factorial, gamma, zeta
 
 from .errors import NumericalError
 
@@ -26,7 +26,15 @@ DIRECT_SPAN = 45.0  # e^{-45} ~ 3e-20 relative to the first term
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _S = np.array([0.5, -0.5, -1.5])
 _N = np.arange(SERIES_TERMS)
-_ZETA = zeta(_S[:, None] - _N) / factorial(_N)  # zeta(s - n) / n!
+
+
+@cache
+def _series_coefficients():
+    """Gamma(1 - s) and the table zeta(s - n) / n!, n < SERIES_TERMS, for
+    the three s of `_polylogs`; scipy.special loads at the first call."""
+    from scipy.special import factorial, gamma, zeta
+
+    return gamma(1.0 - _S), zeta(_S[:, None] - _N) / factorial(_N)
 
 
 def _polylogs(lam):
@@ -38,7 +46,8 @@ def _polylogs(lam):
     + sum_{n>=0} zeta(s-n) (-lam)^n / n!, terms falling like (lam / 2 pi)^n:
     used below LAM_SERIES, the direct sum over k <= DIRECT_SPAN / lam above."""
     if lam < LAM_SERIES:
-        li = (gamma(1.0 - _S) + lam ** (1.0 - _S) * (_ZETA @ (-lam) ** _N)).tolist()
+        gam, zeta_table = _series_coefficients()
+        li = (gam + lam ** (1.0 - _S) * (zeta_table @ (-lam) ** _N)).tolist()
         return li[0], li[1], li[2] - lam * lam * li[0]
     k = np.arange(1.0, math.ceil(DIRECT_SPAN / lam) + 1.0)
     w = np.exp(-lam * k) / np.sqrt(k)

@@ -3,8 +3,13 @@ survival weights, exponential mass fits, and parameter scans for the
 variance and the mass.
 
 This module owns the seeded path ensembles: paths come in chunks of
-`_CHUNK`, chunk c drawn from `replica_rng(seed, c)`, so asking for fewer
-paths leaves every leading whole chunk unchanged.
+`_CHUNK`, and chunk c is one (paths, steps) array of uniforms from
+`replica_rng(seed, c)`, row by row. A uniform u becomes step j, the number
+of entries of the normalised step CDF (cumsum(probs) / its last entry) at
+or below u, which is the map of `Generator.choice(len(probs), p=probs)`.
+Asking for fewer paths leaves every leading whole chunk unchanged. A walk
+keeps only one integer key per visit, site code and time, from which come
+both its first coordinate and its range.
 
 The Bernoulli surrogate replaces the pinned-site law by independent traps of
 density p(eps); a walk surviving among annealed traps carries the weight
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ResourceError, ValidationError
-from .green import box_region, green_nstep, nstep_torus_radius
+from .green import COLUMN_BYTES_CAP, box_region, green_nstep, nstep_torus_radius
 from .stats import Estimate, replica_rng
 from . import pinning
 
@@ -40,40 +45,78 @@ _CHUNK = 256  # paths per sub-seeded replica chunk; part of the seeding scheme
 # path ensembles with range tracking
 
 
-def _site_codes(positions, span):
-    # positions: (..., d) ints with |coordinate| <= span
-    mult = 2 * span + 1
-    code = positions[..., 0].astype(np.int64) + span
-    for ax in range(1, positions.shape[-1]):
-        code = code * mult + (positions[..., ax].astype(np.int64) + span)
-    return code
+def _code_weights(d, span):
+    """Multipliers (2 span + 1)^{d-1-axis}: x @ weights is one integer per
+    site of the cube |x_j| <= span, lexicographic and without collisions."""
+    return (2 * span + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
-def _path_positions(kernel, n, b, rng):
-    idx = rng.choice(len(kernel.probs), size=(b, n), p=kernel.probs)
-    steps = kernel.steps[idx]
-    pos = np.zeros((b, n + 1, kernel.d), dtype=np.int64)
-    np.cumsum(steps, axis=1, out=pos[:, 1:, :])
-    return pos
+def _range_profile(keys):
+    """Cumulative number of distinct sites along each row of keys
+    code * (n+1) + t, t the column and code the site code; sorts `keys` in
+    place.
 
-
-def _range_profile(codes):
-    """Cumulative number of distinct sites along each row of site codes."""
-    order = np.argsort(codes, axis=1, kind="stable")
-    sorted_codes = np.take_along_axis(codes, order, axis=1)
-    first_sorted = np.ones_like(codes, dtype=bool)
-    first_sorted[:, 1:] = np.diff(sorted_codes, axis=1) != 0
-    is_first = np.empty_like(first_sorted)
-    np.put_along_axis(is_first, order, first_sorted, axis=1)
-    return np.cumsum(is_first, axis=1)
+    The keys of one row are distinct, so a plain sort orders them by site
+    and then by time, and the first key of each site holds the time of its
+    first visit."""
+    b, n1 = keys.shape
+    keys.sort(axis=1)
+    site = keys // n1
+    first = np.ones(keys.shape, dtype=bool)
+    np.not_equal(site[:, 1:], site[:, :-1], out=first[:, 1:])
+    # keys - (site - row) * (n+1) = t + row * (n+1), the flat index of the
+    # visit; `site` then takes the first-visit flags and their running sum
+    site -= np.arange(b)[:, None]
+    site *= n1
+    keys -= site
+    site.reshape(-1)[keys.reshape(-1)] = first.reshape(-1)
+    return np.cumsum(site, axis=1, out=site)
 
 
 def _ensemble_chunks(kernel, n_max, reps, seed):
+    """Per chunk of at most `_CHUNK` paths, (x1, ranges): the first
+    coordinate X_t[0] and the range |X_[0,t]|, both (b, n_max + 1) int64.
+
+    The walk accumulates one key per visit, code * (n_max+1) + t with code
+    the site's `_code_weights` code, and x1 is read back off the key.
+    ResourceError, before anything is drawn, when a chunk's arrays exceed
+    COLUMN_BYTES_CAP or a key could overflow int64."""
     span = n_max * kernel.max_step
+    n1 = n_max + 1
+    # alive at once: x1, keys, site codes, the first-visit flags and their
+    # int64 cast for the scatter, each (b, n_max + 1)
+    need = 5 * 8 * min(_CHUNK, reps) * n1
+    if need > COLUMN_BYTES_CAP:
+        raise ResourceError(
+            f"{min(_CHUNK, reps)} paths of {n_max} steps need {need} bytes, "
+            f"above the {COLUMN_BYTES_CAP}-byte cap")
+    # code = x_1 w + (a part in [-h, h]), w = (2 span + 1)^{d-1} and
+    # h = (w - 1) / 2, so x1 = (key + h (n+1)) // (w (n+1)); |code| is at
+    # most (2 span + 1) w // 2. Sized in Python ints, before any int64
+    w = (2 * span + 1) ** (kernel.d - 1)
+    h = (w - 1) // 2
+    top = ((2 * span + 1) * w // 2 + h) * n1 + n_max  # largest key + h (n+1)
+    if top > np.iinfo(np.int64).max:
+        raise ResourceError(
+            f"site keys of {n_max}-step paths in d = {kernel.d} need values "
+            f"up to {top}, beyond int64")
+    key_step = kernel.steps @ _code_weights(kernel.d, span) * n1 + 1
+    cdf = np.cumsum(kernel.probs)
+    cdf /= cdf[-1]
     for c, start in enumerate(range(0, reps, _CHUNK)):
         b = min(_CHUNK, reps - start)
-        pos = _path_positions(kernel, n_max, b, replica_rng(seed, c))
-        yield pos, _range_profile(_site_codes(pos, span))
+        # u >= cdf[j] counted over j is rng.choice(len(probs), p=probs) on
+        # the same uniforms; u < 1 = cdf[-1], so the last entry never counts
+        u = replica_rng(seed, c).random((b, n_max))
+        idx = np.zeros((b, n_max), dtype=np.min_scalar_type(len(cdf) - 1))
+        for v in cdf[:-1]:
+            idx += u >= v
+        del u
+        keys = np.zeros((b, n1), dtype=np.int64)
+        np.cumsum(key_step.take(idx), axis=1, out=keys[:, 1:])
+        x1 = keys + h * n1
+        x1 //= w * n1
+        yield x1, _range_profile(keys)
 
 
 def survival_samples(kernel, p, targets, reps, n_max, seed) -> np.ndarray:
@@ -85,15 +128,16 @@ def survival_samples(kernel, p, targets, reps, n_max, seed) -> np.ndarray:
     tg = np.asarray(targets, dtype=np.int64).reshape(-1)
     out = np.zeros((reps, len(tg)))
     pos = 0
-    for chunk_pos, ranges in _ensemble_chunks(kernel, n_max, reps, seed):
-        b = chunk_pos.shape[0]
+    for x1, ranges in _ensemble_chunks(kernel, n_max, reps, seed):
+        b = x1.shape[0]
         for t, target in enumerate(tg):
-            hit = chunk_pos[:, :, 0] >= target
+            hit = x1 >= target
             any_hit = hit.any(axis=1)
             t_hit = np.argmax(hit, axis=1)
             w = np.where(any_hit, (1.0 - p) ** ranges[np.arange(b), t_hit], 0.0)
             out[pos:pos + b, t] = w
         pos += b
+        del x1, ranges  # free this chunk before the next one is drawn
     return out
 
 

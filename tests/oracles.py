@@ -2,6 +2,9 @@
 
 - Path enumeration: exact pmfs, first returns, free and bridge range means
   and plane-survival weights of short walks.
+- Position-based path ensembles: the same seeded chunks as
+  `gffpin.scaling._ensemble_chunks`, drawn with `Generator.choice`, kept as
+  full positions, with ranges from a stable argsort of site codes.
 - Exact identities on `gffpin.walk.pmf_series`: first returns by the renewal
   recursion and the tied-down range of the bridge.
 - A saddle-point pmf from the Legendre rate function, an independent
@@ -30,6 +33,7 @@ from scipy.special import gamma, gammaincc
 
 from gffpin.errors import NumericalError, ValidationError
 from gffpin.green import Region
+from gffpin.scaling import _CHUNK
 from gffpin.stats import Estimate, replica_rng
 from gffpin.walk import pmf_origin_series, pmf_series
 
@@ -108,6 +112,47 @@ def exact_plane_survival(kernel, p, r, n_max):
             if path[-1][0] >= r and all(y[0] < r for y in path[:-1]):
                 total += prob * (1.0 - p) ** len(set(path))
     return total
+
+
+def path_positions(kernel, n, b, rng):
+    """(b, n + 1, d) positions of b walks of n steps from the origin."""
+    idx = rng.choice(len(kernel.probs), size=(b, n), p=kernel.probs)
+    steps = kernel.steps[idx]
+    pos = np.zeros((b, n + 1, kernel.d), dtype=np.int64)
+    np.cumsum(steps, axis=1, out=pos[:, 1:, :])
+    return pos
+
+
+def site_codes(positions, span):
+    """Lexicographic codes in [0, (2 span + 1)^d) of sites with
+    |coordinate| <= span."""
+    mult = 2 * span + 1
+    code = positions[..., 0].astype(np.int64) + span
+    for ax in range(1, positions.shape[-1]):
+        code = code * mult + (positions[..., ax].astype(np.int64) + span)
+    return code
+
+
+def range_profile(codes):
+    """Cumulative number of distinct sites along each row of site codes, by
+    a stable argsort."""
+    order = np.argsort(codes, axis=1, kind="stable")
+    sorted_codes = np.take_along_axis(codes, order, axis=1)
+    first_sorted = np.ones_like(codes, dtype=bool)
+    first_sorted[:, 1:] = np.diff(sorted_codes, axis=1) != 0
+    is_first = np.empty_like(first_sorted)
+    np.put_along_axis(is_first, order, first_sorted, axis=1)
+    return np.cumsum(is_first, axis=1)
+
+
+def ensemble_chunks(kernel, n_max, reps, seed):
+    """Reference of `gffpin.scaling._ensemble_chunks`: per chunk, the
+    (b, n_max + 1, d) positions and the (b, n_max + 1) range profile."""
+    span = n_max * kernel.max_step
+    for c, start in enumerate(range(0, reps, _CHUNK)):
+        b = min(_CHUNK, reps - start)
+        pos = path_positions(kernel, n_max, b, replica_rng(seed, c))
+        yield pos, range_profile(site_codes(pos, span))
 
 
 def f_pmf(k) -> float:

@@ -11,7 +11,7 @@ import pytest
 
 import gffpin
 
-from gffpin import cli, pinning
+from gffpin import cli, pinning, scaling
 from oracles import write_kernel_file
 
 ZETA_HALF = -1.4603545088095868  # zeta(1/2)
@@ -96,6 +96,9 @@ class TestHandlerInputs:
          "box_radius = 2\nepsilon = 0.3\ntargets = ;\nsamples = 10",
          "bad value for 'targets'"),
         ("domination-check",
+         "box_radius = 2\nepsilon = 0.3\ntargets = 0 0; 0 0\nsamples = 40",
+         "targets must be distinct"),
+        ("domination-check",
          "box_radius = 2\nepsilon = 0.3\ntargets = 0 0\nsamples = 10\nreplicas = 0",
          "replicas must be >= 2"),
         ("domination-check",
@@ -178,6 +181,26 @@ class TestHandlerInputs:
         err = capsys.readouterr().err
         assert "resource exceeded" in err and "Traceback" not in err
         assert not (out / output).exists()
+
+    def test_surrogate_paths_checked_before_drawing(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # at eps = 1e-6 the 3D pilot pass wants 256 paths of 24,001,029
+        # steps (46 GiB); the path ensemble refuses before any draw
+        def no_draws(*args):
+            raise AssertionError("paths were drawn")
+
+        monkeypatch.setattr(scaling, "replica_rng", no_draws)
+        kernel = tmp_path / "srw3.kernel"
+        write_kernel_file(kernel, [((1, 0, 0), 1.0), ((-1, 0, 0), 1.0),
+                                   ((0, 1, 0), 1.0), ((0, -1, 0), 1.0),
+                                   ((0, 0, 1), 1.0), ((0, 0, -1), 1.0)], 3)
+        code, out = _run(tmp_path, "mass-scan",
+                         "eps_list = 1e-6 5e-7 2e-7\nbudget = 1000\n"
+                         f"kernel_file = {kernel}\nseed = 1\n")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "resource exceeded" in err and "Traceback" not in err
+        assert not (out / "mass_scan_points.csv").exists()
 
 
 class TestPinsSample:
@@ -351,13 +374,30 @@ def test_surrogate_mass_manifest_records_monotone_ok(tmp_path, srw2_file):
     assert "truncation" not in manifest
 
 
-def test_import_leaves_out_scipy_stats():
+@pytest.mark.parametrize("command, body, banned", [
+    (None, None, "scipy"),
+    ("mass-scan", "eps_list = 0.3 0.2 0.1\nbudget = 300\nkernel_file = {kernel}",
+     "scipy"),
+    ("renewal1d", "eps_list = 0.1 0.01", "scipy.sparse"),
+], ids=["import", "mass-scan-surrogate", "renewal1d"])
+def test_start_up_leaves_out_scipy(tmp_path, srw2_file, command, body, banned):
+    # importing the CLI and a surrogate run need numpy alone; renewal1d
+    # loads scipy.special for its zeta table, but never scipy.sparse
     src = os.path.dirname(os.path.dirname(gffpin.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, gffpin.cli; "
-            "sys.exit('scipy.stats' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env,
-                          timeout=120).returncode == 0
+    code = ["import sys", "from gffpin import cli"]
+    if command:
+        config = tmp_path / "run.cfg"
+        config.write_text(body.format(kernel=srw2_file) + "\nseed = 3\n")
+        argv = [command, str(config), "--output-dir", str(tmp_path / "out")]
+        code.append(f"assert cli.main({argv!r}) == 0")
+    code += [f"loaded = [m for m in sys.modules if (m + '.').startswith("
+             f"{banned + '.'!r})]",
+             "if loaded:",
+             "    sys.exit('loaded ' + ' '.join(loaded))"]
+    proc = subprocess.run([sys.executable, "-c", "\n".join(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestRenewalCommand:

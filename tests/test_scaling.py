@@ -10,11 +10,10 @@ from gffpin.pinning import domination_densities, exact_pin_measure
 from gffpin.scaling import (
     MassCurve,
     _CHUNK,
+    _code_weights,
     _ensemble_chunks,
     _green_steps,
-    _path_positions,
     _range_profile,
-    _site_codes,
     mass_fit,
     mass_scan,
     survival_samples,
@@ -27,12 +26,20 @@ from gffpin.stats import replica_rng
 from gffpin.walk import make_kernel
 
 from oracles import (
+    ensemble_chunks,
     estimate_from_samples,
     exact_plane_survival,
     exact_range_mean,
+    path_positions,
+    range_profile,
+    site_codes,
     subset_green_table,
     write_kernel_file,
 )
+
+# nearest-neighbour steps plus +-2 jumps along the first axis
+JUMP2 = make_kernel([((1, 0), 1.0), ((-1, 0), 1.0), ((2, 0), 1.0),
+                     ((-2, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)], 2)
 
 
 class TestPathEnsembles:
@@ -77,12 +84,16 @@ class TestPathEnsembles:
         codes = np.array([[5, 5, 3, 5, 3, 7],
                           [1, 2, 3, 4, 5, 6],
                           [0, 0, 0, 0, 0, 0],
-                          [9, 1, 9, 1, 2, 1]])
-        assert np.array_equal(_range_profile(codes),
-                              [[1, 1, 2, 2, 2, 3],
-                               [1, 2, 3, 4, 5, 6],
-                               [1, 1, 1, 1, 1, 1],
-                               [1, 2, 2, 2, 3, 3]])
+                          [9, 1, 9, 1, 2, 1],
+                          [-4, 2, -4, -5, 2, 0]])
+        expected = [[1, 1, 2, 2, 2, 3],
+                    [1, 2, 3, 4, 5, 6],
+                    [1, 1, 1, 1, 1, 1],
+                    [1, 2, 2, 2, 3, 3],
+                    [1, 2, 2, 3, 3, 4]]
+        assert np.array_equal(_range_profile(codes * 6 + np.arange(6)),
+                              expected)
+        assert np.array_equal(range_profile(codes), expected)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_site_codes_are_a_bijection_of_the_box(self, d):
@@ -90,40 +101,83 @@ class TestPathEnsembles:
         axis = np.arange(-span, span + 1)
         sites = np.stack(np.meshgrid(*[axis] * d, indexing="ij"),
                          axis=-1).reshape(-1, d)
-        codes = _site_codes(sites, span)
-        assert sorted(codes.tolist()) == list(range((2 * span + 1) ** d))
+        half = ((2 * span + 1) ** d - 1) // 2
+        codes = sites @ _code_weights(d, span)
+        assert sorted(codes.tolist()) == list(range(-half, half + 1))
+        # the oracle's lexicographic codes are the same, shifted by half
+        assert np.array_equal(site_codes(sites, span), codes + half)
 
-    @pytest.mark.parametrize("name", ["srw2", "srw2_lazy", "srw3"])
+    @pytest.mark.parametrize("name", ["srw2", "srw2_lazy", "srw3", "jump2"])
+    @pytest.mark.parametrize("n_max, reps", [
+        (40, 2 * _CHUNK + 37),  # a partial last chunk
+        (0, _CHUNK + 5),
+        (1, 3),
+    ])
+    def test_chunks_equal_position_oracle(self, request, name, n_max, reps):
+        # the scalar-key walk reproduces the position-based ensemble exactly:
+        # the same uniforms give the same steps, x1 and ranges
+        kernel = (JUMP2 if name == "jump2"
+                  else request.getfixturevalue(name))
+        chunks = list(_ensemble_chunks(kernel, n_max, reps, (9, 2)))
+        expected = list(ensemble_chunks(kernel, n_max, reps, (9, 2)))
+        assert len(chunks) == len(expected) == -(-reps // _CHUNK)
+        for (x1, ranges), (pos, ref) in zip(chunks, expected):
+            assert x1.shape == ranges.shape == pos.shape[:2]
+            assert np.array_equal(x1, pos[:, :, 0])
+            assert np.array_equal(ranges, ref)
+
+    @pytest.mark.parametrize("name", ["srw2", "srw2_lazy", "srw3", "jump2"])
     def test_paths_start_at_origin_and_step_in_support(self, request, name):
-        kernel = request.getfixturevalue(name)
-        pos = _path_positions(kernel, 30, 40, np.random.default_rng(3))
+        kernel = (JUMP2 if name == "jump2"
+                  else request.getfixturevalue(name))
+        pos = path_positions(kernel, 30, 40, np.random.default_rng(3))
         assert pos.shape == (40, 31, kernel.d)
         assert not pos[:, 0].any()
         steps = {tuple(s) for s in np.diff(pos, axis=1).reshape(-1, kernel.d)}
         # 1200 steps visit every support vector of these kernels
         assert steps == {tuple(s) for s in kernel.steps}
+        (x1, _), = _ensemble_chunks(kernel, 30, 40, 3)
+        assert not x1[:, 0].any()
+        assert set(np.diff(x1, axis=1).ravel()) == set(kernel.steps[:, 0])
 
     def test_chunk_sizes(self, srw2):
-        sizes = [pos.shape[0] for pos, _ in
+        sizes = [x1.shape[0] for x1, _ in
                  _ensemble_chunks(srw2, 3, 2 * _CHUNK + 10, 4)]
         assert sizes == [_CHUNK, _CHUNK, 10]
 
     def test_chunk_c_drawn_from_replica_rng(self, srw2):
         # chunk c comes from replica_rng(seed, c) alone, so asking for fewer
         # paths leaves every leading whole chunk unchanged
-        full = [pos for pos, _ in _ensemble_chunks(srw2, 6, 2 * _CHUNK, 4)]
-        fewer = [pos for pos, _ in _ensemble_chunks(srw2, 6, _CHUNK + 1, 4)]
+        full = [x1 for x1, _ in _ensemble_chunks(srw2, 6, 2 * _CHUNK, 4)]
+        fewer = [x1 for x1, _ in _ensemble_chunks(srw2, 6, _CHUNK + 1, 4)]
         for c in range(2):
-            expected = _path_positions(srw2, 6, _CHUNK, replica_rng(4, c))
-            assert np.array_equal(full[c], expected)
+            expected = path_positions(srw2, 6, _CHUNK, replica_rng(4, c))
+            assert np.array_equal(full[c], expected[:, :, 0])
         assert np.array_equal(fewer[0], full[0])
-        assert np.array_equal(fewer[1], _path_positions(srw2, 6, 1,
-                                                        replica_rng(4, 1)))
+        assert np.array_equal(
+            fewer[1], path_positions(srw2, 6, 1, replica_rng(4, 1))[:, :, 0])
 
     def test_seed_changes_paths(self, srw2):
         (a, _), = _ensemble_chunks(srw2, 10, 100, 4)
         (b, _), = _ensemble_chunks(srw2, 10, 100, 5)
         assert not np.array_equal(a, b)
+
+    def test_key_overflow_is_resource_error(self, srw3):
+        # d = 3 keys code * (n+1) + t stay in int64 up to 38,967 steps
+        (x1, ranges), = _ensemble_chunks(srw3, 38967, 2, 0)
+        (pos, ref), = ensemble_chunks(srw3, 38967, 2, 0)
+        assert np.array_equal(x1, pos[:, :, 0])
+        assert np.array_equal(ranges, ref)
+        with pytest.raises(ResourceError, match="beyond int64"):
+            next(_ensemble_chunks(srw3, 38968, 1, 0))
+
+    def test_chunk_bytes_over_cap_is_resource_error(self, srw2,
+                                                    monkeypatch):
+        # five (b, n+1) int64 arrays per chunk: 5 * 8 * 256 * 101 bytes
+        monkeypatch.setattr(scaling, "COLUMN_BYTES_CAP", 5 * 8 * 256 * 101)
+        assert len(list(_ensemble_chunks(srw2, 100, 300, 0))) == 2
+        with pytest.raises(ResourceError, match="cap"):
+            next(_ensemble_chunks(srw2, 101, 300, 0))
 
 
 class TestSurvival:
@@ -171,16 +225,14 @@ class TestPlaneSurvival:
 
     def test_overshooting_jumps_match_enumeration(self):
         # the +-2 steps jump over the plane: x_1 = r is never visited
-        k = make_kernel([((1, 0), 1.0), ((-1, 0), 1.0), ((2, 0), 1.0),
-                         ((-2, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)], 2)
-        self._check(k, 0.3, [2, 3], 6, 30000, 12)
+        self._check(JUMP2, 0.3, [2, 3], 6, 30000, 12)
 
     def test_dominates_point_target(self, srw2):
         # the plane is reached no later than the site (3, 0) on it, with no
         # more distinct sites visited: point-target weights on the same paths
         plane = survival_samples(srw2, 0.3, [3], 1500, 40, seed=5)[:, 0]
         point = []
-        for pos, ranges in _ensemble_chunks(srw2, 40, 1500, 5):
+        for pos, ranges in ensemble_chunks(srw2, 40, 1500, 5):
             hit = np.all(pos == (3, 0), axis=2)
             t_hit = np.argmax(hit, axis=1)
             first = ranges[np.arange(len(pos)), t_hit]
