@@ -282,6 +282,15 @@ def _mask_members(mask, n):
     return np.array([k for k in range(n) if (mask >> k) & 1], dtype=np.int64)
 
 
+def _logsumexp(logw) -> float:
+    """log sum exp(logw), formed as scipy's logsumexp forms it: the terms
+    at the maximum are counted, the rest summed relative to it in log1p."""
+    top = logw.max()
+    at = logw == top
+    rest = np.exp(np.where(at, -np.inf, logw) - top).sum() / at.sum()
+    return float(np.log1p(rest) + np.log(at.sum()) + top)
+
+
 def exact_pin_measure(region, eps) -> ExactPinTable:
     """Enumerate nu(A) over all pin sets A of the alive sites. Weights:
     eps^|A| (2 pi)^{|A^c|/2} det(beta (I-P)|_{A^c})^{-1/2}."""
@@ -308,9 +317,7 @@ def exact_pin_measure(region, eps) -> ExactPinTable:
             ld = 0.0
         logz = ((n - k) / 2.0) * (log2pi - logbeta) - 0.5 * (logdet_m + ld)
         logw[mask] = k * logeps + logz
-    from scipy.special import logsumexp
-
-    logz_total = float(logsumexp(logw))
+    logz_total = _logsumexp(logw)
     probs = np.exp(logw - logz_total)
     probs /= probs.sum()
     return ExactPinTable(region=region, eps=eps, probs=probs,

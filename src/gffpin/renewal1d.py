@@ -5,13 +5,15 @@ k >= 1, f(k) = 1/sqrt(2 pi k) the return density of the Gaussian walk. The
 tilt lam(eps) normalizing it is the mass of the chain; between pins the field
 is a Gaussian bridge with E(S_m^2 | S_n = 0) = m (n - m)/n. The sums over
 gaps are polylogarithms at e^{-lam}, summed in closed form by `_polylogs`.
+Its series constants, Gamma(1 - s) and zeta at half-integers, are tabulated
+here and checked against scipy in the tests, so the module loads numpy
+alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -24,17 +26,28 @@ SERIES_TERMS = 24   # series error below 1e-15 relative for lam < 1
 DIRECT_SPAN = 45.0  # e^{-45} ~ 3e-20 relative to the first term
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_PI = math.sqrt(math.pi)
 _S = np.array([0.5, -0.5, -1.5])
 _N = np.arange(SERIES_TERMS)
 
-
-@cache
-def _series_coefficients():
-    """Gamma(1 - s) and the table zeta(s - n) / n!, n < SERIES_TERMS, for
-    the three s of `_polylogs`; scipy.special loads at the first call."""
-    from scipy.special import factorial, gamma, zeta
-
-    return gamma(1.0 - _S), zeta(_S[:, None] - _N) / factorial(_N)
+# zeta(1/2 - j), j = 0..25: the repr of scipy's zeta at each point
+_ZETA_HALF_INTEGERS = (
+    -1.4603545088095866, -0.2078862249773546, -0.025485201889833053,
+    0.00851692877785033, 0.004441011335479434, -0.0030916692472158364,
+    -0.002671458019899229, 0.0027467679395368704, 0.0032690395726002216,
+    -0.004416032873004892, -0.00667217229646665, 0.011146122473942834,
+    0.020396978715942822, -0.040574967481194636, -0.08717525590621737,
+    0.20117404938422698, 0.4962712199120593, -1.3032292507051177,
+    -3.6297592997745847, 10.68732706902202, 33.16832578569471,
+    -108.21747505877623, -370.3018783754793, 1326.0458117490175,
+    4959.598315043067, -19338.9419883747,
+)
+# Gamma(1 - s) for the three s of `_polylogs`: Gamma(1/2), Gamma(3/2) and
+# Gamma(5/2) in closed form (math.gamma is an ulp off at 3/2 and 5/2)
+_GAMMA = np.array([_SQRT_PI, _SQRT_PI / 2.0, 0.75 * _SQRT_PI])
+# zeta(s - n) / n!, n < SERIES_TERMS; s - n = 1/2 - (row + n)
+_ZETA_TABLE = (np.array(_ZETA_HALF_INTEGERS)[np.arange(3)[:, None] + _N]
+               / np.array([float(math.factorial(n)) for n in _N.tolist()]))
 
 
 def _polylogs(lam):
@@ -46,8 +59,7 @@ def _polylogs(lam):
     + sum_{n>=0} zeta(s-n) (-lam)^n / n!, terms falling like (lam / 2 pi)^n:
     used below LAM_SERIES, the direct sum over k <= DIRECT_SPAN / lam above."""
     if lam < LAM_SERIES:
-        gam, zeta_table = _series_coefficients()
-        li = (gam + lam ** (1.0 - _S) * (zeta_table @ (-lam) ** _N)).tolist()
+        li = (_GAMMA + lam ** (1.0 - _S) * (_ZETA_TABLE @ (-lam) ** _N)).tolist()
         return li[0], li[1], li[2] - lam * lam * li[0]
     k = np.arange(1.0, math.ceil(DIRECT_SPAN / lam) + 1.0)
     w = np.exp(-lam * k) / np.sqrt(k)
@@ -71,10 +83,11 @@ def solve_lambda(eps, tol=TOL) -> float:
     decreasing, so after the first step the iterates rise to the root; a
     step to lam <= 0 halves lam instead. Stops at |g| <= tol, else raises
     NumericalError with the residual."""
-    lam = max((math.sqrt(2.0) / eps - ZETA_HALF / math.sqrt(math.pi)) ** -2,
-              math.log(eps / _SQRT_2PI))
+    lam = (math.sqrt(2.0) / eps - ZETA_HALF / math.sqrt(math.pi)) ** -2
+    # checked before the log: at the smallest eps, eps / sqrt(2 pi) is 0
     if lam < 1e-300:
         raise NumericalError(f"epsilon {eps!r} is too small: the tilt underflows")
+    lam = max(lam, math.log(eps / _SQRT_2PI))
     for _ in range(100):
         g = _normalizer(eps, lam) - 1.0
         if abs(g) <= tol:

@@ -73,14 +73,10 @@ def _range_profile(keys):
     return np.cumsum(site, axis=1, out=site)
 
 
-def _ensemble_chunks(kernel, n_max, reps, seed):
-    """Per chunk of at most `_CHUNK` paths, (x1, ranges): the first
-    coordinate X_t[0] and the range |X_[0,t]|, both (b, n_max + 1) int64.
-
-    The walk accumulates one key per visit, code * (n_max+1) + t with code
-    the site's `_code_weights` code, and x1 is read back off the key.
-    ResourceError, before anything is drawn, when a chunk's arrays exceed
-    COLUMN_BYTES_CAP or a key could overflow int64."""
+def _key_layout(kernel, n_max, reps):
+    """(w, h) of the site keys of `reps` paths of `n_max` steps, computed in
+    Python ints; ResourceError when a chunk's arrays exceed COLUMN_BYTES_CAP
+    or a key could overflow int64."""
     span = n_max * kernel.max_step
     n1 = n_max + 1
     # alive at once: x1, keys, site codes, the first-visit flags and their
@@ -100,6 +96,19 @@ def _ensemble_chunks(kernel, n_max, reps, seed):
         raise ResourceError(
             f"site keys of {n_max}-step paths in d = {kernel.d} need values "
             f"up to {top}, beyond int64")
+    return w, h
+
+
+def _ensemble_chunks(kernel, n_max, reps, seed):
+    """Per chunk of at most `_CHUNK` paths, (x1, ranges): the first
+    coordinate X_t[0] and the range |X_[0,t]|, both (b, n_max + 1) int64.
+
+    The walk accumulates one key per visit, code * (n_max+1) + t with code
+    the site's `_code_weights` code, and x1 is read back off the key.
+    `_key_layout` checks the sizes before anything is drawn."""
+    span = n_max * kernel.max_step
+    n1 = n_max + 1
+    w, h = _key_layout(kernel, n_max, reps)
     key_step = kernel.steps @ _code_weights(kernel.d, span) * n1 + 1
     cdf = np.cumsum(kernel.probs)
     cdf /= cdf[-1]
@@ -263,9 +272,14 @@ def _survival_curve(kernel, p, rs, budget, n_max, seed):
     return weights, vals, errs, counts
 
 
-def _window(m, lo=_FIT_LO, hi=_FIT_HI, points=6):
-    r_lo = max(2, int(math.ceil(lo / m)))
-    r_hi = max(r_lo + 4, int(math.ceil(hi / m)))
+def _window_ends(m, lo=_FIT_LO, hi=_FIT_HI):
+    """First and last fit distance, Python ints: at tiny eps the last is
+    past int64, so it is sized here before numpy sees it."""
+    r_lo = max(2, math.ceil(lo / m))
+    return r_lo, max(r_lo + 4, math.ceil(hi / m))
+
+
+def _window(r_lo, r_hi, points):
     return np.unique(np.round(np.linspace(r_lo, r_hi, points)).astype(int))
 
 
@@ -279,17 +293,25 @@ def _surrogate_point(kernel, eps, budget, seed, mapping, point_index):
     p = surrogate_density(eps, kernel.d, mapping)
     sigma1 = float(kernel.cov[0, 0])
     m_guess = math.sqrt(p / sigma1)
-    # pilot pass: recenter the fit window on the measured decay rate
-    rs0 = _window(m_guess, hi=8.0, points=5)
-    n0 = _steps_needed(m_guess, sigma1, rs0[-1])
-    _, v0, e0, c0 = _survival_curve(kernel, p, rs0, max(budget // 4, 4000),
-                                    n0, (seed, point_index, 0))
+    if m_guess == 0.0:
+        raise ResourceError(f"trap density underflows to 0 at eps={eps!r}: "
+                            "the paths would need unbounded steps")
+    # pilot pass: recenter the fit window on the measured decay rate; its
+    # steps bound its radii, and both are checked before any numpy call
+    ends = _window_ends(m_guess, hi=8.0)
+    n0 = _steps_needed(m_guess, sigma1, ends[1])
+    pilot = max(budget // 4, 4000)
+    _key_layout(kernel, n0, pilot)
+    rs0 = _window(*ends, points=5)
+    _, v0, e0, c0 = _survival_curve(kernel, p, rs0, pilot, n0,
+                                    (seed, point_index, 0))
     keep0 = (c0 >= _MIN_HITS) & (v0 > 0)
     if keep0.sum() >= 3:
         m_guess = max(mass_fit(MassCurve(rs0[keep0].astype(float), v0[keep0],
                                          e0[keep0])).mass, 1e-3)
-    rs = _window(m_guess)
-    n_max = _steps_needed(m_guess, sigma1, rs[-1])
+    ends = _window_ends(m_guess)
+    rs = _window(*ends, points=6)
+    n_max = _steps_needed(m_guess, sigma1, ends[1])
     weights, vals, errs, counts = _survival_curve(
         kernel, p, rs, budget, n_max, (seed, point_index, 1))
     keep = (counts >= _MIN_HITS) & (vals > 0)

@@ -32,6 +32,15 @@ def srw2_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def srw3_file(tmp_path):
+    path = tmp_path / "srw3.kernel"
+    write_kernel_file(path, [((1, 0, 0), 1.0), ((-1, 0, 0), 1.0),
+                             ((0, 1, 0), 1.0), ((0, -1, 0), 1.0),
+                             ((0, 0, 1), 1.0), ((0, 0, -1), 1.0)], 3)
+    return path
+
+
 def _manifest(out):
     with open(out / "manifest.txt") as fh:
         return dict(line.rstrip("\n").split(" = ", 1) for line in fh)
@@ -183,20 +192,41 @@ class TestHandlerInputs:
         assert not (out / output).exists()
 
     def test_surrogate_paths_checked_before_drawing(self, tmp_path, capsys,
-                                                   monkeypatch):
+                                                   monkeypatch, srw3_file):
         # at eps = 1e-6 the 3D pilot pass wants 256 paths of 24,001,029
         # steps (46 GiB); the path ensemble refuses before any draw
         def no_draws(*args):
             raise AssertionError("paths were drawn")
 
         monkeypatch.setattr(scaling, "replica_rng", no_draws)
-        kernel = tmp_path / "srw3.kernel"
-        write_kernel_file(kernel, [((1, 0, 0), 1.0), ((-1, 0, 0), 1.0),
-                                   ((0, 1, 0), 1.0), ((0, -1, 0), 1.0),
-                                   ((0, 0, 1), 1.0), ((0, 0, -1), 1.0)], 3)
         code, out = _run(tmp_path, "mass-scan",
                          "eps_list = 1e-6 5e-7 2e-7\nbudget = 1000\n"
-                         f"kernel_file = {kernel}\nseed = 1\n")
+                         f"kernel_file = {srw3_file}\nseed = 1\n")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "resource exceeded" in err and "Traceback" not in err
+        assert not (out / "mass_scan_points.csv").exists()
+
+    @pytest.mark.parametrize("kernel, eps", [
+        ("srw3_file", "1e-38"),  # the pilot radius ceil(8 / m) is past int64
+        ("srw2_file", "5e-324"),  # the 2D trap density underflows to 0
+    ])
+    def test_surrogate_window_sized_before_numpy(self, tmp_path, capsys,
+                                                 monkeypatch, request,
+                                                 kernel, eps):
+        # the first two points run; the last stops before its fit window
+        # is built
+        real = scaling._window
+
+        def window(r_lo, r_hi, points):
+            assert r_hi < 2 ** 63, "unchecked window"
+            return real(r_lo, r_hi, points)
+
+        monkeypatch.setattr(scaling, "_window", window)
+        code, out = _run(tmp_path, "mass-scan",
+                         f"eps_list = 0.3 0.2 {eps}\nbudget = 300\n"
+                         f"kernel_file = {request.getfixturevalue(kernel)}\n"
+                         "seed = 1\n")
         assert code == 4
         err = capsys.readouterr().err
         assert "resource exceeded" in err and "Traceback" not in err
@@ -378,11 +408,14 @@ def test_surrogate_mass_manifest_records_monotone_ok(tmp_path, srw2_file):
     (None, None, "scipy"),
     ("mass-scan", "eps_list = 0.3 0.2 0.1\nbudget = 300\nkernel_file = {kernel}",
      "scipy"),
-    ("renewal1d", "eps_list = 0.1 0.01", "scipy.sparse"),
-], ids=["import", "mass-scan-surrogate", "renewal1d"])
+    ("renewal1d", "eps_list = 0.1 0.01", "scipy"),
+    ("fkg-check", "box_radius = 1\neps_list = 0.5 0.1\nkernel_file = {kernel}",
+     "scipy.special"),
+], ids=["import", "mass-scan-surrogate", "renewal1d", "fkg-check"])
 def test_start_up_leaves_out_scipy(tmp_path, srw2_file, command, body, banned):
-    # importing the CLI and a surrogate run need numpy alone; renewal1d
-    # loads scipy.special for its zeta table, but never scipy.sparse
+    # importing the CLI, a surrogate run and renewal1d (its series constants
+    # are tabulated) need numpy alone; the exact enumeration of fkg-check
+    # loads scipy.sparse for its Region, but never scipy.special
     src = os.path.dirname(os.path.dirname(gffpin.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ["import sys", "from gffpin import cli"]
@@ -426,7 +459,8 @@ class TestRenewalCommand:
             outputs.append((out / "renewal1d.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("eps", ("1e-110", "1e-200", "1e200"))
+    # at 5e-324 the two-term tilt is 0 and eps / sqrt(2 pi) underflows
+    @pytest.mark.parametrize("eps", ("1e-110", "1e-200", "1e200", "5e-324"))
     def test_overflow_is_numerical_error(self, tmp_path, capsys, eps):
         code, out = _run(tmp_path, "renewal1d", f"eps_list = 0.1 {eps}\nseed = 1\n")
         assert code == 3

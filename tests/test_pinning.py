@@ -61,6 +61,25 @@ class TestExactPinMeasure:
         tb = exact_pin_measure(rb, 0.7)
         assert np.abs(ta.probs - tb.probs).max() <= 1e-10
 
+    def test_logsumexp_matches_scipy(self, box3, monkeypatch):
+        from scipy.special import logsumexp
+
+        seen, original = [], pinning._logsumexp
+
+        def record(logw):
+            seen.append(logw.copy())
+            return original(logw)
+
+        monkeypatch.setattr(pinning, "_logsumexp", record)
+        for eps in (1e-3, EPS, 1e6):
+            exact_pin_measure(box3, eps)
+        assert len(seen) == 3
+        for logw in seen:
+            tied = logw.copy()
+            tied[:3] = tied.max()  # a three-way tie at the maximum
+            for w in (logw, tied, np.full(4, logw[0])):
+                assert original(w) == float(logsumexp(w))
+
     def test_box_too_large(self, srw2):
         with pytest.raises(ResourceError):
             exact_pin_measure(box_region(srw2, 2), 0.5)

@@ -8,6 +8,11 @@ from gffpin.errors import NumericalError, ValidationError
 from gffpin.renewal1d import (
     LAM_SERIES,
     RenewalModel,
+    _GAMMA,
+    _N,
+    _S,
+    _ZETA_HALF_INTEGERS,
+    _ZETA_TABLE,
     _normalizer,
     _polylogs,
     renewal_mean,
@@ -67,6 +72,31 @@ class TestTiltSolve:
     def test_unreachable_tol_reports_residual(self):
         with pytest.raises(NumericalError, match="residual"):
             solve_lambda(0.1, tol=1e-30)
+
+
+class TestSeriesConstants:
+    """The tabulated series constants are scipy.special's, bit for bit, so
+    the CSVs do not change with the tabulation."""
+
+    def test_zeta_literals(self):
+        from scipy.special import zeta
+
+        assert len(_ZETA_HALF_INTEGERS) == 26
+        for j, value in enumerate(_ZETA_HALF_INTEGERS):
+            assert value == float(zeta(0.5 - j)), j
+
+    def test_gamma_closed_forms(self):
+        from scipy.special import gamma
+
+        assert _GAMMA.tolist() == gamma(1.0 - _S).tolist()
+
+    def test_zeta_table(self):
+        from scipy.special import factorial, zeta
+
+        assert _ZETA_TABLE.shape == (3, 24)
+        assert _ZETA_TABLE.tolist() == (
+            zeta(_S[:, None] - _N) / factorial(_N)).tolist()
+
 
 class TestClosedForm:
     """Polylogarithm forms against truncated direct sums with bounded tails."""
