@@ -7,8 +7,9 @@ run. Exit codes: 0 ok, 2 config validation, 3 numerical failure, 4 resource
 exceeded. Every command runs serially, so its output bytes are a function
 of the config alone.
 
-Every config rule is checked once, in `_check`, before the output directory
-is made; the library functions the handlers call do not check them again.
+Every config key and its default is written once, in `SCHEMAS`. `_check`
+fills in the defaults and checks every rule once, before the output directory
+is made; the library functions the handlers call do neither again.
 """
 
 from __future__ import annotations
@@ -86,44 +87,44 @@ _PARSERS = {
     "sites": _parse_sites, "str": str,
 }
 
-# key -> (type, required)
+# key -> (type, default); the library works out a default of None
+REQUIRED = object()  # the default of a key that every config must set
 SCHEMAS = {
-    "kernel-info": {"kernel_file": ("str", True)},
+    "kernel-info": {"kernel_file": ("str", REQUIRED)},
     "green-probe": {
-        "kernel_file": ("str", True), "box_radius": ("int", True),
-        "probes": ("sites", True), "pins": ("sites", False),
+        "kernel_file": ("str", REQUIRED), "box_radius": ("int", REQUIRED),
+        "probes": ("sites", REQUIRED), "pins": ("sites", ()),
     },
     "pins-sample": {
-        "kernel_file": ("str", True), "box_radius": ("int", True),
-        "epsilon": ("float", True), "sweeps": ("int", True),
-        "burnin": ("int", False),
+        "kernel_file": ("str", REQUIRED), "box_radius": ("int", REQUIRED),
+        "epsilon": ("float", REQUIRED), "sweeps": ("int", REQUIRED),
+        "burnin": ("int", None),
     },
     "fkg-check": {
-        "kernel_file": ("str", True), "box_radius": ("int", True),
-        "eps_list": ("floats", True),
+        "kernel_file": ("str", REQUIRED), "box_radius": ("int", REQUIRED),
+        "eps_list": ("floats", REQUIRED),
     },
     "domination-check": {
-        "kernel_file": ("str", True), "box_radius": ("int", True),
-        "epsilon": ("float", True), "targets": ("sites", True),
-        "samples": ("int", True), "replicas": ("int", False),
+        "kernel_file": ("str", REQUIRED), "box_radius": ("int", REQUIRED),
+        "epsilon": ("float", REQUIRED), "targets": ("sites", REQUIRED),
+        "samples": ("int", REQUIRED), "replicas": ("int", pinning.REPLICAS),
     },
     "variance-scan": {
-        "kernel_file": ("str", True), "eps_list": ("floats", True),
-        "budget": ("int", True), "replicas": ("int", False),
-        "policy_c": ("float", False), "min_radius": ("int", False),
-        "box_radius": ("int", False), "eta": ("float", False),
+        "kernel_file": ("str", REQUIRED), "eps_list": ("floats", REQUIRED),
+        "budget": ("int", REQUIRED), "replicas": ("int", pinning.REPLICAS),
+        "box_radius": ("int", None),
     },
     "mass-scan": {
-        "kernel_file": ("str", True), "eps_list": ("floats", True),
-        "budget": ("int", True), "mode": ("str", False),
-        "mapping": ("str", False), "region_radius": ("int", False),
-        "samples": ("int", False),
+        "kernel_file": ("str", REQUIRED), "eps_list": ("floats", REQUIRED),
+        "budget": ("int", REQUIRED), "mode": ("str", "bernoulli-surrogate"),
+        "mapping": ("str", "default"), "region_radius": ("int", None),
+        "samples": ("int", 400),
     },
-    "renewal1d": {"eps_list": ("floats", True), "tol": ("float", False)},
+    "renewal1d": {"eps_list": ("floats", REQUIRED)},
     "box-stability": {
-        "kernel_file": ("str", True), "epsilon": ("float", True),
-        "radii": ("ints", True), "probe": ("str", True),
-        "samples": ("int", True), "replicas": ("int", False),
+        "kernel_file": ("str", REQUIRED), "epsilon": ("float", REQUIRED),
+        "radii": ("ints", REQUIRED), "probe": ("str", REQUIRED),
+        "samples": ("int", REQUIRED), "replicas": ("int", pinning.REPLICAS),
     },
 }
 
@@ -134,22 +135,23 @@ def validate(command, raw_config) -> list[str]:
 
 
 def _check(command, raw_config):
-    """(violations, parsed config). A command with a `kernel_file` key gets
-    the loaded kernel under `kernel`, so that a malformed kernel is a config
-    error and no handler parses the file again."""
+    """(violations, parsed config), parsed with every schema key. A command
+    with a `kernel_file` key gets the loaded kernel under `kernel`, so that a
+    malformed kernel is a config error and no handler parses it again."""
     if command not in SCHEMAS:
         return [f"unknown command {command!r}"], {}
-    schema = dict(SCHEMAS[command])
-    schema["seed"] = ("int", True)
+    schema = {**SCHEMAS[command], "seed": ("int", REQUIRED)}
     violations = []
     for key in raw_config:
         if key not in schema:
             violations.append(f"unknown key {key!r} for {command}")
     parsed = {}
-    for key, (typ, required) in schema.items():
+    for key, (typ, default) in schema.items():
         if key not in raw_config:
-            if required:
+            if default is REQUIRED:
                 violations.append(f"missing required key {key!r}")
+            else:
+                parsed[key] = default
             continue
         try:
             parsed[key] = _PARSERS[typ](raw_config[key])
@@ -159,38 +161,34 @@ def _check(command, raw_config):
         return violations, parsed
 
     for key, (typ, _) in schema.items():
-        if key in parsed and typ in ("float", "floats"):
+        if typ in ("float", "floats"):
             values = parsed[key] if typ == "floats" else [parsed[key]]
             if not all(map(math.isfinite, values)):
                 violations.append(f"{key} must be finite")
 
-    def positive(key, what="positive"):
+    def positive(key):
         if key in parsed and not parsed[key] > 0:
-            violations.append(f"{key} must be {what}")
+            violations.append(f"{key} must be positive")
 
     def at_least(key, low):
-        if key in parsed and parsed[key] < low:
+        if parsed.get(key) is not None and parsed[key] < low:
             violations.append(f"{key} must be >= {low}")
 
     positive("epsilon")
     positive("sweeps")
     positive("samples")
     positive("budget")
-    positive("tol")
-    positive("policy_c")
     # the error bar is the spread of the replica means
     at_least("replicas", 2)
     at_least("box_radius", 0)
-    at_least("min_radius", 0)
     # the pinned mass fit probes distances up to max(6, radius - 2)
     at_least("region_radius", 6)
-    at_least("eta", 0)
-    if any(r < 0 for r in parsed.get("radii", ())):
-        violations.append("radii must be >= 0")
-    if len(set(parsed.get("targets", ()))) < len(parsed.get("targets", ())):
+    if "targets" in parsed and len(set(parsed["targets"])) < len(
+            parsed["targets"]):
         # a repeat would count twice in the Bernoulli curves' |B|
         violations.append("targets must be distinct sites")
-    if "burnin" in parsed and not 0 <= parsed["burnin"] <= parsed["sweeps"]:
+    if parsed.get("burnin") is not None and not (
+            0 <= parsed["burnin"] <= parsed["sweeps"]):
         violations.append("burnin must lie in [0, sweeps]")
     if "eps_list" in parsed:
         eps = parsed["eps_list"]
@@ -208,42 +206,53 @@ def _check(command, raw_config):
             violations.append(f"kernel file {parsed['kernel_file']!r} not found")
         except (OSError, ValueError, ValidationError) as exc:
             violations.append(f"kernel file {parsed['kernel_file']!r}: {exc}")
-    if "kernel" in parsed and "box_radius" in parsed and not violations:
+    if command in ("green-probe", "domination-check") and not violations:
         # pins and targets are sites, probes are pairs of sites (x then y)
         d, radius = parsed["kernel"].d, parsed["box_radius"]
         for key, width in (("pins", d), ("targets", d), ("probes", 2 * d)):
-            for site in parsed.get(key, ()):
+            if key not in parsed:
+                continue
+            for site in parsed[key]:
                 if len(site) != width or any(abs(c) > radius for c in site):
                     violations.append(
                         f"{key} entry {site} must hold {width} coordinates "
                         f"inside the box of radius {radius}")
-        pins = set(parsed.get("pins", ()))
-        for probe in parsed.get("probes", ()):
-            if probe[:d] in pins or probe[d:] in pins:
-                violations.append(f"probe {probe} sits on a pin")
-    if command == "variance-scan" and "box_radius" in parsed and not violations:
-        c = parsed.get("policy_c", 1.5)
-        floor = max(scaling.variance_box_policy(e, c, parsed.get("min_radius", 8))
-                    for e in parsed["eps_list"])
+        if command == "green-probe":
+            pins = set(parsed["pins"])
+            for probe in parsed["probes"]:
+                if probe[:d] in pins or probe[d:] in pins:
+                    violations.append(f"probe {probe} sits on a pin")
+    if (command == "variance-scan" and parsed["box_radius"] is not None
+            and not violations):
+        floor = max(map(scaling.variance_box_policy, parsed["eps_list"]))
         if parsed["box_radius"] < floor:
             violations.append(
                 f"box_radius {parsed['box_radius']} below the policy floor "
-                f"{floor} (radius >= {c} * eps^-1/2 |log eps|)")
+                f"{floor} ({scaling.POLICY})")
     if command == "box-stability":
-        if parsed.get("probe") not in ("unpinned-marginal", "variance"):
+        if parsed["probe"] not in ("unpinned-marginal", "variance"):
             violations.append("probe must be unpinned-marginal or variance")
-        radii = parsed.get("radii", [])
+        radii = parsed["radii"]
+        if any(r < 0 for r in radii):
+            violations.append("radii must be >= 0")
         if sorted(set(radii)) != list(radii):
             violations.append("radii must be strictly increasing")
     if command == "mass-scan":
-        if parsed.get("mode", "bernoulli-surrogate") not in (
-                "bernoulli-surrogate", "pinning-exact"):
+        if parsed["mode"] not in ("bernoulli-surrogate", "pinning-exact"):
             violations.append("mode must be bernoulli-surrogate or pinning-exact")
-        if parsed.get("mapping", "default") not in ("default", "direct"):
+        if parsed["mapping"] not in ("default", "direct"):
             violations.append("mapping must be default or direct")
-        if (not violations
-                and parsed.get("mode", "bernoulli-surrogate") == "bernoulli-surrogate"):
+        if not violations and parsed["mode"] == "bernoulli-surrogate":
             violations.extend(_plane_target_violations(parsed["kernel"]))
+            for eps in parsed["eps_list"]:  # p is a per-site probability
+                try:
+                    p = scaling.surrogate_density(eps, parsed["kernel"].d,
+                                                  parsed["mapping"])
+                except ZeroDivisionError:  # eps = 1 in d = 2: |log eps| = 0
+                    p = math.inf
+                if not p < 1.0:
+                    violations.append(f"the surrogate trap density at "
+                                      f"epsilon {eps!r} is {p!r}, not below 1")
     return violations, parsed
 
 
@@ -265,8 +274,7 @@ def _plane_target_violations(kernel):
 
 
 def parse_command_config(command, raw_config) -> dict:
-    schema = dict(SCHEMAS[command])
-    schema["seed"] = ("int", True)
+    schema = {**SCHEMAS[command], "seed": ("int", REQUIRED)}
     return {k: _PARSERS[schema[k][0]](v) for k, v in raw_config.items()}
 
 
@@ -367,7 +375,7 @@ def _cmd_kernel_info(cfg, out, manifest):
 
 def _cmd_green_probe(cfg, out, manifest):
     k = cfg["kernel"]
-    region = box_region(k, cfg["box_radius"], pins=cfg.get("pins", ()))
+    region = box_region(k, cfg["box_radius"], pins=cfg["pins"])
     rows = []
     for probe in cfg["probes"]:
         x, y = probe[:k.d], probe[k.d:]
@@ -383,7 +391,7 @@ def _cmd_pins_sample(cfg, out, manifest):
     k = cfg["kernel"]
     region = box_region(k, cfg["box_radius"])
     state = pinning.sample_pins(region, cfg["epsilon"], cfg["sweeps"],
-                                cfg["seed"], burnin=cfg.get("burnin"))
+                                cfg["seed"], burnin=cfg["burnin"])
     header = ("sweep",) + tuple(
         "s_" + "_".join(str(c) for c in site) for site in region.sites)
     rows = [(state.burnin + 1 + i, *row) for i, row in enumerate(state.samples)]
@@ -410,7 +418,7 @@ def _cmd_domination_check(cfg, out, manifest):
     region = box_region(k, cfg["box_radius"])
     res = pinning.empty_probability(
         region, cfg["epsilon"], cfg["targets"], cfg["samples"], cfg["seed"],
-        replicas=cfg.get("replicas", 4))
+        replicas=cfg["replicas"])
     rows = [(cfg["epsilon"], res.estimate.mean, res.estimate.stderr,
              res.estimate.n, res.lower_curve, res.upper_curve,
              res.density_lo, res.density_hi, len(cfg["targets"]))]
@@ -424,9 +432,7 @@ def _cmd_variance_scan(cfg, out, manifest):
     k = cfg["kernel"]
     res = scaling.variance_scan(
         k, cfg["eps_list"], budget=cfg["budget"], seed=cfg["seed"],
-        replicas=cfg.get("replicas", 4), policy_c=cfg.get("policy_c", 1.5),
-        min_radius=cfg.get("min_radius", 8), box_radius=cfg.get("box_radius"),
-        eta=cfg.get("eta", 3.0))
+        replicas=cfg["replicas"], box_radius=cfg["box_radius"])
     d = res.diagnostics
     rows = [(e, v.mean, v.stderr, v.n, f, br, n0, g, off)
             for e, v, f, br, n0, g, off in zip(
@@ -447,10 +453,9 @@ def _cmd_variance_scan(cfg, out, manifest):
 def _cmd_mass_scan(cfg, out, manifest):
     k = cfg["kernel"]
     res = scaling.mass_scan(
-        k, cfg["eps_list"], mode=cfg.get("mode", "bernoulli-surrogate"),
-        budget=cfg["budget"], seed=cfg["seed"],
-        mapping=cfg.get("mapping", "default"),
-        region_radius=cfg.get("region_radius"), samples=cfg.get("samples"))
+        k, cfg["eps_list"], mode=cfg["mode"], budget=cfg["budget"],
+        seed=cfg["seed"], mapping=cfg["mapping"],
+        region_radius=cfg["region_radius"], samples=cfg["samples"])
     d = res.diagnostics
     rows = [(e, v.mean, v.stderr, v.n, f, dens, nmax)
             for e, v, f, dens, nmax in zip(res.eps, res.values, res.flags,
@@ -461,7 +466,7 @@ def _cmd_mass_scan(cfg, out, manifest):
     manifest.add_file("mass_scan_points.csv")
     fit = [("exponent", res.slope), ("exponent_stderr", res.slope_stderr),
            ("mode", d["mode"]), ("mapping", d["mapping"]),
-           ("chi2", d.get("chi2", "")), ("dof", d.get("dof", ""))]
+           ("chi2", d["chi2"]), ("dof", d["dof"])]
     if "m_over_sqrt_eps" in d:
         fit.append(("m_over_sqrt_eps",
                     " ".join(repr(v) for v in d["m_over_sqrt_eps"])))
@@ -476,7 +481,7 @@ def _cmd_mass_scan(cfg, out, manifest):
 def _cmd_renewal1d(cfg, out, manifest):
     rows = []
     for eps in cfg["eps_list"]:
-        model = renewal1d.renewal_model(eps, tol=cfg.get("tol", 1e-12))
+        model = renewal1d.renewal_model(eps)
         big_m = renewal1d.renewal_mean(model)
         var = renewal1d.variance_1d(model)
         try:
@@ -499,7 +504,7 @@ def _cmd_box_stability(cfg, out, manifest):
     rows = [(r.radius, cfg["probe"], r.value.mean, r.value.stderr, r.value.n)
             for r in pinning.box_stability(
                 k, cfg["epsilon"], cfg["radii"], cfg["probe"], cfg["samples"],
-                cfg["seed"], replicas=cfg.get("replicas", 4))]
+                cfg["seed"], replicas=cfg["replicas"])]
     write_csv(os.path.join(out, "box_stability.csv"),
               ("radius", "probe", "estimate", "stderr", "n_used"), rows)
     manifest.add_file("box_stability.csv")

@@ -29,6 +29,7 @@ from .stats import Estimate, replica_rng
 ENUM_LIMIT = 16  # subsets are enumerated for at most 2^16 pinnable sites
 PAIR_LIMIT = 9  # exhaustive lattice-condition pair checks
 AUDIT_TOL = 1e-2
+REPLICAS = 4  # chains per Monte Carlo estimate where no config sets them
 _AUDIT_VISITS = (1, 13, 137, 1371, 13711, 137111, 1371111)
 
 
@@ -232,11 +233,11 @@ class PinState:
     audit_max_rel_err: float
 
 
-def sample_pins(region, eps, sweeps, seed, burnin=None) -> PinState:
+def sample_pins(region, eps, sweeps, seed, burnin) -> PinState:
     """Run the exact heat bath for `sweeps` sweeps; record the pin set after
     each post-burn-in sweep.
 
-    Burn-in defaults to half the sweeps. Deterministic in the seed.
+    A burn-in of None means half the sweeps. Deterministic in the seed.
     """
     burnin = sweeps // 2 if burnin is None else int(burnin)
     need = (sweeps - burnin) * region.n_alive  # one byte per recorded site
@@ -356,7 +357,7 @@ def check_lattice_condition(region, eps) -> LatticeCheck:
 # Monte Carlo estimators over pin samples
 
 
-def _chain_average(region, eps, record_fn, samples, seed, replicas=4):
+def _chain_average(region, eps, record_fn, samples, seed, replicas):
     per = int(math.ceil(samples / replicas))
     means = []
     for r in range(replicas):
@@ -373,7 +374,7 @@ def _chain_average(region, eps, record_fn, samples, seed, replicas=4):
                     n=per * replicas, seed=seed)
 
 
-def variance_origin(region, eps, samples, seed, replicas=4) -> Estimate:
+def variance_origin(region, eps, samples, seed, replicas) -> Estimate:
     """Rao-Blackwellized mu(phi_0^2): average of G_{A^c}(0,0)/beta over the
     pin chain; no field draws involved."""
     origin = region.site_index((0,) * region.kernel.d)
@@ -381,7 +382,7 @@ def variance_origin(region, eps, samples, seed, replicas=4) -> Estimate:
                           samples, seed, replicas=replicas)
 
 
-def covariance(region, eps, x, y, samples, seed, replicas=4) -> Estimate:
+def covariance(region, eps, x, y, samples, seed, replicas) -> Estimate:
     """mu(phi_x phi_y) as the chain average of G_{A^c}(x,y)/beta."""
     ix, iy = region.site_index(x), region.site_index(y)
     return _chain_average(region, eps, lambda ch: ch.covariance(ix, iy),
@@ -417,7 +418,7 @@ class EmptyProbability:
 
 
 def empty_probability(region, eps, sites, samples, seed,
-                      replicas=4) -> EmptyProbability:
+                      replicas) -> EmptyProbability:
     """nu(A n B = empty) by Monte Carlo plus the fitted Bernoulli curves."""
     idx = np.asarray([region.site_index(s) for s in sites])
     est = _chain_average(
@@ -436,7 +437,7 @@ class StabilityRow:
 
 
 def box_stability(kernel, eps, radii, probe, samples, seed,
-                  replicas=4) -> list[StabilityRow]:
+                  replicas) -> list[StabilityRow]:
     """Track a probe across nested boxes; same master seed at every size."""
     rows = []
     for radius in radii:

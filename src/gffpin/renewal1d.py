@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError
 
-TOL = 1e-12
+TOL = 1e-12  # |residual| at which the tilt's Newton iteration stops
 ZETA_HALF = -1.4603545088095868  # zeta(1/2)
 LAM_SERIES = 1.0    # zeta series below, direct sum at and above
 SERIES_TERMS = 24   # series error below 1e-15 relative for lam < 1
@@ -72,7 +72,7 @@ def _normalizer(eps, lam) -> float:
     return eps * _polylogs(lam)[0] / (_SQRT_2PI * math.sqrt(lam))
 
 
-def solve_lambda(eps, tol=TOL) -> float:
+def solve_lambda(eps) -> float:
     """Unique lambda > 0 with eps Li_{1/2}(e^{-lambda}) / sqrt(2 pi) = 1: the
     tilt, which is also the 1D mass. Newton on g = left side - 1,
     g' = -eps Li_{-1/2} / sqrt(2 pi), from the two-term root or
@@ -81,7 +81,7 @@ def solve_lambda(eps, tol=TOL) -> float:
     1/sqrt(lam) = sqrt(2)/eps - zeta(1/2)/sqrt(pi) + O(eps); lam ~ eps^2/2 is
     10.7% off at eps = 0.1, the two-term form 7e-5 off. g is convex and
     decreasing, so after the first step the iterates rise to the root; a
-    step to lam <= 0 halves lam instead. Stops at |g| <= tol, else raises
+    step to lam <= 0 halves lam instead. Stops at |g| <= TOL, else raises
     NumericalError with the residual."""
     lam = (math.sqrt(2.0) / eps - ZETA_HALF / math.sqrt(math.pi)) ** -2
     # checked before the log: at the smallest eps, eps / sqrt(2 pi) is 0
@@ -90,12 +90,12 @@ def solve_lambda(eps, tol=TOL) -> float:
     lam = max(lam, math.log(eps / _SQRT_2PI))
     for _ in range(100):
         g = _normalizer(eps, lam) - 1.0
-        if abs(g) <= tol:
+        if abs(g) <= TOL:
             return lam
         step = lam + g * _SQRT_2PI * lam * math.sqrt(lam) / (eps * _polylogs(lam)[1])
         lam = step if step > 0.0 else 0.5 * lam
     raise NumericalError(
-        f"tilt Newton iteration reached residual {abs(g):.3g}, above tol {tol:.3g}")
+        f"tilt Newton iteration reached residual {abs(g):.3g}, above tol {TOL:.3g}")
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,8 @@ class RenewalModel:
         return abs(_normalizer(self.eps, self.lam) - 1.0)
 
 
-def renewal_model(eps, tol=TOL) -> RenewalModel:
-    lam = solve_lambda(eps, tol=tol)
+def renewal_model(eps) -> RenewalModel:
+    lam = solve_lambda(eps)
     k_max = SERIES_TERMS if lam < LAM_SERIES else math.ceil(DIRECT_SPAN / lam)
     return RenewalModel(eps=float(eps), lam=lam, k_max=k_max)
 

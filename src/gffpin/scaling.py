@@ -29,7 +29,7 @@ other kernels. The plane is reached by far more paths than the site.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +39,10 @@ from .stats import Estimate, replica_rng
 from . import pinning
 
 _CHUNK = 256  # paths per sub-seeded replica chunk; part of the seeding scheme
+POLICY_C = 1.5  # variance-scan's box radius >= POLICY_C eps^-1/2 |log eps|
+MIN_RADIUS = 8  # and >= MIN_RADIUS
+ETA = 3.0  # its Green cross-check takes |log eps|^ETA / eps steps
+POLICY = f"radius >= {POLICY_C} * eps^-1/2 |log eps|"
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +177,6 @@ class MassFit:
     intercept: float
     chi2: float
     dof: int
-    window: tuple
     monotone_ok: bool
 
 
@@ -207,19 +210,17 @@ def _wls_line(x, y, sigma):
     return float(slope), float(intercept), float(math.sqrt(max(var, 0.0))), chi2, dof
 
 
-def mass_fit(curve: MassCurve, window=None) -> MassFit:
+def mass_fit(curve: MassCurve) -> MassFit:
     """Weighted least squares of -log C(r) against r; slope is the mass."""
-    lo, hi = (0, len(curve.r)) if window is None else window
-    r = np.asarray(curve.r, dtype=float)[lo:hi]
-    c = np.asarray(curve.values, dtype=float)[lo:hi]
-    s = np.asarray(curve.stderr, dtype=float)[lo:hi]
-    good = c > 0
-    if not good.all():
+    r = np.asarray(curve.r, dtype=float)
+    c = np.asarray(curve.values, dtype=float)
+    s = np.asarray(curve.stderr, dtype=float)
+    if not (c > 0).all():
         raise ValidationError("non-positive curve values in the fit window")
     if len(r) < 3:
         raise ValidationError("need at least 3 points in the fit window")
     y = -np.log(c)
-    sy = np.where(c > 0, s / c, 0.0)
+    sy = s / c
     slope, intercept, se, chi2, dof = _wls_line(r, y, sy)
     monotone = True
     prev_m, prev_se = None, None
@@ -229,7 +230,7 @@ def mass_fit(curve: MassCurve, window=None) -> MassFit:
             monotone = False
         prev_m, prev_se = m_j, se_j
     return MassFit(mass=slope, stderr=se, intercept=-intercept, chi2=chi2,
-                   dof=dof, window=(lo, hi), monotone_ok=monotone)
+                   dof=dof, monotone_ok=monotone)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +247,7 @@ class ScanResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def surrogate_density(eps, d, mapping="default") -> float:
+def surrogate_density(eps, d, mapping) -> float:
     """Trap density for the Bernoulli surrogate; the paper-style mapping uses
     eps/sqrt|log eps| in d = 2 (constants set to 1 and recorded)."""
     if mapping == "direct" or d >= 3:
@@ -337,15 +338,12 @@ def _surrogate_point(kernel, eps, budget, seed, mapping, point_index):
         jack = np.asarray(jack)
         g = len(jack)
         se = math.sqrt((g - 1) / g * ((jack - jack.mean()) ** 2).sum())
-        fit = MassFit(mass=fit.mass, stderr=max(fit.stderr, se),
-                      intercept=fit.intercept, chi2=fit.chi2, dof=fit.dof,
-                      window=fit.window, monotone_ok=fit.monotone_ok)
+        fit = replace(fit, stderr=max(fit.stderr, se))
     return p, n_max, rs, curve, fit
 
 
-def mass_scan(kernel, eps_grid, mode="bernoulli-surrogate", budget=20000,
-              seed=0, mapping="default", region_radius=None,
-              samples=None) -> ScanResult:
+def mass_scan(kernel, eps_grid, mode, budget, seed, mapping, region_radius,
+              samples) -> ScanResult:
     """Mass versus epsilon, with the fitted log-log exponent.
 
     Modes: "bernoulli-surrogate" simulates annealed traps of density p(eps)
@@ -399,17 +397,15 @@ def mass_scan(kernel, eps_grid, mode="bernoulli-surrogate", budget=20000,
 def _pinned_mass_point(kernel, eps, seed, point_index, region_radius, samples):
     """Mass fit of the pinned two-point function along the first axis, and
     the sweeps recorded per distance."""
-    xi_guess = 1.0 / math.sqrt(eps)
-    radius = (max(10, math.ceil(4 * xi_guess)) if region_radius is None
-              else int(region_radius))
+    radius = (max(10, math.ceil(4 / math.sqrt(eps))) if region_radius is None
+              else region_radius)
     region = box_region(kernel, radius)
     rs = np.unique(np.round(np.linspace(2, max(6, radius - 2), 5)).astype(int))
     vals, errs = [], []
-    nrec = samples or 400
     for r in rs:
         est = pinning.covariance(region, eps, (0,) * kernel.d,
-                                 (int(r),) + (0,) * (kernel.d - 1),
-                                 samples=nrec, seed=(seed, point_index, int(r)))
+                                 (int(r),) + (0,) * (kernel.d - 1), samples,
+                                 (seed, point_index, int(r)), pinning.REPLICAS)
         vals.append(est.mean)
         errs.append(est.stderr)
     vals = np.asarray(vals)
@@ -427,34 +423,31 @@ def variance_slope_reference(kernel) -> float:
     return 1.0 / (2.0 * math.pi * kernel.beta_eff * kernel.sqrt_det_cov)
 
 
-def variance_box_policy(eps, c=1.5, min_radius=8) -> int:
-    """Box radius floor c * eps^{-1/2} |log eps| keeping the finite-volume
-    error subdominant."""
-    return max(int(min_radius), int(math.ceil(c * abs(math.log(eps)) / math.sqrt(eps))))
+def variance_box_policy(eps) -> int:
+    """Box radius floor max(MIN_RADIUS, POLICY_C * eps^{-1/2} |log eps|),
+    keeping the finite-volume error subdominant."""
+    return max(MIN_RADIUS, math.ceil(POLICY_C * abs(math.log(eps)) / math.sqrt(eps)))
 
 
-def _green_steps(kernel, eps, eta) -> int:
-    """n0 = ceil(|log eps|^eta / eps), the steps of the Green cross-check;
+def _green_steps(kernel, eps) -> int:
+    """n0 = ceil(|log eps|^ETA / eps), the steps of the Green cross-check;
     ResourceError when n0 overflows a float or its torus is over the cap."""
-    try:
-        n0 = math.ceil(abs(math.log(eps)) ** eta / eps)
+    try:  # in Python floats, which overflow to inf without a warning
+        n0 = math.ceil(abs(math.log(eps)) ** ETA / float(eps))
     except OverflowError:
-        raise ResourceError(f"n0 = |log eps|^{eta!r} / eps overflows "
+        raise ResourceError(f"n0 = |log eps|^{ETA!r} / eps overflows "
                             f"at eps={float(eps)!r}") from None
     nstep_torus_radius(kernel, n0)
     return n0
 
 
-def variance_scan(kernel, eps_grid, budget=400, seed=0, replicas=4,
-                  policy_c=1.5, min_radius=8, box_radius=None,
-                  eta=3.0) -> ScanResult:
+def variance_scan(kernel, eps_grid, budget, seed, replicas,
+                  box_radius) -> ScanResult:
     """Variance at the origin versus |log eps|, with the fitted slope and the
     n0-step Green cross-check value per point."""
     eps = np.asarray(eps_grid, dtype=float)
-    policy = f"radius >= {policy_c} * eps^-1/2 |log eps|"
-    radii = [variance_box_policy(e, policy_c, min_radius) if box_radius is None
-             else int(box_radius) for e in eps]
-    n0 = [_green_steps(kernel, e, eta) for e in eps]  # fail before any chain
+    radii = [variance_box_policy(e) if box_radius is None else box_radius for e in eps]
+    n0 = [_green_steps(kernel, e) for e in eps]  # fail before any chain
 
     values, gn0 = [], []
     for i, e in enumerate(eps):
@@ -463,7 +456,7 @@ def variance_scan(kernel, eps_grid, budget=400, seed=0, replicas=4,
             region, e, samples=budget, seed=(seed, i), replicas=replicas))
         gn0.append(green_nstep(kernel, n0[i]))
     flags = ["" for _ in values]
-    diag = {"box_radius": radii, "policy": policy, "n0": n0,
+    diag = {"box_radius": radii, "policy": POLICY, "n0": n0,
             "gn0": [g / kernel.beta_eff for g in gn0],
             "gn0_audit_rel_err": [g.audit_rel_err for g in gn0],
             "offsets": [], "slope_reference": variance_slope_reference(kernel)}

@@ -18,6 +18,8 @@
   exact Gaussian field draw given the pins, and a scalar heat bath.
 - The Gaussian return density f(k) and truncated direct sums of the 1D
   renewal chain with bounded tails.
+- Closed forms of the pinned chain of the nearest-neighbour 1D kernel at
+  critical sizes: pin density, variance and two-point function.
 - Batch-means standard errors for autocorrelated chain output.
 - `write_kernel_file`, the inverse of `gffpin.walk.kernel_from_file`.
 """
@@ -33,6 +35,7 @@ from scipy.special import gamma, gammaincc
 
 from gffpin.errors import NumericalError, ValidationError
 from gffpin.green import Region
+from gffpin.renewal1d import renewal_mean, renewal_model, variance_1d
 from gffpin.scaling import _CHUNK
 from gffpin.stats import Estimate, replica_rng
 from gffpin.walk import pmf_origin_series, pmf_series
@@ -185,6 +188,50 @@ def direct_renewal_sums(eps, lam, k_max):
 
     tails = (eps * tail(-0.5), tail(0.5), tail(1.5) / 6.0)
     return sums, tails
+
+
+@dataclass(frozen=True)
+class PinnedChain1D:
+    """Infinite-volume closed forms of the pinned field of the
+    nearest-neighbour 1D kernel; see `pinned_chain_1d`."""
+
+    lam: float  # the tilt, the inverse correlation length
+    big_m: float  # M = sum_n n e^{-lam n} f(n)
+    density: float
+    variance: float
+
+    def covariance(self, r) -> float:
+        """C(r) = (2/M) sum_{n>r} e^{-lam n} f(n) (n-r)((n-r)^2 - 1)/(6n).
+        Only a gap of length n > r holds both 0 and r, at a and a + r for
+        n - r - 1 offsets a; the bridge covariance a (n - a - r)/n summed
+        over them gives the last factor. Summed directly over
+        n <= r + 45/lam, past which e^{-lam n} drops below e^{-45}."""
+        n = np.arange(r + 1, r + math.ceil(45.0 / self.lam) + 1, dtype=float)
+        g = n - r
+        terms = np.exp(-self.lam * n) * f_pmf(n) * g * (g * g - 1.0) / (6.0 * n)
+        return 2.0 / self.big_m * float(terms.sum())
+
+
+def pinned_chain_1d(kernel, eps) -> PinnedChain1D:
+    """The pinned field of the nearest-neighbour 1D kernel, whose pinned
+    set is `renewal1d`'s renewal process.
+
+    The field's increments have variance 2, so its heights are sqrt(2)
+    times those of the unit-variance chain, and a pin of weight eps per
+    unit height weighs eps' = eps / sqrt(2) per unit of the rescaled
+    height. So the pin density is 1/(eps' M), the mean gap being eps' M,
+    and the variance is twice `variance_1d` at eps'. Refuses every other
+    kernel: longer steps, or another edge weight beta_eff (1 - p0)."""
+    if (kernel.d != 1 or kernel.max_step != 1
+            or not math.isclose(kernel.beta_eff * (1.0 - kernel.p0), 1.0)):
+        raise ValidationError("the 1D chain closed forms need the "
+                              "nearest-neighbour 1D kernel at beta = 1")
+    eps1 = eps / math.sqrt(2.0)
+    model = renewal_model(eps1)
+    big_m = renewal_mean(model)
+    return PinnedChain1D(lam=model.lam, big_m=big_m,
+                         density=1.0 / (eps1 * big_m),
+                         variance=2.0 * variance_1d(model))
 
 
 def scalar_heat_bath(region, eps, sweeps, seed, burnin):

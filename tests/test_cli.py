@@ -1,10 +1,12 @@
 import ast
 import csv
 import hashlib
+import inspect
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -47,12 +49,21 @@ def _manifest(out):
 
 
 class TestValidation:
-    @pytest.mark.parametrize("tol", ("0", "-1e-12", "nan"))
-    def test_renewal_rejects_nonpositive_tol(self, tmp_path, capsys, tol):
-        code, out = _run(tmp_path, "renewal1d",
-                         f"eps_list = 0.1\ntol = {tol}\nseed = 1\n")
+    # each was a key with one value in use, and is now a module constant:
+    # scaling.POLICY_C, MIN_RADIUS and ETA, and renewal1d.TOL
+    @pytest.mark.parametrize("command, body, key", [
+        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8", "policy_c"),
+        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8", "min_radius"),
+        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8", "eta"),
+        ("renewal1d", "eps_list = 0.1", "tol"),
+    ])
+    def test_retired_key_is_unknown(self, tmp_path, capsys, srw2_file,
+                                    command, body, key):
+        if "kernel_file" in cli.SCHEMAS[command]:
+            body += f"\nkernel_file = {srw2_file}"
+        code, out = _run(tmp_path, command, f"{body}\n{key} = 1\nseed = 1\n")
         assert code == 2
-        assert "tol must be positive" in capsys.readouterr().err
+        assert f"unknown key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("eps", ("nan", "inf"))
@@ -125,21 +136,6 @@ class TestHandlerInputs:
         ("box-stability",
          "epsilon = 0.3\nradii = 1 2\nprobe = variance\nsamples = 10\n"
          "replicas = 1", "replicas must be >= 2"),
-        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\neta = nan",
-         "eta must be finite"),
-        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\neta = inf",
-         "eta must be finite"),
-        ("variance-scan",
-         "eps_list = 0.3 0.2 0.1\nbudget = 8\npolicy_c = nan",
-         "policy_c must be finite"),
-        ("variance-scan", "eps_list = 1.0 0.5 0.3\nbudget = 8\neta = -1",
-         "eta must be >= 0"),
-        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\npolicy_c = -1\n"
-                          "min_radius = -5", "policy_c must be positive"),
-        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\npolicy_c = 0\n"
-                          "min_radius = -3", "policy_c must be positive"),
-        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\n"
-                          "min_radius = -3", "min_radius must be >= 0"),
         ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\nreplicas = 1",
          "replicas must be >= 2"),
         ("variance-scan", "eps_list = 0.3 0.1\nbudget = 8",
@@ -157,6 +153,8 @@ class TestHandlerInputs:
          "strictly decreasing"),
         ("mass-scan", "eps_list = 0.3 0.2 0.1\nbudget = 100\nmapping = nope",
          "mapping must be"),
+        ("pins-sample", "box_radius = 1\nepsilon = nan\nsweeps = 10",
+         "epsilon must be finite"),
         ("renewal1d", "eps_list = 0", "epsilon must be positive"),
         ("renewal1d", "eps_list = 0.1 -0.1", "epsilon must be positive"),
     ])
@@ -170,6 +168,30 @@ class TestHandlerInputs:
         assert "config error" in err and reason in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kernel, body, named", [
+        ("srw2_file", "eps_list = 0.9 0.5 0.3", [0.9]),
+        # log 1 = 0 in the 2D density eps / sqrt|log eps|
+        ("srw2_file", "eps_list = 1 0.5 0.3", [1.0]),
+        ("srw3_file", "eps_list = 2 1.5 1.2", [2.0, 1.5, 1.2]),
+        ("srw2_file", "eps_list = 1.5 1.2 1.1\nmapping = direct",
+         [1.5, 1.2, 1.1]),
+    ])
+    def test_surrogate_trap_density_below_one(self, tmp_path, capsys, request,
+                                              kernel, body, named):
+        # the surrogate kills a step with probability the trap density
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = _run(tmp_path, "mass-scan",
+                             f"{body}\nbudget = 300\nkernel_file = "
+                             f"{request.getfixturevalue(kernel)}\nseed = 1\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert err.count("trap density") == len(named)
+        for eps in named:
+            assert f"trap density at epsilon {eps!r}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, body, output", [
         ("green-probe", "box_radius = 1000000000\nprobes = 0 0 1 0",
          "green_probes.csv"),
@@ -178,8 +200,8 @@ class TestHandlerInputs:
          "green_probes.csv"),
         ("pins-sample", "box_radius = 2\nepsilon = 0.5\n"
                         "sweeps = 100000000000\nburnin = 0", "pin_samples.csv"),
-        # n0 = |log eps|^eta / eps overflows a float
-        ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\neta = 1e300",
+        # n0 = |log eps|^3 / eps overflows a float
+        ("variance-scan", "eps_list = 0.3 0.2 5e-324\nbudget = 8",
          "variance_scan_points.csv"),
     ])
     def test_size_checked_before_allocation(self, tmp_path, capsys, srw2_file,
@@ -231,6 +253,33 @@ class TestHandlerInputs:
         err = capsys.readouterr().err
         assert "resource exceeded" in err and "Traceback" not in err
         assert not (out / "mass_scan_points.csv").exists()
+
+
+# a value for each required key, enough for a run to start
+_MINIMAL = {
+    "box_radius": "1", "probes": "0 0 1 0", "epsilon": "0.5", "sweeps": "4",
+    "eps_list": "0.3 0.2 0.1", "targets": "0 0", "samples": "4",
+    "budget": "8", "radii": "1 2", "probe": "variance",
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_config_key_is_filled_and_read(srw2_file, command):
+    # `_check` fills in each key the config leaves out, and each key is
+    # read by the command's handler or by a config rule: a key that only
+    # `SCHEMAS` names is an option that changes nothing
+    schema = cli.SCHEMAS[command]
+    raw = {key: _MINIMAL[key] for key, (_, default) in schema.items()
+           if default is cli.REQUIRED and key != "kernel_file"}
+    if "kernel_file" in schema:
+        raw["kernel_file"] = str(srw2_file)
+    violations, parsed = cli._check(command, dict(raw, seed="1"))
+    assert violations == []
+    assert set(schema) <= set(parsed)
+    handler = inspect.getsource(cli._HANDLERS[command])
+    rules = inspect.getsource(cli._check)
+    for key in schema:
+        assert f'cfg["{key}"]' in handler or f'"{key}"' in rules, key
 
 
 class TestPinsSample:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from gffpin import pinning
-from gffpin.errors import NumericalError, ResourceError
+from gffpin import pinning, simple_random_walk
+from gffpin.errors import NumericalError, ResourceError, ValidationError
 from gffpin.green import Region, box_region, green_killed
 from gffpin.pinning import (
     AUDIT_TOL,
+    REPLICAS,
     GibbsChain,
     box_stability,
     check_lattice_condition,
@@ -17,9 +18,11 @@ from gffpin.pinning import (
     sample_pins,
     variance_origin,
 )
+from gffpin.walk import make_kernel
 from oracles import (
     batch_stderr,
     gibbs_pin_prob,
+    pinned_chain_1d,
     sample_field,
     scalar_heat_bath,
     subset_green_table,
@@ -138,13 +141,13 @@ class TestSingleFlipBalance:
 
 class TestSampler:
     def test_deterministic(self, box3):
-        a = sample_pins(box3, EPS, 500, seed=11)
-        b = sample_pins(box3, EPS, 500, seed=11)
+        a = sample_pins(box3, EPS, 500, seed=11, burnin=None)
+        b = sample_pins(box3, EPS, 500, seed=11, burnin=None)
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.pins, b.pins)
 
     def test_huge_eps_pins_everything(self, box3):
-        state = sample_pins(box3, 1e6, 100, seed=3)
+        state = sample_pins(box3, 1e6, 100, seed=3, burnin=None)
         assert state.samples.mean() >= 0.99
 
     def test_marginals_match_exact_table(self, box3, table3):
@@ -297,7 +300,8 @@ class TestLatticeCondition:
 class TestEmptyProbability:
     def test_matches_exact_table(self, box3, table3):
         target = [(0, 0)]
-        res = empty_probability(box3, EPS, target, samples=4000, seed=21)
+        res = empty_probability(box3, EPS, target, samples=4000, seed=21,
+                                replicas=REPLICAS)
         exact = table3.empty_probability([box3.site_index(t) for t in target])
         assert res.estimate.within(exact, k=3.0)
 
@@ -305,7 +309,8 @@ class TestEmptyProbability:
         for sites in ([(0, 0)], [(0, 0), (1, 0)], [(-1, -1), (1, 1)]):
             idx = [box3.site_index(s) for s in sites]
             exact = table3.empty_probability(idx)
-            res = empty_probability(box3, EPS, sites, samples=10, seed=1)
+            res = empty_probability(box3, EPS, sites, samples=10, seed=1,
+                                    replicas=REPLICAS)
             assert res.lower_curve - 1e-12 <= exact <= res.upper_curve + 1e-12
             assert 0.0 < res.density_lo <= res.density_hi < 1.0
 
@@ -325,7 +330,8 @@ class TestEmptyProbability:
 class TestRaoBlackwellEstimators:
     def test_single_site_closed_form(self, srw2):
         region = Region(srw2, (0, 0), (0, 0))
-        est = variance_origin(region, 1.0, samples=4000, seed=5)
+        est = variance_origin(region, 1.0, samples=4000, seed=5,
+                              replicas=REPLICAS)
         expected = math.sqrt(2 * math.pi) / (1.0 + math.sqrt(2 * math.pi))
         assert est.within(expected, k=3.0)
 
@@ -337,11 +343,12 @@ class TestRaoBlackwellEstimators:
         assert est.within(exact, k=3.0)
 
     def test_consistent_with_field_sampler(self, box3):
-        est = variance_origin(box3, EPS, samples=3000, seed=3)
+        est = variance_origin(box3, EPS, samples=3000, seed=3,
+                              replicas=REPLICAS)
         n = 4000
         vals = np.empty(n)
         for i in range(n):
-            state = sample_pins(box3, EPS, 30, seed=(77, i))
+            state = sample_pins(box3, EPS, 30, seed=(77, i), burnin=None)
             f = sample_field(box3, state.pins, seed=(78, i))
             vals[i] = f[1, 1] ** 2
         naive = vals.mean()
@@ -349,16 +356,58 @@ class TestRaoBlackwellEstimators:
         assert abs(est.mean - naive) <= 3.0 * (se + est.stderr)
 
 
+class TestOneDimensionalOracle:
+    """In d = 1 the pinned set is a renewal process, so the chain has exact
+    answers at critical sizes, far above the enumeration boxes."""
+
+    def test_two_point_function_at_zero_is_variance(self):
+        exact = pinned_chain_1d(simple_random_walk(1), 0.7)
+        assert math.isclose(exact.covariance(0), exact.variance,
+                            rel_tol=1e-12)
+
+    def test_refuses_longer_steps(self):
+        with pytest.raises(ValidationError):
+            pinned_chain_1d(make_kernel([((1,), 1.0), ((2,), 1.0)], 1), 0.7)
+
+    def test_chain_matches_closed_forms(self):
+        # box R = 15/lam, so boundary effects are below e^-7 in the interior
+        # half; replicas start from one seed fixed before the first run
+        kernel, eps, replicas, per = simple_random_walk(1), 0.7, 8, 50
+        exact = pinned_chain_1d(kernel, eps)
+        radius = math.ceil(15.0 / exact.lam)
+        assert radius == 203
+        region = box_region(kernel, radius)
+        origin = region.site_index((0,))
+        probes = [region.site_index((r,)) for r in (0, 5, 10, 20)]
+        interior = np.abs(region.sites[:, 0]) <= radius // 2
+        means = []
+        for rep in range(replicas):
+            chain = GibbsChain(region, eps, seed=1, replica=rep)
+            chain.run(per)
+            acc = np.zeros(5)
+            for _ in range(per):
+                chain.sweep()
+                acc += [chain.pinned[interior].mean()] + [
+                    chain.covariance(origin, j) for j in probes]
+            means.append(acc / per)
+        means = np.array(means)
+        est = means.mean(axis=0)
+        err = means.std(axis=0, ddof=1) / math.sqrt(replicas)
+        want = [exact.density, exact.variance] + [
+            exact.covariance(r) for r in (5, 10, 20)]
+        assert np.all(np.abs(est - want) <= 4.0 * err), (est, want, err)
+
+
 class TestBoxStability:
     def test_monotone_unpinned_marginal(self, srw2_lazy):
         rows = box_stability(srw2_lazy, 0.3, [1, 2, 4], "unpinned-marginal",
-                             samples=3000, seed=13)
+                             samples=3000, seed=13, replicas=REPLICAS)
         vals = [r.value.mean for r in rows]
         errs = [r.value.stderr for r in rows]
         assert vals[1] >= vals[0] - 3.0 * (errs[0] + errs[1])
         assert vals[2] >= vals[1] - 3.0 * (errs[1] + errs[2])
 
     def test_same_seed_same_box_identical(self, srw2_lazy):
-        a = box_stability(srw2_lazy, 0.3, [2], "variance", samples=400, seed=9)
-        b = box_stability(srw2_lazy, 0.3, [2], "variance", samples=400, seed=9)
+        a, b = (box_stability(srw2_lazy, 0.3, [2], "variance", samples=400,
+                              seed=9, replicas=REPLICAS) for _ in range(2))
         assert a[0].value == b[0].value

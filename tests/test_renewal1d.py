@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import direct_renewal_sums, f_pmf
 
+from gffpin import renewal1d
 from gffpin.errors import NumericalError, ValidationError
 from gffpin.renewal1d import (
     LAM_SERIES,
@@ -69,9 +70,10 @@ class TestTiltSolve:
         gaps = [abs(r - 1.0) for r in ratios]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
-    def test_unreachable_tol_reports_residual(self):
+    def test_unreachable_tol_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(renewal1d, "TOL", 1e-30)
         with pytest.raises(NumericalError, match="residual"):
-            solve_lambda(0.1, tol=1e-30)
+            solve_lambda(0.1)
 
 
 class TestSeriesConstants:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gffpin import cli, scaling
+from gffpin.pinning import REPLICAS
 from gffpin.errors import ResourceError, ValidationError
 from gffpin.green import Region
 from gffpin.pinning import domination_densities, exact_pin_measure
@@ -302,20 +303,23 @@ class TestScans:
         assert math.isclose(slope, 0.5, abs_tol=1e-12)
 
     def test_surrogate_density_mappings(self, srw2, srw3):
-        assert surrogate_density(0.1, 3) == 0.1
-        assert math.isclose(surrogate_density(0.1, 2),
+        assert surrogate_density(0.1, 3, "default") == 0.1
+        assert math.isclose(surrogate_density(0.1, 2, "default"),
                             0.1 / math.sqrt(abs(math.log(0.1))))
         assert surrogate_density(0.1, 2, "direct") == 0.1
 
     def test_small_mass_scan_d3(self, srw3):
-        res = mass_scan(srw3, [0.3, 0.2, 0.1], budget=6000, seed=4)
+        res = mass_scan(srw3, [0.3, 0.2, 0.1], "bernoulli-surrogate",
+                        budget=6000, seed=4, mapping="default",
+                        region_radius=None, samples=None)
         assert np.isfinite(res.slope)
         assert 0.2 <= res.slope <= 0.9
         assert all(v.mean > 0 for v in res.values)
 
     def test_variance_policy_floor(self):
-        assert variance_box_policy(0.03, 1.0, 8) >= 21
-        assert variance_box_policy(0.3, 1.0, 8) == 8
+        # 1.5 * eps^-1/2 |log eps| rounded up, and at least 8
+        assert variance_box_policy(0.03) == 31
+        assert variance_box_policy(0.3) == 8
 
     def test_slope_reference_lazification_invariant(self, srw2, srw2_lazy):
         assert math.isclose(variance_slope_reference(srw2),
@@ -326,31 +330,29 @@ class TestScans:
 
     def test_variance_scan_n0_fails_before_chains(self, srw2_lazy,
                                                   monkeypatch):
-        # n0 at eps = 0.1 is about 5e22 steps, past int64; its torus is
-        # refused before the first chain runs
+        # n0 at eps = 5e-4 is 878,265 steps, and its Fourier torus is past
+        # the cell cap; it is refused before the first chain runs
         def no_chains(*args, **kwargs):
             raise AssertionError("a chain ran")
 
         monkeypatch.setattr(scaling.pinning, "variance_origin", no_chains)
         with pytest.raises(ResourceError, match="torus"):
-            variance_scan(srw2_lazy, [0.1, 0.05, 0.02], budget=8, seed=0,
-                          eta=60.0)
+            variance_scan(srw2_lazy, [0.1, 0.01, 5e-4], budget=8, seed=0,
+                          replicas=REPLICAS, box_radius=None)
 
-    @pytest.mark.parametrize("eta", [0.0, 1.0, 3.0])
-    def test_green_steps_formula(self, srw2_lazy, eta):
+    def test_green_steps_formula(self, srw2_lazy):
         for eps in (0.5, 0.3, 0.1, 0.05):
-            assert _green_steps(srw2_lazy, eps, eta) == \
-                math.ceil(abs(math.log(eps)) ** eta / eps)
-        if eta == 0.0:
-            assert _green_steps(srw2_lazy, 0.05, eta) == 20
+            assert _green_steps(srw2_lazy, eps) == \
+                math.ceil(abs(math.log(eps)) ** scaling.ETA / eps)
+        assert _green_steps(srw2_lazy, 0.05) == 538
 
     def test_green_steps_overflow_is_resource_error(self, srw2_lazy):
         with pytest.raises(ResourceError, match="overflows"):
-            _green_steps(srw2_lazy, 0.3, 1e300)
+            _green_steps(srw2_lazy, 5e-324)
 
     def test_variance_scan_small(self, srw2_lazy):
         res = variance_scan(srw2_lazy, [0.5, 0.3, 0.2], budget=120, seed=3,
-                            replicas=3, min_radius=6)
+                            replicas=3, box_radius=6)
         vals = [v.mean for v in res.values]
         assert vals[0] < vals[1] < vals[2]
         assert len(res.diagnostics["gn0"]) == 3
