@@ -3,9 +3,11 @@
 Config files are flat `key = value` text; every command requires an explicit
 seed. Artifacts are CSV written atomically (temp file + rename) and listed
 with checksums in a manifest that is created before and finalized after the
-run. Exit codes: 0 ok, 2 config validation, 3 numerical failure, 4 resource
-exceeded. Every command runs serially, so its output bytes are a function
-of the config alone.
+run. Exit codes: 0 ok, 2 config validation (an unusable output directory
+included), 3 numerical failure, 4 resource exceeded (a failed artifact write
+included). Every command runs serially, so its output bytes are a function
+of the config alone. The two scans return their report from `scaling`, and
+`_write_scan` writes either one.
 
 Every config key and its default is written once, in `SCHEMAS`. `_check`
 fills in the defaults and checks every rule once, before the output directory
@@ -283,8 +285,12 @@ def parse_command_config(command, raw_config) -> dict:
 
 
 def _fmt(value):
+    """One CSV cell or manifest value; a list is space-separated, with "-"
+    for None."""
     if value is None:
         return ""
+    if isinstance(value, list):
+        return " ".join("-" if v is None else _fmt(v) for v in value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (float, np.floating)):
@@ -397,7 +403,7 @@ def _cmd_pins_sample(cfg, out, manifest):
     rows = [(state.burnin + 1 + i, *row) for i, row in enumerate(state.samples)]
     write_csv(os.path.join(out, "pin_samples.csv"), header, rows)
     manifest.add_file("pin_samples.csv")
-    manifest.record("audit_max_rel_err", repr(state.audit_max_rel_err))
+    manifest.record("audit_max_rel_err", _fmt(state.audit_max_rel_err))
 
 
 def _cmd_fkg_check(cfg, out, manifest):
@@ -428,54 +434,32 @@ def _cmd_domination_check(cfg, out, manifest):
     manifest.add_file("domination_check.csv")
 
 
+def _write_scan(out, manifest, name, result):
+    """`<name>_points.csv`, `<name>_fit.csv` and the manifest notes of a
+    `scaling.ScanResult`, written as the scan laid them out."""
+    rows = [tuple(point.values()) for point in result.points]
+    write_csv(os.path.join(out, f"{name}_points.csv"),
+              tuple(result.points[0]), rows)
+    manifest.add_file(f"{name}_points.csv")
+    write_csv(os.path.join(out, f"{name}_fit.csv"), ("key", "value"),
+              result.fit)
+    manifest.add_file(f"{name}_fit.csv")
+    for key, value in result.notes.items():
+        manifest.record(key, _fmt(value))
+
+
 def _cmd_variance_scan(cfg, out, manifest):
-    k = cfg["kernel"]
-    res = scaling.variance_scan(
-        k, cfg["eps_list"], budget=cfg["budget"], seed=cfg["seed"],
-        replicas=cfg["replicas"], box_radius=cfg["box_radius"])
-    d = res.diagnostics
-    rows = [(e, v.mean, v.stderr, v.n, f, br, n0, g, off)
-            for e, v, f, br, n0, g, off in zip(
-                res.eps, res.values, res.flags, d["box_radius"], d["n0"],
-                d["gn0"], d["offsets"])]
-    write_csv(os.path.join(out, "variance_scan_points.csv"),
-              ("epsilon", "value", "stderr", "n_used", "flags", "box_radius",
-               "n0", "gn0", "offset"), rows)
-    manifest.add_file("variance_scan_points.csv")
-    fit = [("slope", res.slope), ("slope_stderr", res.slope_stderr),
-           ("slope_reference", d["slope_reference"]), ("chi2", d["chi2"]),
-           ("dof", d["dof"]), ("policy", d["policy"])]
-    write_csv(os.path.join(out, "variance_scan_fit.csv"), ("key", "value"), fit)
-    manifest.add_file("variance_scan_fit.csv")
-    manifest.record("gn0_audit_max_rel_err", repr(max(d["gn0_audit_rel_err"])))
+    _write_scan(out, manifest, "variance_scan", scaling.variance_scan(
+        cfg["kernel"], cfg["eps_list"], budget=cfg["budget"],
+        seed=cfg["seed"], replicas=cfg["replicas"],
+        box_radius=cfg["box_radius"]))
 
 
 def _cmd_mass_scan(cfg, out, manifest):
-    k = cfg["kernel"]
-    res = scaling.mass_scan(
-        k, cfg["eps_list"], mode=cfg["mode"], budget=cfg["budget"],
-        seed=cfg["seed"], mapping=cfg["mapping"],
-        region_radius=cfg["region_radius"], samples=cfg["samples"])
-    d = res.diagnostics
-    rows = [(e, v.mean, v.stderr, v.n, f, dens, nmax)
-            for e, v, f, dens, nmax in zip(res.eps, res.values, res.flags,
-                                           d["density"], d["n_max"])]
-    write_csv(os.path.join(out, "mass_scan_points.csv"),
-              ("epsilon", "value", "stderr", "n_used", "flags", "density",
-               "n_max"), rows)
-    manifest.add_file("mass_scan_points.csv")
-    fit = [("exponent", res.slope), ("exponent_stderr", res.slope_stderr),
-           ("mode", d["mode"]), ("mapping", d["mapping"]),
-           ("chi2", d["chi2"]), ("dof", d["dof"])]
-    if "m_over_sqrt_eps" in d:
-        fit.append(("m_over_sqrt_eps",
-                    " ".join(repr(v) for v in d["m_over_sqrt_eps"])))
-        fit.append(("log_correction_monotone", d["log_correction_monotone"]))
-    write_csv(os.path.join(out, "mass_scan_fit.csv"), ("key", "value"), fit)
-    manifest.add_file("mass_scan_fit.csv")
-    # one entry per epsilon; "-" where a fit failed
-    manifest.record("monotone_ok", " ".join(
-        "-" if v is None else _fmt(v) for v in d["monotone_ok"]))
+    _write_scan(out, manifest, "mass_scan", scaling.mass_scan(
+        cfg["kernel"], cfg["eps_list"], mode=cfg["mode"],
+        budget=cfg["budget"], seed=cfg["seed"], mapping=cfg["mapping"],
+        region_radius=cfg["region_radius"], samples=cfg["samples"]))
 
 
 def _cmd_renewal1d(cfg, out, manifest):
@@ -530,11 +514,18 @@ def run(command, raw_config, out_dir) -> int:
         for v in violations:
             print(f"config error: {v}", file=sys.stderr)
         return 2
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = Manifest(out_dir, command, raw_config)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        manifest = Manifest(out_dir, command, raw_config)
+    except OSError as exc:
+        print(f"config error: output directory {out_dir!r}: {exc}",
+              file=sys.stderr)
+        return 2
     try:
         _HANDLERS[command](cfg, out_dir, manifest)
-    except ResourceError as exc:
+        manifest.finalize()
+    except (ResourceError, OSError) as exc:
+        # an OSError here is an artifact write failing, e.g. a full disk
         print(f"resource exceeded: {exc}", file=sys.stderr)
         return 4
     except (NumericalError, ValidationError) as exc:
@@ -542,7 +533,6 @@ def run(command, raw_config, out_dir) -> int:
         # guard refusing the data, a numerically unusable setup
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    manifest.finalize()
     return 0
 
 

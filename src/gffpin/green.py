@@ -166,8 +166,6 @@ def box_region(kernel, radius, pins=()) -> Region:
 
 @dataclass(frozen=True)
 class GreenProbe:
-    x: tuple
-    y: tuple
     value: float
     residual: float
 
@@ -178,8 +176,7 @@ def green_killed(region: Region, x, y) -> GreenProbe:
     rhs = np.zeros(region.n_alive)
     rhs[iy] = 1.0
     g, resid = region.solve(rhs)
-    return GreenProbe(tuple(map(int, x)), tuple(map(int, y)),
-                      float(g[ix]) / region.beta, resid)
+    return GreenProbe(float(g[ix]) / region.beta, resid)
 
 
 def _slab_green_diag(m, edges) -> np.ndarray:

@@ -221,13 +221,8 @@ class GibbsChain:
 
 @dataclass
 class PinState:
-    """Final state of an exact heat-bath run and its post-burn-in sweeps."""
+    """The post-burn-in sweeps of an exact heat-bath run."""
 
-    region: Region
-    pins: np.ndarray  # bool over region sites
-    eps: float
-    sweeps: int
-    seed: int
     burnin: int
     samples: np.ndarray  # (sweeps - burnin, n_sites) uint8, one row per sweep
     audit_max_rel_err: float
@@ -251,8 +246,7 @@ def sample_pins(region, eps, sweeps, seed, burnin) -> PinState:
     for r in range(sweeps - burnin):
         chain.sweep()
         rows[r] = chain.pinned
-    return PinState(region=region, pins=chain.pinned.copy(), eps=eps,
-                    sweeps=sweeps, seed=seed, burnin=burnin, samples=rows,
+    return PinState(burnin=burnin, samples=rows,
                     audit_max_rel_err=chain.audit_max_rel_err)
 
 
@@ -264,14 +258,7 @@ def sample_pins(region, eps, sweeps, seed, burnin) -> PinState:
 class ExactPinTable:
     """nu over every pin set of the region's alive sites, by enumeration."""
 
-    region: Region
-    eps: float
     probs: np.ndarray  # (2^n,), indexed by bitmask over site order
-    log_partition: float
-
-    def marginal(self, site_index: int) -> float:
-        masks = np.arange(len(self.probs), dtype=np.uint64)
-        return float(self.probs[(masks >> int(site_index)) & 1 == 1].sum())
 
     def empty_probability(self, site_indices) -> float:
         bits = sum(1 << int(s) for s in set(site_indices))
@@ -321,8 +308,7 @@ def exact_pin_measure(region, eps) -> ExactPinTable:
     logz_total = _logsumexp(logw)
     probs = np.exp(logw - logz_total)
     probs /= probs.sum()
-    return ExactPinTable(region=region, eps=eps, probs=probs,
-                         log_partition=logz_total)
+    return ExactPinTable(probs=probs)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +357,7 @@ def _chain_average(region, eps, record_fn, samples, seed, replicas):
     means = np.asarray(means)
     return Estimate(mean=float(means.mean()),
                     stderr=float(means.std(ddof=1) / math.sqrt(replicas)),
-                    n=per * replicas, seed=seed)
+                    n=per * replicas)
 
 
 def variance_origin(region, eps, samples, seed, replicas) -> Estimate:

@@ -2,6 +2,10 @@
 survival weights, exponential mass fits, and parameter scans for the
 variance and the mass.
 
+A scan returns its report as a `ScanResult`: the rows of its points and fit
+CSVs and its manifest entries, already in output order, so that the CLI
+only writes them.
+
 This module owns the seeded path ensembles: paths come in chunks of
 `_CHUNK`, and chunk c is one (paths, steps) array of uniforms from
 `replica_rng(seed, c)`, row by row. A uniform u becomes step j, the number
@@ -29,13 +33,13 @@ other kernels. The plane is reached by far more paths than the site.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericalError, ResourceError, ValidationError
 from .green import COLUMN_BYTES_CAP, box_region, green_nstep, nstep_torus_radius
-from .stats import Estimate, replica_rng
+from .stats import replica_rng
 from . import pinning
 
 _CHUNK = 256  # paths per sub-seeded replica chunk; part of the seeding scheme
@@ -159,28 +163,16 @@ def survival_samples(kernel, p, targets, reps, n_max, seed) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MassCurve:
-    r: np.ndarray
-    values: np.ndarray
-    stderr: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        if np.any(np.diff(r) <= 0):
-            raise ValidationError("distances must be increasing")
-
-
-@dataclass(frozen=True)
 class MassFit:
     mass: float
     stderr: float
-    intercept: float
     chi2: float
     dof: int
     monotone_ok: bool
 
 
 def _wls_line(x, y, sigma):
+    """Weighted least squares line: (slope, its stderr, chi2, dof)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -207,30 +199,31 @@ def _wls_line(x, y, sigma):
         var = chi2 / dof / sxx if dof > 0 else 0.0
     else:
         var = 1.0 / sxx
-    return float(slope), float(intercept), float(math.sqrt(max(var, 0.0))), chi2, dof
+    return float(slope), float(math.sqrt(max(var, 0.0))), chi2, dof
 
 
-def mass_fit(curve: MassCurve) -> MassFit:
-    """Weighted least squares of -log C(r) against r; slope is the mass."""
-    r = np.asarray(curve.r, dtype=float)
-    c = np.asarray(curve.values, dtype=float)
-    s = np.asarray(curve.stderr, dtype=float)
+def mass_fit(r, values, stderr) -> MassFit:
+    """Weighted least squares of -log C(r) against r; slope is the mass. The
+    distances r must increase."""
+    r = np.asarray(r, dtype=float)
+    c = np.asarray(values, dtype=float)
+    s = np.asarray(stderr, dtype=float)
     if not (c > 0).all():
         raise ValidationError("non-positive curve values in the fit window")
     if len(r) < 3:
         raise ValidationError("need at least 3 points in the fit window")
     y = -np.log(c)
     sy = s / c
-    slope, intercept, se, chi2, dof = _wls_line(r, y, sy)
+    slope, se, chi2, dof = _wls_line(r, y, sy)
     monotone = True
     prev_m, prev_se = None, None
     for j in range(3, len(r) + 1):
-        m_j, _, se_j, _, _ = _wls_line(r[:j], y[:j], sy[:j])
+        m_j, se_j, _, _ = _wls_line(r[:j], y[:j], sy[:j])
         if prev_m is not None and m_j < prev_m - 2.0 * (se_j + prev_se):
             monotone = False
         prev_m, prev_se = m_j, se_j
-    return MassFit(mass=slope, stderr=se, intercept=-intercept, chi2=chi2,
-                   dof=dof, monotone_ok=monotone)
+    return MassFit(mass=slope, stderr=se, chi2=chi2, dof=dof,
+                   monotone_ok=monotone)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +232,11 @@ def mass_fit(curve: MassCurve) -> MassFit:
 
 @dataclass
 class ScanResult:
-    eps: np.ndarray
-    values: list  # per-point Estimate (mass or variance)
-    slope: float
-    slope_stderr: float
-    flags: list
-    diagnostics: dict = field(default_factory=dict)
+    """What a scan reports, ready to write: nothing else is carried."""
+
+    points: list  # one dict per epsilon, keyed by CSV column in column order
+    fit: list  # (key, value) rows of the fit CSV, in order
+    notes: dict  # manifest entries; a list holds one entry per epsilon
 
 
 def surrogate_density(eps, d, mapping) -> float:
@@ -308,8 +300,7 @@ def _surrogate_point(kernel, eps, budget, seed, mapping, point_index):
                                     (seed, point_index, 0))
     keep0 = (c0 >= _MIN_HITS) & (v0 > 0)
     if keep0.sum() >= 3:
-        m_guess = max(mass_fit(MassCurve(rs0[keep0].astype(float), v0[keep0],
-                                         e0[keep0])).mass, 1e-3)
+        m_guess = max(mass_fit(rs0[keep0], v0[keep0], e0[keep0]).mass, 1e-3)
     ends = _window_ends(m_guess)
     rs = _window(*ends, points=6)
     n_max = _steps_needed(m_guess, sigma1, ends[1])
@@ -319,8 +310,7 @@ def _surrogate_point(kernel, eps, budget, seed, mapping, point_index):
     if keep.sum() < 3:
         raise NumericalError(
             f"only {int(keep.sum())} usable distances at eps={eps}")
-    curve = MassCurve(rs[keep].astype(float), vals[keep], errs[keep])
-    fit = mass_fit(curve)
+    fit = mass_fit(rs[keep], vals[keep], errs[keep])
     # jackknife over path groups: the distances share one ensemble, so the
     # plain WLS slope error understates the mass uncertainty
     groups = np.array_split(np.arange(weights.shape[0]), _JACK_GROUPS)
@@ -332,14 +322,13 @@ def _surrogate_point(kernel, eps, budget, seed, mapping, point_index):
         e = weights[rest].std(axis=0, ddof=1) / math.sqrt(rest.sum())
         ok = keep & (v > 0)
         if ok.sum() >= 3:
-            jack.append(mass_fit(MassCurve(rs[ok].astype(float), v[ok],
-                                           e[ok])).mass)
+            jack.append(mass_fit(rs[ok], v[ok], e[ok]).mass)
     if len(jack) >= 3:
         jack = np.asarray(jack)
         g = len(jack)
         se = math.sqrt((g - 1) / g * ((jack - jack.mean()) ** 2).sum())
         fit = replace(fit, stderr=max(fit.stderr, se))
-    return p, n_max, rs, curve, fit
+    return p, n_max, fit
 
 
 def mass_scan(kernel, eps_grid, mode, budget, seed, mapping, region_radius,
@@ -349,49 +338,46 @@ def mass_scan(kernel, eps_grid, mode, budget, seed, mapping, region_radius,
     Modes: "bernoulli-surrogate" simulates annealed traps of density p(eps)
     and scores the first passage to {x_1 >= r}; it needs a kernel invariant
     under x_j -> -x_j for every j >= 2. "pinning-exact" measures the pinned
-    two-point function on a box.
+    two-point function on a box. A point whose fit fails is reported with
+    its reason and left out of the exponent fit.
     """
-    eps = np.asarray(eps_grid, dtype=float)
-    masses, flags, extras = [], [], []
-    for i, e in enumerate(eps):
+    points, fits = [], []
+    for i, e in enumerate(eps_grid):
+        point = {"epsilon": e, "value": math.nan, "stderr": math.inf,
+                 "n_used": 0, "flags": "", "density": None, "n_max": None}
         try:
             if mode == "bernoulli-surrogate":
-                p, n_max, rs, _curve, fit = _surrogate_point(
-                    kernel, e, budget, seed, mapping, i)
-                n_used = budget
-                extra = {"density": p, "n_max": n_max, "r_grid": rs.tolist(),
-                         "monotone_ok": fit.monotone_ok}
+                p, n_max, fit = _surrogate_point(kernel, e, budget, seed,
+                                                 mapping, i)
+                point.update(n_used=budget, density=p, n_max=n_max)
             else:
-                fit, n_used = _pinned_mass_point(kernel, e, seed, i,
-                                                 region_radius, samples)
-                extra = {"density": None, "n_max": None, "r_grid": None,
-                         "monotone_ok": fit.monotone_ok}
-            est, flag = Estimate(fit.mass, fit.stderr, n_used, seed), ""
+                fit, point["n_used"] = _pinned_mass_point(
+                    kernel, e, seed, i, region_radius, samples)
+            point.update(value=fit.mass, stderr=fit.stderr)
         except (ValidationError, NumericalError) as exc:
-            est, flag, extra = (Estimate(float("nan"), float("inf"), 0, seed),
-                                f"fit-failed: {exc}", {})
-        masses.append(est)
-        flags.append(flag)
-        extras.append(extra)
-    diag = {"mode": mode, "mapping": mapping}
-    for key in ("density", "n_max", "r_grid", "monotone_ok"):
-        diag[key] = [x.get(key) for x in extras]
-    ok = [i for i, m in enumerate(masses) if np.isfinite(m.mean) and m.mean > 0]
+            fit, point["flags"] = None, f"fit-failed: {exc}"
+        points.append(point)
+        fits.append(fit)
+    ok = [q for q in points if np.isfinite(q["value"]) and q["value"] > 0]
     if len(ok) < 3:
         raise NumericalError("fewer than 3 usable scan points")
-    lx = np.log(eps[ok])
-    ly = np.log([masses[i].mean for i in ok])
-    sy = np.array([masses[i].stderr / masses[i].mean for i in ok])
-    slope, _, se, chi2, dof = _wls_line(lx, ly, sy)
+    eps = np.array([q["epsilon"] for q in ok], dtype=float)
+    m = np.array([q["value"] for q in ok])
+    sy = np.array([q["stderr"] for q in ok]) / m
+    slope, se, chi2, dof = _wls_line(np.log(eps), np.log(m), sy)
+    fit_rows = [("exponent", slope), ("exponent_stderr", se), ("mode", mode),
+                ("mapping", mapping), ("chi2", chi2), ("dof", dof)]
     if kernel.d == 2:
-        ratio = np.array([masses[i].mean / math.sqrt(eps[i]) for i in ok])
-        diag["m_over_sqrt_eps"] = ratio.tolist()
+        ratio = m / np.sqrt(eps)
         # a negative log-power correction makes m/sqrt(eps) grow with eps
-        diag["log_correction_monotone"] = bool(np.all(np.diff(ratio) < 0))
-    diag["chi2"] = chi2
-    diag["dof"] = dof
-    return ScanResult(eps=eps, values=masses, slope=float(slope),
-                      slope_stderr=float(se), flags=flags, diagnostics=diag)
+        monotone = bool(np.all(np.diff(ratio) < 0))
+        fit_rows += [("m_over_sqrt_eps", ratio.tolist()),
+                     ("log_correction_monotone", monotone)]
+    # per-point fit diagnostics, None where the fit failed
+    notes = {"monotone_ok": [f and f.monotone_ok for f in fits],
+             "point_chi2": [f and f.chi2 for f in fits],
+             "point_dof": [f and f.dof for f in fits]}
+    return ScanResult(points, fit_rows, notes)
 
 
 def _pinned_mass_point(kernel, eps, seed, point_index, region_radius, samples):
@@ -413,8 +399,7 @@ def _pinned_mass_point(kernel, eps, seed, point_index, region_radius, samples):
     keep = vals > 0
     if keep.sum() < 3:
         raise NumericalError("pinned covariance curve has too few positive points")
-    curve = MassCurve(rs[keep].astype(float), vals[keep], errs[keep])
-    return mass_fit(curve), est.n
+    return mass_fit(rs[keep], vals[keep], errs[keep]), est.n
 
 
 def variance_slope_reference(kernel) -> float:
@@ -445,27 +430,28 @@ def variance_scan(kernel, eps_grid, budget, seed, replicas,
                   box_radius) -> ScanResult:
     """Variance at the origin versus |log eps|, with the fitted slope and the
     n0-step Green cross-check value per point."""
-    eps = np.asarray(eps_grid, dtype=float)
-    radii = [variance_box_policy(e) if box_radius is None else box_radius for e in eps]
-    n0 = [_green_steps(kernel, e) for e in eps]  # fail before any chain
+    radii = [variance_box_policy(e) if box_radius is None else box_radius
+             for e in eps_grid]
+    n0 = [_green_steps(kernel, e) for e in eps_grid]  # fail before any chain
 
     values, gn0 = [], []
-    for i, e in enumerate(eps):
+    for i, e in enumerate(eps_grid):
         region = box_region(kernel, radii[i])
         values.append(pinning.variance_origin(
             region, e, samples=budget, seed=(seed, i), replicas=replicas))
         gn0.append(green_nstep(kernel, n0[i]))
-    flags = ["" for _ in values]
-    diag = {"box_radius": radii, "policy": POLICY, "n0": n0,
-            "gn0": [g / kernel.beta_eff for g in gn0],
-            "gn0_audit_rel_err": [g.audit_rel_err for g in gn0],
-            "offsets": [], "slope_reference": variance_slope_reference(kernel)}
-    lx = np.abs(np.log(eps))
+    reference = variance_slope_reference(kernel)
+    lx = np.abs(np.log(np.asarray(eps_grid, dtype=float)))
     ly = np.array([v.mean for v in values])
-    sy = np.array([v.stderr for v in values])
-    slope, intercept, se, chi2, dof = _wls_line(lx, ly, sy)
-    diag["offsets"] = (ly - diag["slope_reference"] * lx).tolist()
-    diag["chi2"] = chi2
-    diag["dof"] = dof
-    return ScanResult(eps=eps, values=values, slope=float(slope),
-                      slope_stderr=float(se), flags=flags, diagnostics=diag)
+    slope, se, chi2, dof = _wls_line(lx, ly, [v.stderr for v in values])
+    offsets = (ly - reference * lx).tolist()
+    points = [{"epsilon": e, "value": v.mean, "stderr": v.stderr,
+               "n_used": v.n, "flags": "", "box_radius": r, "n0": n,
+               "gn0": g / kernel.beta_eff, "offset": off}
+              for e, v, r, n, g, off in zip(eps_grid, values, radii, n0, gn0,
+                                            offsets)]
+    fit = [("slope", slope), ("slope_stderr", se),
+           ("slope_reference", reference), ("chi2", chi2), ("dof", dof),
+           ("policy", POLICY)]
+    notes = {"gn0_audit_max_rel_err": max(g.audit_rel_err for g in gn0)}
+    return ScanResult(points, fit, notes)

@@ -14,16 +14,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Estimate:
-    """A Monte Carlo statistic with its provenance."""
+    """A Monte Carlo mean, its standard error and its sample count."""
 
     mean: float
     stderr: float
     n: int
-    seed: object = None  # int or tuple of ints
-
-    def within(self, target: float, k: float = 3.0) -> bool:
-        """True if `target` lies within k standard errors of the mean."""
-        return abs(self.mean - target) <= k * self.stderr
 
 
 def _flatten_seed(seed, out):

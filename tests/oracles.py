@@ -20,7 +20,9 @@
   renewal chain with bounded tails.
 - Closed forms of the pinned chain of the nearest-neighbour 1D kernel at
   critical sizes: pin density, variance and two-point function.
-- Batch-means standard errors for autocorrelated chain output.
+- Batch-means standard errors for autocorrelated chain output, and the
+  k-standard-error agreement test `within`.
+- The pin marginal of an exact enumeration table.
 - `write_kernel_file`, the inverse of `gffpin.walk.kernel_from_file`.
 """
 
@@ -318,14 +320,25 @@ def sample_field(region, pins, seed):
     return out
 
 
-def estimate_from_samples(samples, seed=None) -> Estimate:
+def estimate_from_samples(samples) -> Estimate:
     """Mean and standard error of i.i.d. samples."""
     x = np.asarray(samples, dtype=float)
     n = x.size
     if n == 0:
         raise ValueError("no samples")
     se = float(x.std(ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    return Estimate(mean=float(x.mean()), stderr=se, n=n, seed=seed)
+    return Estimate(mean=float(x.mean()), stderr=se, n=n)
+
+
+def within(est, target, k=3.0) -> bool:
+    """True if `target` lies within k standard errors of `est`'s mean."""
+    return abs(est.mean - target) <= k * est.stderr
+
+
+def marginal(table, site_index) -> float:
+    """nu(site pinned) from a `pinning.ExactPinTable`."""
+    masks = np.arange(len(table.probs), dtype=np.uint64)
+    return float(table.probs[(masks >> int(site_index)) & 1 == 1].sum())
 
 
 def batch_stderr(values, batches=20):

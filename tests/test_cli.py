@@ -357,10 +357,14 @@ def test_pinned_mass_points_report_sweeps_and_blanks(tmp_path):
         # distance; the surrogate-only columns stay empty
         assert (row["n_used"], row["density"], row["n_max"]) == ("4", "", "")
         assert row["flags"] == ""
-    # per-point fit diagnostics
+    # per-point fit diagnostics, one entry per epsilon: 5 distances, 2
+    # parameters
     manifest = _manifest(out)
     assert set(manifest["monotone_ok"].split()) <= {"0", "1"}
     assert len(manifest["monotone_ok"].split()) == 3
+    assert manifest["point_dof"].split() == ["3", "3", "3"]
+    chi2 = [float(v) for v in manifest["point_chi2"].split()]
+    assert len(chi2) == 3 and all(math.isfinite(v) and v >= 0 for v in chi2)
 
 
 @pytest.mark.parametrize("command, body", [
@@ -421,6 +425,29 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("x.csv")]
 
 
+def test_output_dir_that_is_a_file_is_config_error(tmp_path, capsys):
+    target = tmp_path / "afile"
+    target.write_text("")
+    config = tmp_path / "r.cfg"
+    config.write_text("eps_list = 0.1\nseed = 1\n")
+    code = cli.main(["renewal1d", str(config), "--output-dir", str(target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: output directory" in err and "Traceback" not in err
+    assert target.read_text() == ""
+
+
+def test_failed_artifact_write_exits_4(tmp_path, capsys, monkeypatch):
+    # the header row is written, the first data row fails
+    _fail_csv_writes_at_row(monkeypatch, 2)
+    code, out = _run(tmp_path, "renewal1d", "eps_list = 0.1 0.01\nseed = 1\n")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "disk full" in err and "Traceback" not in err
+    assert _manifest(out)["status"] == "running"
+    assert not (out / "renewal1d.csv").exists()
+
+
 def test_variance_scan_manifest_records_gn0_audit(tmp_path, srw2_file):
     code, out = _run(tmp_path, "variance-scan",
                      "eps_list = 0.3 0.2 0.1\nbudget = 8\n"
@@ -450,6 +477,14 @@ def test_surrogate_mass_manifest_records_monotone_ok(tmp_path, srw2_file):
         rows = list(csv.DictReader(fh))
     assert set(manifest["monotone_ok"].split()) <= {"0", "1", "-"}
     assert len(manifest["monotone_ok"].split()) == len(rows) == 3
+    # "-" exactly where a point's fit failed, and a fit of 3 to 6 distances
+    failed = [row["flags"].startswith("fit-failed") for row in rows]
+    chi2, dof = manifest["point_chi2"].split(), manifest["point_dof"].split()
+    assert len(chi2) == len(dof) == 3
+    for bad, c, n in zip(failed, chi2, dof):
+        assert (c == "-") == (n == "-") == bad
+        if not bad:
+            assert float(c) >= 0 and n in {"1", "2", "3", "4"}
     assert "truncation" not in manifest
 
 
@@ -596,6 +631,67 @@ def test_every_library_name_is_reached():
     assert not unreached, "reached by no command: " + ", ".join(unreached)
     # each probe root is needed, and reaches nothing of its own
     assert _unreached(src) == sorted(f"{m}.{n}" for m, n in _PROBE_ROOTS)
+
+
+# the benchmark tracer (perfbench/tracing.py `_after_renewal_model`) reads
+# this field for its renewal1d.k_max figure, and nothing in the library does
+_TRACER_READS = {("renewal1d", "RenewalModel", "k_max")}
+
+
+def _unread_members(src, exempt=()):
+    """Sorted `module.Class.member` of the methods, properties and annotated
+    fields of the classes under `src` that no attribute load anywhere under
+    `src`, outside the member's own definition, reads by name. Dunder
+    methods are left out: Python calls them. The match is by name alone, so
+    a read of a same-named attribute of another object counts as a read."""
+    loads, members = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loads += [n for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif (isinstance(node, ast.AnnAssign)
+                      and isinstance(node.target, ast.Name)):
+                    name = node.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")):
+                    members.append(((path.stem, cls.name, name), node))
+    unread = []
+    for key, node in members:
+        own = {id(n) for n in ast.walk(node)}
+        if key not in exempt and not any(
+                a.attr == key[2] and id(a) not in own for a in loads):
+            unread.append(".".join(key))
+    return sorted(unread)
+
+
+def test_every_class_member_is_read():
+    # a method, property or field that nothing in the library reads is dead
+    # code, even on a class the CLI reaches
+    src = Path(gffpin.__file__).parent
+    unread = _unread_members(src, _TRACER_READS)
+    assert not unread, "read by nothing in the library: " + ", ".join(unread)
+    # each exemption is needed
+    assert _unread_members(src) == sorted(".".join(k) for k in _TRACER_READS)
+
+
+def test_member_guard_reports_unread_method(tmp_path):
+    # `within` reads itself only, and `__init__` is Python's to call
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "stats.py").write_text(
+        "class Estimate:\n"
+        "    mean: float\n\n"
+        "    def __init__(self, mean):\n        self.mean = mean\n\n"
+        "    def within(self, t, k):\n"
+        "        return k > 9 and self.within(t, k - 1)\n\n\n"
+        "def report(est):\n    return est.mean\n")
+    assert _unread_members(src) == ["stats.Estimate.within"]
+    assert _unread_members(src, {("stats", "Estimate", "within")}) == []
 
 
 def test_reachability_guard_reports_dead_cli_helper(tmp_path):

@@ -22,10 +22,12 @@ from gffpin.walk import make_kernel
 from oracles import (
     batch_stderr,
     gibbs_pin_prob,
+    marginal,
     pinned_chain_1d,
     sample_field,
     scalar_heat_bath,
     subset_green_table,
+    within,
 )
 
 EPS = 0.5
@@ -144,7 +146,6 @@ class TestSampler:
         a = sample_pins(box3, EPS, 500, seed=11, burnin=None)
         b = sample_pins(box3, EPS, 500, seed=11, burnin=None)
         assert np.array_equal(a.samples, b.samples)
-        assert np.array_equal(a.pins, b.pins)
 
     def test_huge_eps_pins_everything(self, box3):
         state = sample_pins(box3, 1e6, 100, seed=3, burnin=None)
@@ -155,7 +156,7 @@ class TestSampler:
         emp = state.samples.mean(axis=0)
         for i in range(9):
             se = batch_stderr(state.samples[:, i])
-            assert abs(emp[i] - table3.marginal(i)) <= 3.0 * se
+            assert abs(emp[i] - marginal(table3, i)) <= 3.0 * se
 
     def test_corner_symmetry(self, box3):
         state = sample_pins(box3, EPS, 20000, seed=7, burnin=1000)
@@ -303,7 +304,7 @@ class TestEmptyProbability:
         res = empty_probability(box3, EPS, target, samples=4000, seed=21,
                                 replicas=REPLICAS)
         exact = table3.empty_probability([box3.site_index(t) for t in target])
-        assert res.estimate.within(exact, k=3.0)
+        assert within(res.estimate, exact, k=3.0)
 
     def test_bernoulli_curves_bracket_exact(self, box3, table3):
         for sites in ([(0, 0)], [(0, 0), (1, 0)], [(-1, -1), (1, 1)]):
@@ -333,14 +334,14 @@ class TestRaoBlackwellEstimators:
         est = variance_origin(region, 1.0, samples=4000, seed=5,
                               replicas=REPLICAS)
         expected = math.sqrt(2 * math.pi) / (1.0 + math.sqrt(2 * math.pi))
-        assert est.within(expected, k=3.0)
+        assert within(est, expected, k=3.0)
 
     def test_exact_mixture_value(self, box3, table3):
         # oracle: sum over subsets of nu(A) G_{A^c}(0,0)
         gvals = subset_green_table(box3, [((0, 0), (0, 0))])
         exact = float(table3.probs @ gvals[:, 0])
         est = variance_origin(box3, EPS, samples=6000, seed=31, replicas=6)
-        assert est.within(exact, k=3.0)
+        assert within(est, exact, k=3.0)
 
     def test_consistent_with_field_sampler(self, box3):
         est = variance_origin(box3, EPS, samples=3000, seed=3,
@@ -349,7 +350,8 @@ class TestRaoBlackwellEstimators:
         vals = np.empty(n)
         for i in range(n):
             state = sample_pins(box3, EPS, 30, seed=(77, i), burnin=None)
-            f = sample_field(box3, state.pins, seed=(78, i))
+            # the pin set after the last sweep
+            f = sample_field(box3, state.samples[-1], seed=(78, i))
             vals[i] = f[1, 1] ** 2
         naive = vals.mean()
         se = vals.std(ddof=1) / math.sqrt(n)
