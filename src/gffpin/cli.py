@@ -89,7 +89,7 @@ _PARSERS = {
     "sites": _parse_sites, "str": str,
 }
 
-# key -> (type, default); the library works out a default of None
+# key -> (type, default); a default of None is worked out where it is read
 REQUIRED = object()  # the default of a key that every config must set
 SCHEMAS = {
     "kernel-info": {"kernel_file": ("str", REQUIRED)},
@@ -342,7 +342,9 @@ class Manifest:
                 fh.write(f"{key} = {value}\n")
         os.replace(tmp, self.path)
 
-    def add_file(self, name):
+    def write_csv(self, name, header, rows):
+        """Write `name` in the output directory atomically and list it."""
+        write_csv(os.path.join(self.out_dir, name), header, rows)
         self.files.append(name)
 
     def record(self, key, value):
@@ -363,7 +365,7 @@ class Manifest:
 # command implementations
 
 
-def _cmd_kernel_info(cfg, out, manifest):
+def _cmd_kernel_info(cfg, manifest):
     k = cfg["kernel"]
     rows = [("dim", k.d), ("lazy", k.lazy), ("beta_eff", k.beta_eff),
             ("p0", k.p0), ("aperiodic", k.aperiodic), ("max_step", k.max_step),
@@ -371,15 +373,14 @@ def _cmd_kernel_info(cfg, out, manifest):
     for i in range(k.d):
         for j in range(i, k.d):
             rows.append((f"cov_{i}{j}", k.cov[i, j]))
-    write_csv(os.path.join(out, "kernel_summary.csv"), ("key", "value"), rows)
-    manifest.add_file("kernel_summary.csv")
+    manifest.write_csv("kernel_summary.csv", ("key", "value"), rows)
     sup = [(*vec, p) for vec, p in k.support()]
-    write_csv(os.path.join(out, "kernel_support.csv"),
-              tuple(f"x{i+1}" for i in range(k.d)) + ("probability",), sup)
-    manifest.add_file("kernel_support.csv")
+    manifest.write_csv("kernel_support.csv",
+                       tuple(f"x{i+1}" for i in range(k.d)) + ("probability",),
+                       sup)
 
 
-def _cmd_green_probe(cfg, out, manifest):
+def _cmd_green_probe(cfg, manifest):
     k = cfg["kernel"]
     region = box_region(k, cfg["box_radius"], pins=cfg["pins"])
     rows = []
@@ -389,24 +390,23 @@ def _cmd_green_probe(cfg, out, manifest):
         rows.append((*x, *y, g.value, g.residual))
     header = tuple(f"x{i+1}" for i in range(k.d)) \
         + tuple(f"y{i+1}" for i in range(k.d)) + ("G", "residual")
-    write_csv(os.path.join(out, "green_probes.csv"), header, rows)
-    manifest.add_file("green_probes.csv")
+    manifest.write_csv("green_probes.csv", header, rows)
 
 
-def _cmd_pins_sample(cfg, out, manifest):
-    k = cfg["kernel"]
-    region = box_region(k, cfg["box_radius"])
-    state = pinning.sample_pins(region, cfg["epsilon"], cfg["sweeps"],
-                                cfg["seed"], burnin=cfg["burnin"])
+def _cmd_pins_sample(cfg, manifest):
+    region = box_region(cfg["kernel"], cfg["box_radius"])
+    sweeps = cfg["sweeps"]
+    burnin = sweeps // 2 if cfg["burnin"] is None else cfg["burnin"]
+    samples, audit = pinning.sample_pins(region, cfg["epsilon"], sweeps,
+                                         cfg["seed"], burnin)
     header = ("sweep",) + tuple(
         "s_" + "_".join(str(c) for c in site) for site in region.sites)
-    rows = [(state.burnin + 1 + i, *row) for i, row in enumerate(state.samples)]
-    write_csv(os.path.join(out, "pin_samples.csv"), header, rows)
-    manifest.add_file("pin_samples.csv")
-    manifest.record("audit_max_rel_err", _fmt(state.audit_max_rel_err))
+    manifest.write_csv("pin_samples.csv", header,
+                       [(burnin + 1 + i, *row) for i, row in enumerate(samples)])
+    manifest.record("audit_max_rel_err", _fmt(audit))
 
 
-def _cmd_fkg_check(cfg, out, manifest):
+def _cmd_fkg_check(cfg, manifest):
     k = cfg["kernel"]
     region = box_region(k, cfg["box_radius"])
     rows = []
@@ -414,55 +414,55 @@ def _cmd_fkg_check(cfg, out, manifest):
         res = pinning.check_lattice_condition(region, eps)
         rows.append((eps, res.min_ratio, res.argmin_pair[0],
                      res.argmin_pair[1], res.pairs_checked))
-    write_csv(os.path.join(out, "fkg_check.csv"),
-              ("epsilon", "min_ratio", "argmin_a", "argmin_b", "pairs"), rows)
-    manifest.add_file("fkg_check.csv")
+    manifest.write_csv("fkg_check.csv",
+                       ("epsilon", "min_ratio", "argmin_a", "argmin_b", "pairs"),
+                       rows)
 
 
-def _cmd_domination_check(cfg, out, manifest):
-    k = cfg["kernel"]
-    region = box_region(k, cfg["box_radius"])
-    res = pinning.empty_probability(
-        region, cfg["epsilon"], cfg["targets"], cfg["samples"], cfg["seed"],
-        replicas=cfg["replicas"])
-    rows = [(cfg["epsilon"], res.estimate.mean, res.estimate.stderr,
-             res.estimate.n, res.lower_curve, res.upper_curve,
-             res.density_lo, res.density_hi, len(cfg["targets"]))]
-    write_csv(os.path.join(out, "domination_check.csv"),
-              ("epsilon", "estimate", "stderr", "n_used", "lower_curve",
-               "upper_curve", "density_lo", "density_hi", "target_size"), rows)
-    manifest.add_file("domination_check.csv")
+def _cmd_domination_check(cfg, manifest):
+    """nu(A n B = empty) for the target set B, by Monte Carlo, next to the
+    Bernoulli curves (1 - p_hi)^|B| and (1 - p_lo)^|B|."""
+    region = box_region(cfg["kernel"], cfg["box_radius"])
+    eps, targets = cfg["epsilon"], cfg["targets"]
+    idx = np.asarray([region.site_index(s) for s in targets])
+    est = pinning.chain_mean(
+        region, eps, lambda ch: float(not ch.pinned[idx].any()),
+        cfg["samples"], cfg["seed"], replicas=cfg["replicas"])
+    p_lo, p_hi = pinning.domination_densities(region, eps, targets)
+    b = len(targets)
+    manifest.write_csv(
+        "domination_check.csv",
+        ("epsilon", "estimate", "stderr", "n_used", "lower_curve",
+         "upper_curve", "density_lo", "density_hi", "target_size"),
+        [(eps, est.mean, est.stderr, est.n, (1.0 - p_hi) ** b,
+          (1.0 - p_lo) ** b, p_lo, p_hi, b)])
 
 
-def _write_scan(out, manifest, name, result):
+def _write_scan(manifest, name, result):
     """`<name>_points.csv`, `<name>_fit.csv` and the manifest notes of a
     `scaling.ScanResult`, written as the scan laid them out."""
     rows = [tuple(point.values()) for point in result.points]
-    write_csv(os.path.join(out, f"{name}_points.csv"),
-              tuple(result.points[0]), rows)
-    manifest.add_file(f"{name}_points.csv")
-    write_csv(os.path.join(out, f"{name}_fit.csv"), ("key", "value"),
-              result.fit)
-    manifest.add_file(f"{name}_fit.csv")
+    manifest.write_csv(f"{name}_points.csv", tuple(result.points[0]), rows)
+    manifest.write_csv(f"{name}_fit.csv", ("key", "value"), result.fit)
     for key, value in result.notes.items():
         manifest.record(key, _fmt(value))
 
 
-def _cmd_variance_scan(cfg, out, manifest):
-    _write_scan(out, manifest, "variance_scan", scaling.variance_scan(
+def _cmd_variance_scan(cfg, manifest):
+    _write_scan(manifest, "variance_scan", scaling.variance_scan(
         cfg["kernel"], cfg["eps_list"], budget=cfg["budget"],
         seed=cfg["seed"], replicas=cfg["replicas"],
         box_radius=cfg["box_radius"]))
 
 
-def _cmd_mass_scan(cfg, out, manifest):
-    _write_scan(out, manifest, "mass_scan", scaling.mass_scan(
+def _cmd_mass_scan(cfg, manifest):
+    _write_scan(manifest, "mass_scan", scaling.mass_scan(
         cfg["kernel"], cfg["eps_list"], mode=cfg["mode"],
         budget=cfg["budget"], seed=cfg["seed"], mapping=cfg["mapping"],
         region_radius=cfg["region_radius"], samples=cfg["samples"]))
 
 
-def _cmd_renewal1d(cfg, out, manifest):
+def _cmd_renewal1d(cfg, manifest):
     rows = []
     for eps in cfg["eps_list"]:
         model = renewal1d.renewal_model(eps)
@@ -477,21 +477,31 @@ def _cmd_renewal1d(cfg, out, manifest):
             raise NumericalError(
                 f"a renewal1d column overflows at epsilon {eps!r}") from None
         rows.append(row)
-    write_csv(os.path.join(out, "renewal1d.csv"),
-              ("epsilon", "lambda", "lambda_over_eps2_half", "M",
-               "M_times_eps3", "variance", "variance_times_2eps2"), rows)
-    manifest.add_file("renewal1d.csv")
+    manifest.write_csv("renewal1d.csv",
+                       ("epsilon", "lambda", "lambda_over_eps2_half", "M",
+                        "M_times_eps3", "variance", "variance_times_2eps2"),
+                       rows)
 
 
-def _cmd_box_stability(cfg, out, manifest):
-    k = cfg["kernel"]
-    rows = [(r.radius, cfg["probe"], r.value.mean, r.value.stderr, r.value.n)
-            for r in pinning.box_stability(
-                k, cfg["epsilon"], cfg["radii"], cfg["probe"], cfg["samples"],
-                cfg["seed"], replicas=cfg["replicas"])]
-    write_csv(os.path.join(out, "box_stability.csv"),
-              ("radius", "probe", "estimate", "stderr", "n_used"), rows)
-    manifest.add_file("box_stability.csv")
+def _cmd_box_stability(cfg, manifest):
+    """A probe at the origin across nested boxes, each run from the same
+    master seed."""
+    k, probe = cfg["kernel"], cfg["probe"]
+    rows = []
+    for radius in cfg["radii"]:
+        region = box_region(k, radius)
+        origin = region.site_index((0,) * k.d)
+        if probe == "unpinned-marginal":
+            observable = lambda ch: float(not ch.pinned[origin])  # noqa: E731
+        else:
+            observable = lambda ch: ch.covariance(origin, origin)  # noqa: E731
+        est = pinning.chain_mean(region, cfg["epsilon"], observable,
+                                 cfg["samples"], cfg["seed"],
+                                 replicas=cfg["replicas"])
+        rows.append((radius, probe, est.mean, est.stderr, est.n))
+    manifest.write_csv("box_stability.csv",
+                       ("radius", "probe", "estimate", "stderr", "n_used"),
+                       rows)
 
 
 _HANDLERS = {
@@ -522,7 +532,7 @@ def run(command, raw_config, out_dir) -> int:
               file=sys.stderr)
         return 2
     try:
-        _HANDLERS[command](cfg, out_dir, manifest)
+        _HANDLERS[command](cfg, manifest)
         manifest.finalize()
     except (ResourceError, OSError) as exc:
         # an OSError here is an artifact write failing, e.g. a full disk

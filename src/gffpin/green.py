@@ -217,13 +217,6 @@ def _slab_green_diag(m, edges) -> np.ndarray:
     return out
 
 
-class NStepGreen(float):
-    """sum_{m<=n} p_m(0), carrying the relative error of its DP audit as
-    `audit_rel_err`."""
-
-    audit_rel_err: float
-
-
 def nstep_torus_radius(kernel: StepKernel, n: int) -> int:
     """Radius of the torus `green_nstep(kernel, n)` sums on; ResourceError
     when the torus holds more than WINDOW_CELL_CAP cells."""
@@ -274,12 +267,13 @@ def _torus_green(kernel: StepKernel, n: int) -> float:
     return 1.0 + float(tail.sum()) / side**kernel.d
 
 
-def green_nstep(kernel: StepKernel, n: int) -> NStepGreen:
-    """n-step Green function at the origin, sum_{m<=n} p_m(0), exact.
+def green_nstep(kernel: StepKernel, n: int) -> tuple[float, float]:
+    """n-step Green function at the origin, sum_{m<=n} p_m(0), exact, and
+    the relative error of its audit.
 
     The Fourier sum of `_torus_green`, audited against the exact DP pmf at
     min(n, 16) steps: a relative gap above NSTEP_AUDIT_TOL raises
-    NumericalError, and the gap is returned as `audit_rel_err`.
+    NumericalError, and the gap is returned with the value.
     """
     value = _torus_green(kernel, n)
     n_a = min(n, NSTEP_AUDIT_STEPS)
@@ -290,6 +284,4 @@ def green_nstep(kernel: StepKernel, n: int) -> NStepGreen:
         raise NumericalError(
             f"n-step Green audit at n = {n_a}: closed form {audit!r} vs "
             f"DP {ref!r}, relative gap {err:.3e}")
-    out = NStepGreen(value)
-    out.audit_rel_err = err
-    return out
+    return value, err

@@ -13,6 +13,12 @@ matrix of the box, so its memory is O(n |A|) and a flip costs O(n |A|) plus
 one sparse solve. The pinned set is sparse at small eps, which is what makes
 large boxes reachable. Exact enumeration stays dense: it serves the FKG
 check and is the small-box oracle of the sampler.
+
+Every heat-bath run goes through one driver, `recorded`: it runs a chain's
+burn-in sweeps, then yields the chain after each recorded sweep, and no other
+code sweeps a chain. `sample_pins` records the pin rows through it, and
+`chain_mean` averages an observable of the chain over `replicas` chains,
+replica r seeded by `replica_rng(seed, r)`.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ResourceError
-from .green import COLUMN_BYTES_CAP, Region, box_region
+from .green import COLUMN_BYTES_CAP, Region
 from .stats import Estimate, replica_rng
 
 ENUM_LIMIT = 16  # subsets are enumerated for at most 2^16 pinnable sites
@@ -201,10 +207,6 @@ class GibbsChain:
             i = nxt + 1
             pr = self._pin_probabilities(i)
 
-    def run(self, sweeps):
-        for _ in range(int(sweeps)):
-            self.sweep()
-
     def covariance(self, i, j) -> float:
         """G_{A^c}(i, j)/beta for the current pin set; zero if either pinned."""
         if self.pinned[i] or self.pinned[j]:
@@ -219,51 +221,33 @@ class GibbsChain:
         return float(g0[i] - c[i] @ (self.kinv[:k, :k] @ c[j])) / self.beta
 
 
-@dataclass
-class PinState:
-    """The post-burn-in sweeps of an exact heat-bath run."""
+def recorded(chain, burnin, sweeps):
+    """Sweep `chain` `burnin` times, then yield it after each of `sweeps`
+    more sweeps. The burn-in runs even when nothing is recorded."""
+    for t in range(burnin + sweeps):
+        chain.sweep()
+        if t >= burnin:
+            yield chain
 
-    burnin: int
-    samples: np.ndarray  # (sweeps - burnin, n_sites) uint8, one row per sweep
-    audit_max_rel_err: float
 
-
-def sample_pins(region, eps, sweeps, seed, burnin) -> PinState:
-    """Run the exact heat bath for `sweeps` sweeps; record the pin set after
-    each post-burn-in sweep.
-
-    A burn-in of None means half the sweeps. Deterministic in the seed.
-    """
-    burnin = sweeps // 2 if burnin is None else int(burnin)
+def sample_pins(region, eps, sweeps, seed, burnin):
+    """The pin set after each post-burn-in sweep of an exact heat-bath run,
+    one uint8 row per sweep, and the run's largest audit error.
+    Deterministic in the seed."""
     need = (sweeps - burnin) * region.n_alive  # one byte per recorded site
     if need > COLUMN_BYTES_CAP:
         raise ResourceError(
             f"{sweeps - burnin} recorded sweeps of {region.n_alive} sites "
             f"need {need} bytes, above the {COLUMN_BYTES_CAP}-byte cap")
     chain = GibbsChain(region, eps, seed)
-    chain.run(burnin)
     rows = np.empty((sweeps - burnin, region.n_alive), dtype=np.uint8)
-    for r in range(sweeps - burnin):
-        chain.sweep()
+    for r, _ in enumerate(recorded(chain, burnin, sweeps - burnin)):
         rows[r] = chain.pinned
-    return PinState(burnin=burnin, samples=rows,
-                    audit_max_rel_err=chain.audit_max_rel_err)
+    return rows, chain.audit_max_rel_err
 
 
 # ---------------------------------------------------------------------------
 # exact enumeration
-
-
-@dataclass
-class ExactPinTable:
-    """nu over every pin set of the region's alive sites, by enumeration."""
-
-    probs: np.ndarray  # (2^n,), indexed by bitmask over site order
-
-    def empty_probability(self, site_indices) -> float:
-        bits = sum(1 << int(s) for s in set(site_indices))
-        masks = np.arange(len(self.probs), dtype=np.uint64)
-        return float(self.probs[(masks & np.uint64(bits)) == 0].sum())
 
 
 def _mask_members(mask, n):
@@ -279,8 +263,9 @@ def _logsumexp(logw) -> float:
     return float(np.log1p(rest) + np.log(at.sum()) + top)
 
 
-def exact_pin_measure(region, eps) -> ExactPinTable:
-    """Enumerate nu(A) over all pin sets A of the alive sites. Weights:
+def exact_pin_measure(region, eps) -> np.ndarray:
+    """nu(A) over all pin sets A of the alive sites, by enumeration, as a
+    (2^n,) array indexed by bitmask over site order. Weights:
     eps^|A| (2 pi)^{|A^c|/2} det(beta (I-P)|_{A^c})^{-1/2}."""
     n = region.n_alive
     if n > ENUM_LIMIT:
@@ -308,7 +293,7 @@ def exact_pin_measure(region, eps) -> ExactPinTable:
     logz_total = _logsumexp(logw)
     probs = np.exp(logw - logz_total)
     probs /= probs.sum()
-    return ExactPinTable(probs=probs)
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +312,7 @@ def check_lattice_condition(region, eps) -> LatticeCheck:
     n = region.n_alive
     if n > PAIR_LIMIT:
         raise ResourceError(f"box too large: need at most {PAIR_LIMIT} sites")
-    table = exact_pin_measure(region, eps)
-    lw = np.log(table.probs)
+    lw = np.log(exact_pin_measure(region, eps))
     masks = np.arange(1 << n, dtype=np.uint32)
     orm = masks[:, None] | masks[None, :]
     andm = masks[:, None] & masks[None, :]
@@ -343,16 +327,19 @@ def check_lattice_condition(region, eps) -> LatticeCheck:
 # Monte Carlo estimators over pin samples
 
 
-def _chain_average(region, eps, record_fn, samples, seed, replicas):
+def chain_mean(region, eps, observable, samples, seed, replicas) -> Estimate:
+    """Mean of `observable(chain)` over `replicas` heat-bath chains, each
+    burning in ceil(samples / replicas) sweeps and recording as many; the
+    error bar is the spread of the replica means."""
     per = int(math.ceil(samples / replicas))
     means = []
     for r in range(replicas):
+        # bound first: a loop variable alone would keep the last replica's
+        # chain alive through this one's burn-in
         chain = GibbsChain(region, eps, seed, replica=r)
-        chain.run(per)
         acc = 0.0
-        for _ in range(per):
-            chain.sweep()
-            acc += record_fn(chain)
+        for chain in recorded(chain, per, per):
+            acc += observable(chain)
         means.append(acc / per)
     means = np.asarray(means)
     return Estimate(mean=float(means.mean()),
@@ -360,19 +347,11 @@ def _chain_average(region, eps, record_fn, samples, seed, replicas):
                     n=per * replicas)
 
 
-def variance_origin(region, eps, samples, seed, replicas) -> Estimate:
-    """Rao-Blackwellized mu(phi_0^2): average of G_{A^c}(0,0)/beta over the
-    pin chain; no field draws involved."""
-    origin = region.site_index((0,) * region.kernel.d)
-    return _chain_average(region, eps, lambda ch: ch.covariance(origin, origin),
-                          samples, seed, replicas=replicas)
-
-
 def covariance(region, eps, x, y, samples, seed, replicas) -> Estimate:
     """mu(phi_x phi_y) as the chain average of G_{A^c}(x,y)/beta."""
     ix, iy = region.site_index(x), region.site_index(y)
-    return _chain_average(region, eps, lambda ch: ch.covariance(ix, iy),
-                          samples, seed, replicas=replicas)
+    return chain_mean(region, eps, lambda ch: ch.covariance(ix, iy),
+                      samples, seed, replicas=replicas)
 
 
 def domination_densities(region, eps, sites) -> tuple[float, float]:
@@ -392,48 +371,3 @@ def domination_densities(region, eps, sites) -> tuple[float, float]:
     p_hi = eps * g_hi / (1.0 + eps * g_hi)
     p_lo = eps * g_lo / (1.0 + eps * g_lo)
     return p_lo, p_hi
-
-
-@dataclass(frozen=True)
-class EmptyProbability:
-    estimate: Estimate
-    lower_curve: float  # (1 - p_hi)^|B|
-    upper_curve: float  # (1 - p_lo)^|B|
-    density_lo: float
-    density_hi: float
-
-
-def empty_probability(region, eps, sites, samples, seed,
-                      replicas) -> EmptyProbability:
-    """nu(A n B = empty) by Monte Carlo plus the fitted Bernoulli curves."""
-    idx = np.asarray([region.site_index(s) for s in sites])
-    est = _chain_average(
-        region, eps, lambda ch: float(not ch.pinned[idx].any()),
-        samples, seed, replicas=replicas)
-    p_lo, p_hi = domination_densities(region, eps, sites)
-    b = len(idx)
-    return EmptyProbability(est, (1.0 - p_hi) ** b, (1.0 - p_lo) ** b,
-                            p_lo, p_hi)
-
-
-@dataclass(frozen=True)
-class StabilityRow:
-    radius: int
-    value: Estimate
-
-
-def box_stability(kernel, eps, radii, probe, samples, seed,
-                  replicas) -> list[StabilityRow]:
-    """Track a probe across nested boxes; same master seed at every size."""
-    rows = []
-    for radius in radii:
-        region = box_region(kernel, radius)
-        origin = region.site_index((0,) * kernel.d)
-        if probe == "unpinned-marginal":
-            fn = lambda ch: float(not ch.pinned[origin])  # noqa: E731
-        else:
-            fn = lambda ch: ch.covariance(origin, origin)  # noqa: E731
-        rows.append(StabilityRow(int(radius),
-                                 _chain_average(region, eps, fn, samples, seed,
-                                                replicas=replicas)))
-    return rows

@@ -22,7 +22,8 @@
   critical sizes: pin density, variance and two-point function.
 - Batch-means standard errors for autocorrelated chain output, and the
   k-standard-error agreement test `within`.
-- The pin marginal of an exact enumeration table.
+- The pin marginal and the empty-set probability of an exact enumeration
+  table.
 - `write_kernel_file`, the inverse of `gffpin.walk.kernel_from_file`.
 """
 
@@ -335,10 +336,17 @@ def within(est, target, k=3.0) -> bool:
     return abs(est.mean - target) <= k * est.stderr
 
 
-def marginal(table, site_index) -> float:
-    """nu(site pinned) from a `pinning.ExactPinTable`."""
-    masks = np.arange(len(table.probs), dtype=np.uint64)
-    return float(table.probs[(masks >> int(site_index)) & 1 == 1].sum())
+def marginal(probs, site_index) -> float:
+    """nu(site pinned) from the table of `pinning.exact_pin_measure`."""
+    masks = np.arange(len(probs), dtype=np.uint64)
+    return float(probs[(masks >> int(site_index)) & 1 == 1].sum())
+
+
+def empty_probability(probs, site_indices) -> float:
+    """nu(no pin on the sites) from the table of `pinning.exact_pin_measure`."""
+    bits = sum(1 << int(s) for s in set(site_indices))
+    masks = np.arange(len(probs), dtype=np.uint64)
+    return float(probs[(masks & np.uint64(bits)) == 0].sum())
 
 
 def batch_stderr(values, batches=20):

@@ -14,7 +14,8 @@ import pytest
 import gffpin
 
 from gffpin import cli, pinning, scaling
-from oracles import write_kernel_file
+from gffpin.green import box_region
+from oracles import empty_probability, within, write_kernel_file
 
 ZETA_HALF = -1.4603545088095868  # zeta(1/2)
 
@@ -31,6 +32,14 @@ def srw2_file(tmp_path):
     path = tmp_path / "srw2.kernel"
     write_kernel_file(path, [((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0),
                              ((0, -1), 1.0)], 2)
+    return path
+
+
+@pytest.fixture
+def srw2_lazy_file(tmp_path):
+    path = tmp_path / "srw2_lazy.kernel"
+    write_kernel_file(path, [((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0),
+                             ((0, -1), 1.0)], 2, lazify=True)
     return path
 
 
@@ -297,6 +306,29 @@ class TestPinsSample:
         assert [int(r[0]) for r in rows[1:]] == list(range(5, 11))
         assert all(set(r[1:]) <= {"0", "1"} for r in rows[1:])
 
+    def test_burnin_equal_to_sweeps_records_nothing(self, tmp_path, srw2_file,
+                                                    monkeypatch):
+        # every sweep is burn-in: the driver yields nothing, yet still runs
+        # the sweeps, and the audit of those sweeps is recorded
+        swept, sweep = [], pinning.GibbsChain.sweep
+
+        def count(chain):
+            swept.append(chain)
+            return sweep(chain)
+
+        monkeypatch.setattr(pinning.GibbsChain, "sweep", count)
+        code, out = _run(tmp_path, "pins-sample",
+                         "box_radius = 1\nepsilon = 0.5\nsweeps = 10\n"
+                         f"burnin = 10\nkernel_file = {srw2_file}\nseed = 3\n")
+        assert code == 0
+        assert len(swept) == 10
+        manifest = _manifest(out)
+        assert manifest["status"] == "done"
+        assert 0.0 <= float(manifest["audit_max_rel_err"]) <= pinning.AUDIT_TOL
+        with open(out / "pin_samples.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 and rows[0][0] == "sweep"
+
     def test_window_radius_is_unknown(self, tmp_path, capsys, srw2_file):
         code, out = _run(tmp_path, "pins-sample",
                          "box_radius = 1\nepsilon = 0.5\nsweeps = 10\n"
@@ -320,6 +352,55 @@ class TestPinsSample:
         assert not (out / "pin_samples.csv").exists()
 
 
+def _csv_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestDominationCheck:
+    def test_matches_exact_table(self, tmp_path, srw2_lazy_file):
+        code, out = _run(tmp_path, "domination-check",
+                         "box_radius = 1\nepsilon = 0.5\ntargets = 0 0\n"
+                         f"samples = 4000\nkernel_file = {srw2_lazy_file}\n"
+                         "seed = 21\n")
+        assert code == 0
+        [row] = _csv_rows(out / "domination_check.csv")
+        region = box_region(gffpin.kernel_from_file(str(srw2_lazy_file)), 1)
+        exact = empty_probability(pinning.exact_pin_measure(region, 0.5),
+                                  [region.site_index((0, 0))])
+        est = gffpin.Estimate(float(row["estimate"]), float(row["stderr"]),
+                             int(row["n_used"]))
+        assert within(est, exact, k=3.0)
+        assert float(row["lower_curve"]) - 1e-12 <= exact \
+            <= float(row["upper_curve"]) + 1e-12
+        assert 0.0 < float(row["density_lo"]) <= float(row["density_hi"]) < 1.0
+
+
+class TestBoxStability:
+    def test_monotone_unpinned_marginal(self, tmp_path, srw2_lazy_file):
+        code, out = _run(tmp_path, "box-stability",
+                         "epsilon = 0.3\nradii = 1 2 4\n"
+                         "probe = unpinned-marginal\nsamples = 3000\n"
+                         f"kernel_file = {srw2_lazy_file}\nseed = 13\n")
+        assert code == 0
+        rows = _csv_rows(out / "box_stability.csv")
+        vals = [float(r["estimate"]) for r in rows]
+        errs = [float(r["stderr"]) for r in rows]
+        assert vals[1] >= vals[0] - 3.0 * (errs[0] + errs[1])
+        assert vals[2] >= vals[1] - 3.0 * (errs[1] + errs[2])
+
+    def test_same_seed_same_box_identical(self, tmp_path, srw2_lazy_file):
+        config = ("epsilon = 0.3\nradii = 2\nprobe = variance\nsamples = 400\n"
+                  f"kernel_file = {srw2_lazy_file}\nseed = 9\n")
+        outputs = []
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            code, out = _run(tmp_path / run, "box-stability", config)
+            assert code == 0
+            outputs.append((out / "box_stability.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("command, body, files", [
     ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8",
      ("variance_scan_points.csv", "variance_scan_fit.csv")),
@@ -340,13 +421,11 @@ def test_chain_outputs_independent_of_jobs(tmp_path, srw2_file, command, body,
     assert outputs[0] == outputs[1]
 
 
-def test_pinned_mass_points_report_sweeps_and_blanks(tmp_path):
-    kernel = tmp_path / "srw2_lazy.kernel"
-    write_kernel_file(kernel, [((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0),
-                               ((0, -1), 1.0)], 2, lazify=True)
+def test_pinned_mass_points_report_sweeps_and_blanks(tmp_path,
+                                                    srw2_lazy_file):
     code, out = _run(tmp_path, "mass-scan",
                      "eps_list = 0.3 0.2 0.1\nmode = pinning-exact\n"
-                     f"budget = 1\nsamples = 4\nkernel_file = {kernel}\n"
+                     f"budget = 1\nsamples = 4\nkernel_file = {srw2_lazy_file}\n"
                      "seed = 5\n")
     assert code == 0
     with open(out / "mass_scan_points.csv") as fh:
@@ -711,3 +790,47 @@ def test_reachability_guard_reports_dead_cli_helper(tmp_path):
         (src / name).write_text(text)
     assert _unreached(src) == ["cli.validate", "walk.orphan"]
     assert _unreached(src, {("cli", "validate")}) == []
+
+
+def _sweep_call_sites(src):
+    """Sorted `module.qualname` of the innermost function or class around
+    each call `<expr>.sweep(...)` under `src`, one entry per call site."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "sweep"):
+                sites.append(where)
+            visit(child, where)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return sorted(sites)
+
+
+def test_one_chain_driver():
+    # every heat-bath run burns in and records through `pinning.recorded`,
+    # so a change to how chains start or what they record is made once
+    src = Path(gffpin.__file__).parent
+    assert _sweep_call_sites(src) == ["pinning.recorded"]
+
+
+def test_sweep_guard_reports_second_loop(tmp_path):
+    # a method with its own sweep loop is a second driver
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "pinning.py").write_text(
+        "class Chain:\n"
+        "    def sweep(self):\n        pass\n\n"
+        "    def run(self, n):\n"
+        "        for _ in range(n):\n            self.sweep()\n\n\n"
+        "def recorded(chain, burnin, sweeps):\n"
+        "    for t in range(burnin + sweeps):\n"
+        "        chain.sweep()\n"
+        "        if t >= burnin:\n            yield chain\n")
+    assert _sweep_call_sites(src) == ["pinning.Chain.run", "pinning.recorded"]

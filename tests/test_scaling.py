@@ -334,7 +334,7 @@ class TestScans:
         def no_chains(*args, **kwargs):
             raise AssertionError("a chain ran")
 
-        monkeypatch.setattr(scaling.pinning, "variance_origin", no_chains)
+        monkeypatch.setattr(scaling.pinning, "chain_mean", no_chains)
         with pytest.raises(ResourceError, match="torus"):
             variance_scan(srw2_lazy, [0.1, 0.01, 5e-4], budget=8, seed=0,
                           replicas=REPLICAS, box_radius=None)
@@ -366,8 +366,7 @@ class TestSandwich:
         gvals = subset_green_table(region, probes)[:, 0]
         sizes = np.array([bin(m).count("1") for m in range(1 << 16)])
         for eps in (0.3, 0.5):
-            table = exact_pin_measure(region, eps)
-            exact = float(table.probs @ gvals)
+            exact = float(exact_pin_measure(region, eps) @ gvals)
             p_lo, p_hi = domination_densities(region, eps, sites)
             logw_lo = sizes * math.log(p_lo) + (16 - sizes) * math.log1p(-p_lo)
             logw_hi = sizes * math.log(p_hi) + (16 - sizes) * math.log1p(-p_hi)
