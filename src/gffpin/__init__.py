@@ -1,11 +1,7 @@
-"""Lattice free field under delta-pinning: simulation and verification tools."""
+"""Lattice free field under delta-pinning: simulation and verification tools.
+
+The package itself exports only its version: `python -m gffpin.cli` loads
+what a command needs and nothing else. Import from the submodules.
+"""
 
 __version__ = "0.1.0"
-
-from .stats import Estimate, replica_rng  # noqa: F401
-from .walk import (  # noqa: F401
-    StepKernel,
-    kernel_from_file,
-    make_kernel,
-    simple_random_walk,
-)

@@ -12,6 +12,11 @@ of the config alone. The two scans return their report from `scaling`, and
 Every config key and its default is written once, in `SCHEMAS`. `_check`
 fills in the defaults and checks every rule once, before the output directory
 is made; the library functions the handlers call do neither again.
+
+The numerical modules are imported where a command uses them: `renewal1d`
+loads no numpy, every command with a kernel file loads numpy, and only the
+commands that build a Region (all but `kernel-info`, `renewal1d` and the
+surrogate `mass-scan`) load scipy.
 """
 
 from __future__ import annotations
@@ -25,12 +30,9 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import __version__, pinning, renewal1d, scaling
+from . import __version__, renewal1d
 from .errors import NumericalError, ResourceError, ToolkitError, ValidationError
-from .green import box_region, green_killed
-from .walk import kernel_from_file
+from .stats import REPLICAS
 
 COMMANDS = (
     "kernel-info", "green-probe", "pins-sample", "fkg-check",
@@ -109,11 +111,11 @@ SCHEMAS = {
     "domination-check": {
         "kernel_file": ("str", REQUIRED), "box_radius": ("int", REQUIRED),
         "epsilon": ("float", REQUIRED), "targets": ("sites", REQUIRED),
-        "samples": ("int", REQUIRED), "replicas": ("int", pinning.REPLICAS),
+        "samples": ("int", REQUIRED), "replicas": ("int", REPLICAS),
     },
     "variance-scan": {
         "kernel_file": ("str", REQUIRED), "eps_list": ("floats", REQUIRED),
-        "budget": ("int", REQUIRED), "replicas": ("int", pinning.REPLICAS),
+        "budget": ("int", REQUIRED), "replicas": ("int", REPLICAS),
         "box_radius": ("int", None),
     },
     "mass-scan": {
@@ -126,7 +128,7 @@ SCHEMAS = {
     "box-stability": {
         "kernel_file": ("str", REQUIRED), "epsilon": ("float", REQUIRED),
         "radii": ("ints", REQUIRED), "probe": ("str", REQUIRED),
-        "samples": ("int", REQUIRED), "replicas": ("int", pinning.REPLICAS),
+        "samples": ("int", REQUIRED), "replicas": ("int", REPLICAS),
     },
 }
 
@@ -202,6 +204,8 @@ def _check(command, raw_config):
             elif any(b >= a for a, b in zip(eps, eps[1:])):
                 violations.append("eps_list must be strictly decreasing")
     if "kernel_file" in parsed:
+        from .walk import kernel_from_file
+
         try:
             parsed["kernel"] = kernel_from_file(parsed["kernel_file"])
         except FileNotFoundError:
@@ -226,6 +230,8 @@ def _check(command, raw_config):
                     violations.append(f"probe {probe} sits on a pin")
     if (command == "variance-scan" and parsed["box_radius"] is not None
             and not violations):
+        from . import scaling
+
         floor = max(map(scaling.variance_box_policy, parsed["eps_list"]))
         if parsed["box_radius"] < floor:
             violations.append(
@@ -245,6 +251,8 @@ def _check(command, raw_config):
         if parsed["mapping"] not in ("default", "direct"):
             violations.append("mapping must be default or direct")
         if not violations and parsed["mode"] == "bernoulli-surrogate":
+            from . import scaling
+
             violations.extend(_plane_target_violations(parsed["kernel"]))
             for eps in parsed["eps_list"]:  # p is a per-site probability
                 try:
@@ -291,10 +299,12 @@ def _fmt(value):
         return ""
     if isinstance(value, list):
         return " ".join("-" if v is None else _fmt(v) for v in value)
-    if isinstance(value, (bool, np.bool_)):
+    if hasattr(value, "item"):  # a numpy scalar: its Python value
+        value = value.item()
+    if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+    if isinstance(value, float):
+        return repr(value)
     return str(value)
 
 
@@ -381,6 +391,8 @@ def _cmd_kernel_info(cfg, manifest):
 
 
 def _cmd_green_probe(cfg, manifest):
+    from .green import box_region, green_killed
+
     k = cfg["kernel"]
     region = box_region(k, cfg["box_radius"], pins=cfg["pins"])
     rows = []
@@ -394,6 +406,9 @@ def _cmd_green_probe(cfg, manifest):
 
 
 def _cmd_pins_sample(cfg, manifest):
+    from . import pinning
+    from .green import box_region
+
     region = box_region(cfg["kernel"], cfg["box_radius"])
     sweeps = cfg["sweeps"]
     burnin = sweeps // 2 if cfg["burnin"] is None else cfg["burnin"]
@@ -407,6 +422,9 @@ def _cmd_pins_sample(cfg, manifest):
 
 
 def _cmd_fkg_check(cfg, manifest):
+    from . import pinning
+    from .green import box_region
+
     k = cfg["kernel"]
     region = box_region(k, cfg["box_radius"])
     rows = []
@@ -422,10 +440,13 @@ def _cmd_fkg_check(cfg, manifest):
 def _cmd_domination_check(cfg, manifest):
     """nu(A n B = empty) for the target set B, by Monte Carlo, next to the
     Bernoulli curves (1 - p_hi)^|B| and (1 - p_lo)^|B|."""
+    from . import pinning
+    from .green import box_region
+
     region = box_region(cfg["kernel"], cfg["box_radius"])
     eps, targets = cfg["epsilon"], cfg["targets"]
-    idx = np.asarray([region.site_index(s) for s in targets])
-    est = pinning.chain_mean(
+    idx = [region.site_index(s) for s in targets]
+    est, audit = pinning.chain_mean(
         region, eps, lambda ch: float(not ch.pinned[idx].any()),
         cfg["samples"], cfg["seed"], replicas=cfg["replicas"])
     p_lo, p_hi = pinning.domination_densities(region, eps, targets)
@@ -436,6 +457,7 @@ def _cmd_domination_check(cfg, manifest):
          "upper_curve", "density_lo", "density_hi", "target_size"),
         [(eps, est.mean, est.stderr, est.n, (1.0 - p_hi) ** b,
           (1.0 - p_lo) ** b, p_lo, p_hi, b)])
+    manifest.record("audit_max_rel_err", _fmt(audit))
 
 
 def _write_scan(manifest, name, result):
@@ -449,6 +471,8 @@ def _write_scan(manifest, name, result):
 
 
 def _cmd_variance_scan(cfg, manifest):
+    from . import scaling
+
     _write_scan(manifest, "variance_scan", scaling.variance_scan(
         cfg["kernel"], cfg["eps_list"], budget=cfg["budget"],
         seed=cfg["seed"], replicas=cfg["replicas"],
@@ -456,6 +480,8 @@ def _cmd_variance_scan(cfg, manifest):
 
 
 def _cmd_mass_scan(cfg, manifest):
+    from . import scaling
+
     _write_scan(manifest, "mass_scan", scaling.mass_scan(
         cfg["kernel"], cfg["eps_list"], mode=cfg["mode"],
         budget=cfg["budget"], seed=cfg["seed"], mapping=cfg["mapping"],
@@ -486,8 +512,11 @@ def _cmd_renewal1d(cfg, manifest):
 def _cmd_box_stability(cfg, manifest):
     """A probe at the origin across nested boxes, each run from the same
     master seed."""
+    from . import pinning
+    from .green import box_region
+
     k, probe = cfg["kernel"], cfg["probe"]
-    rows = []
+    rows, audits = [], []
     for radius in cfg["radii"]:
         region = box_region(k, radius)
         origin = region.site_index((0,) * k.d)
@@ -495,13 +524,15 @@ def _cmd_box_stability(cfg, manifest):
             observable = lambda ch: float(not ch.pinned[origin])  # noqa: E731
         else:
             observable = lambda ch: ch.covariance(origin, origin)  # noqa: E731
-        est = pinning.chain_mean(region, cfg["epsilon"], observable,
-                                 cfg["samples"], cfg["seed"],
-                                 replicas=cfg["replicas"])
+        est, audit = pinning.chain_mean(region, cfg["epsilon"], observable,
+                                        cfg["samples"], cfg["seed"],
+                                        replicas=cfg["replicas"])
         rows.append((radius, probe, est.mean, est.stderr, est.n))
+        audits.append(audit)
     manifest.write_csv("box_stability.csv",
                        ("radius", "probe", "estimate", "stderr", "n_used"),
                        rows)
+    manifest.record("audit_max_rel_err", _fmt(max(audits)))
 
 
 _HANDLERS = {

@@ -9,7 +9,8 @@ There is one solve path: a sparse LU factor of (I - P)|alive, built on first
 use and cached on the Region, serves every `Region.solve`. A Region is
 immutable, so every chain and every probe on one Region shares that factor.
 The diagonal of the Green matrix comes from block-tridiagonal selected
-inversion over slabs of the box and is cached like the factor. The n-step
+inversion over slabs of the box and is cached like the factor, and so is
+each pinned-site variance a chain audit asks for. The n-step
 Green function at the origin is a Fourier sum on a torus, audited against
 the exact DP pmf of `walk`.
 
@@ -64,6 +65,7 @@ class Region:
         self._matrix = self._build_matrix()
         self._lu = None
         self._green_diag = None
+        self._pinned_variances = {}  # (site, kept-site mask bytes) -> value
 
     def site_index(self, x) -> int:
         idx = tuple(int(c) - int(l) for c, l in zip(x, self.lo))
@@ -138,6 +140,26 @@ class Region:
             out.flags.writeable = False
             self._green_diag = out
         return self._green_diag
+
+    def pinned_variance(self, pinned, i) -> float:
+        """Variance at site i given zeros on the other sites of the bool mask
+        `pinned`, beta = 1, by a sparse solve of its own rather than the
+        shared factor: the reference a chain audit checks against. Memoized
+        per (i, pin set), since the chains on one Region audit at the same
+        visits and often see the same state."""
+        keep = ~pinned
+        keep[i] = True
+        key = (i, keep.tobytes())
+        if key not in self._pinned_variances:
+            import scipy.sparse.linalg as spla
+
+            idx = np.flatnonzero(keep)
+            sub = self._matrix[np.ix_(idx, idx)].tocsc()
+            rhs = np.zeros(len(idx))
+            pos = int(np.searchsorted(idx, i))
+            rhs[pos] = 1.0
+            self._pinned_variances[key] = float(spla.spsolve(sub, rhs)[pos])
+        return self._pinned_variances[key]
 
     def _slab_edges(self):
         """Index bounds of the non-empty slabs of thickness max_step along

@@ -30,12 +30,12 @@ import numpy as np
 
 from .errors import NumericalError, ResourceError
 from .green import COLUMN_BYTES_CAP, Region
-from .stats import Estimate, replica_rng
+# REPLICAS is re-exported: the chain count of callers that set none
+from .stats import REPLICAS, Estimate, replica_rng  # noqa: F401
 
 ENUM_LIMIT = 16  # subsets are enumerated for at most 2^16 pinnable sites
 PAIR_LIMIT = 9  # exhaustive lattice-condition pair checks
 AUDIT_TOL = 1e-2
-REPLICAS = 4  # chains per Monte Carlo estimate where no config sets them
 _AUDIT_VISITS = (1, 13, 137, 1371, 13711, 137111, 1371111)
 
 
@@ -81,23 +81,13 @@ class GibbsChain:
 
     def _audit(self, i):
         s = self.raw_variance(i)
-        fresh = self._fresh_variance(i)
+        fresh = self.region.pinned_variance(self.pinned, i)
         rel = abs(s - fresh) / fresh
         self.audit_max_rel_err = max(self.audit_max_rel_err, rel)
         if rel > AUDIT_TOL:
             raise NumericalError(
                 f"audit failed at site {i}: maintained {s!r} vs fresh {fresh!r}"
             )
-
-    def _fresh_variance(self, i):
-        import scipy.sparse.linalg as spla
-
-        keep = np.flatnonzero(~self.pinned | (np.arange(len(self.pinned)) == i))
-        sub = self.region.matrix[np.ix_(keep, keep)].tocsc()
-        rhs = np.zeros(len(keep))
-        pos = int(np.searchsorted(keep, i))
-        rhs[pos] = 1.0
-        return float(spla.spsolve(sub, rhs)[pos])
 
     # -- state changes ------------------------------------------------------
 
@@ -327,12 +317,14 @@ def check_lattice_condition(region, eps) -> LatticeCheck:
 # Monte Carlo estimators over pin samples
 
 
-def chain_mean(region, eps, observable, samples, seed, replicas) -> Estimate:
+def chain_mean(region, eps, observable, samples, seed,
+               replicas) -> tuple[Estimate, float]:
     """Mean of `observable(chain)` over `replicas` heat-bath chains, each
-    burning in ceil(samples / replicas) sweeps and recording as many; the
-    error bar is the spread of the replica means."""
+    burning in ceil(samples / replicas) sweeps and recording as many, and
+    the largest audit error of the chains. The error bar of the Estimate is
+    the spread of the replica means."""
     per = int(math.ceil(samples / replicas))
-    means = []
+    means, audit = [], 0.0
     for r in range(replicas):
         # bound first: a loop variable alone would keep the last replica's
         # chain alive through this one's burn-in
@@ -341,14 +333,17 @@ def chain_mean(region, eps, observable, samples, seed, replicas) -> Estimate:
         for chain in recorded(chain, per, per):
             acc += observable(chain)
         means.append(acc / per)
+        audit = max(audit, chain.audit_max_rel_err)
     means = np.asarray(means)
     return Estimate(mean=float(means.mean()),
                     stderr=float(means.std(ddof=1) / math.sqrt(replicas)),
-                    n=per * replicas)
+                    n=per * replicas), audit
 
 
-def covariance(region, eps, x, y, samples, seed, replicas) -> Estimate:
-    """mu(phi_x phi_y) as the chain average of G_{A^c}(x,y)/beta."""
+def covariance(region, eps, x, y, samples, seed,
+               replicas) -> tuple[Estimate, float]:
+    """mu(phi_x phi_y) as the chain average of G_{A^c}(x,y)/beta, as an
+    Estimate with the largest audit error of its chains."""
     ix, iy = region.site_index(x), region.site_index(y)
     return chain_mean(region, eps, lambda ch: ch.covariance(ix, iy),
                       samples, seed, replicas=replicas)

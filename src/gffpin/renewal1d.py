@@ -6,16 +6,14 @@ tilt lam(eps) normalizing it is the mass of the chain; between pins the field
 is a Gaussian bridge with E(S_m^2 | S_n = 0) = m (n - m)/n. The sums over
 gaps are polylogarithms at e^{-lam}, summed in closed form by `_polylogs`.
 Its series constants, Gamma(1 - s) and zeta at half-integers, are tabulated
-here and checked against scipy in the tests, so the module loads numpy
-alone.
+here and checked against scipy in the tests, and its sums run in Python
+floats, so the module loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NumericalError
 
@@ -27,8 +25,7 @@ DIRECT_SPAN = 45.0  # e^{-45} ~ 3e-20 relative to the first term
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
-_S = np.array([0.5, -0.5, -1.5])
-_N = np.arange(SERIES_TERMS)
+_S = (0.5, -0.5, -1.5)
 
 # zeta(1/2 - j), j = 0..25: the repr of scipy's zeta at each point
 _ZETA_HALF_INTEGERS = (
@@ -44,10 +41,12 @@ _ZETA_HALF_INTEGERS = (
 )
 # Gamma(1 - s) for the three s of `_polylogs`: Gamma(1/2), Gamma(3/2) and
 # Gamma(5/2) in closed form (math.gamma is an ulp off at 3/2 and 5/2)
-_GAMMA = np.array([_SQRT_PI, _SQRT_PI / 2.0, 0.75 * _SQRT_PI])
+_GAMMA = (_SQRT_PI, _SQRT_PI / 2.0, 0.75 * _SQRT_PI)
 # zeta(s - n) / n!, n < SERIES_TERMS; s - n = 1/2 - (row + n)
-_ZETA_TABLE = (np.array(_ZETA_HALF_INTEGERS)[np.arange(3)[:, None] + _N]
-               / np.array([float(math.factorial(n)) for n in _N.tolist()]))
+_ZETA_TABLE = tuple(
+    tuple(_ZETA_HALF_INTEGERS[row + n] / float(math.factorial(n))
+          for n in range(SERIES_TERMS))
+    for row in range(len(_S)))
 
 
 def _polylogs(lam):
@@ -59,12 +58,18 @@ def _polylogs(lam):
     + sum_{n>=0} zeta(s-n) (-lam)^n / n!, terms falling like (lam / 2 pi)^n:
     used below LAM_SERIES, the direct sum over k <= DIRECT_SPAN / lam above."""
     if lam < LAM_SERIES:
-        li = (_GAMMA + lam ** (1.0 - _S) * (_ZETA_TABLE @ (-lam) ** _N)).tolist()
+        powers = [(-lam) ** n for n in range(SERIES_TERMS)]
+        li = [g + lam ** (1.0 - s) * sum(z * p for z, p in zip(row, powers))
+              for g, s, row in zip(_GAMMA, _S, _ZETA_TABLE)]
         return li[0], li[1], li[2] - lam * lam * li[0]
-    k = np.arange(1.0, math.ceil(DIRECT_SPAN / lam) + 1.0)
-    w = np.exp(-lam * k) / np.sqrt(k)
-    # (k^2 - 1) termwise: at large lam the two polylogs agree to a part e^{-lam}
-    li = np.stack([w, k * w, (k * k - 1.0) * w]).sum(axis=1).tolist()
+    li = [0.0, 0.0, 0.0]
+    for k in range(1, math.ceil(DIRECT_SPAN / lam) + 1):
+        w = math.exp(-lam * k) / math.sqrt(k)
+        li[0] += w
+        li[1] += k * w
+        # (k^2 - 1) termwise: at large lam the two polylogs agree to a part
+        # e^{-lam}
+        li[2] += (k * k - 1) * w
     return math.sqrt(lam) * li[0], lam ** 1.5 * li[1], lam ** 2.5 * li[2]
 
 

@@ -341,7 +341,7 @@ def mass_scan(kernel, eps_grid, mode, budget, seed, mapping, region_radius,
     two-point function on a box. A point whose fit fails is reported with
     its reason and left out of the exponent fit.
     """
-    points, fits = [], []
+    points, fits, audits = [], [], []
     for i, e in enumerate(eps_grid):
         point = {"epsilon": e, "value": math.nan, "stderr": math.inf,
                  "n_used": 0, "flags": "", "density": None, "n_max": None}
@@ -352,7 +352,7 @@ def mass_scan(kernel, eps_grid, mode, budget, seed, mapping, region_radius,
                 point.update(n_used=budget, density=p, n_max=n_max)
             else:
                 fit, point["n_used"] = _pinned_mass_point(
-                    kernel, e, seed, i, region_radius, samples)
+                    kernel, e, seed, i, region_radius, samples, audits)
             point.update(value=fit.mass, stderr=fit.stderr)
         except (ValidationError, NumericalError) as exc:
             fit, point["flags"] = None, f"fit-failed: {exc}"
@@ -377,21 +377,26 @@ def mass_scan(kernel, eps_grid, mode, budget, seed, mapping, region_radius,
     notes = {"monotone_ok": [f and f.monotone_ok for f in fits],
              "point_chi2": [f and f.chi2 for f in fits],
              "point_dof": [f and f.dof for f in fits]}
+    if mode == "pinning-exact":  # every usable point ran chains
+        notes["audit_max_rel_err"] = max(audits)
     return ScanResult(points, fit_rows, notes)
 
 
-def _pinned_mass_point(kernel, eps, seed, point_index, region_radius, samples):
+def _pinned_mass_point(kernel, eps, seed, point_index, region_radius, samples,
+                       audits):
     """Mass fit of the pinned two-point function along the first axis, and
-    the sweeps recorded per distance."""
+    the sweeps recorded per distance; appends each distance's largest chain
+    audit error to `audits` as it goes, so a failed fit keeps them."""
     radius = (max(10, math.ceil(4 / math.sqrt(eps))) if region_radius is None
               else region_radius)
     region = box_region(kernel, radius)
     rs = np.unique(np.round(np.linspace(2, max(6, radius - 2), 5)).astype(int))
     vals, errs = [], []
     for r in rs:
-        est = pinning.covariance(region, eps, (0,) * kernel.d,
-                                 (int(r),) + (0,) * (kernel.d - 1), samples,
-                                 (seed, point_index, int(r)), pinning.REPLICAS)
+        est, audit = pinning.covariance(
+            region, eps, (0,) * kernel.d, (int(r),) + (0,) * (kernel.d - 1),
+            samples, (seed, point_index, int(r)), pinning.REPLICAS)
+        audits.append(audit)
         vals.append(est.mean)
         errs.append(est.stderr)
     vals = np.asarray(vals)
@@ -435,12 +440,14 @@ def variance_scan(kernel, eps_grid, budget, seed, replicas,
     n0 = [_green_steps(kernel, e) for e in eps_grid]  # fail before any chain
 
     origin = (0,) * kernel.d
-    values, gn0, audits = [], [], []
+    values, gn0, audits, chain_audits = [], [], [], []
     for i, e in enumerate(eps_grid):
         region = box_region(kernel, radii[i])
         # Rao-Blackwellized mu(phi_0^2): no field draws
-        values.append(pinning.covariance(region, e, origin, origin, budget,
-                                         (seed, i), replicas))
+        est, audit = pinning.covariance(region, e, origin, origin, budget,
+                                        (seed, i), replicas)
+        values.append(est)
+        chain_audits.append(audit)
         g, audit = green_nstep(kernel, n0[i])
         gn0.append(g)
         audits.append(audit)
@@ -457,5 +464,6 @@ def variance_scan(kernel, eps_grid, budget, seed, replicas,
     fit = [("slope", slope), ("slope_stderr", se),
            ("slope_reference", reference), ("chi2", chi2), ("dof", dof),
            ("policy", POLICY)]
-    notes = {"gn0_audit_max_rel_err": max(audits)}
+    notes = {"gn0_audit_max_rel_err": max(audits),
+             "audit_max_rel_err": max(chain_audits)}
     return ScanResult(points, fit, notes)

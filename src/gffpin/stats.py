@@ -2,14 +2,16 @@
 
 Every sampling operation in the toolkit derives its generators through
 ``replica_rng`` so that results are a pure function of (master seed, replica
-index), independent of the order in which replicas run.
+index), independent of the order in which replicas run. The module loads
+numpy only when a generator is made, so the CLI can read `REPLICAS` without
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+REPLICAS = 4  # chains per Monte Carlo estimate where no config sets them
 
 
 @dataclass(frozen=True)
@@ -29,9 +31,12 @@ def _flatten_seed(seed, out):
         out.append(int(seed))
 
 
-def replica_rng(seed, *index) -> np.random.Generator:
-    """Counter-derived generator: deterministic in (seed, index), collision-free
-    across distinct indices. `seed` may be an int or a nested tuple of ints."""
+def replica_rng(seed, *index):
+    """Counter-derived numpy Generator: deterministic in (seed, index),
+    collision-free across distinct indices. `seed` may be an int or a nested
+    tuple of ints."""
+    import numpy as np
+
     entropy: list[int] = []
     _flatten_seed(seed, entropy)
     _flatten_seed(index, entropy)

@@ -179,17 +179,6 @@ def make_kernel(spec, d, lazify=False, beta=1.0) -> StepKernel:
     )
 
 
-def simple_random_walk(d=2, lazify=False, beta=1.0) -> StepKernel:
-    """Nearest-neighbour walk with weight 1/(2d) per direction."""
-    spec = []
-    for i in range(d):
-        e = [0] * d
-        e[i] = 1
-        spec.append((tuple(e), 1.0))
-        spec.append((tuple(-c for c in e), 1.0))
-    return make_kernel(spec, d, lazify=lazify, beta=beta)
-
-
 def kernel_from_file(path) -> StepKernel:
     """Parse the plain-text kernel format: header keys dim/lazify/beta, then
     one `x1 ... xd weight` line per support point."""

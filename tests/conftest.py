@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from gffpin import simple_random_walk  # noqa: E402
+from oracles import simple_random_walk  # noqa: E402
 
 
 @pytest.fixture(scope="session")

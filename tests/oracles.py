@@ -24,7 +24,10 @@
   k-standard-error agreement test `within`.
 - The pin marginal and the empty-set probability of an exact enumeration
   table.
-- `write_kernel_file`, the inverse of `gffpin.walk.kernel_from_file`.
+- `write_kernel_file`, the inverse of `gffpin.walk.kernel_from_file`, and
+  `simple_random_walk`, the nearest-neighbour kernel in d dimensions.
+- The numpy form of `gffpin.renewal1d._polylogs`, the reference of its
+  plain-float sums.
 """
 
 import itertools
@@ -38,10 +41,31 @@ from scipy.special import gamma, gammaincc
 
 from gffpin.errors import NumericalError, ValidationError
 from gffpin.green import Region
-from gffpin.renewal1d import renewal_mean, renewal_model, variance_1d
+from gffpin.renewal1d import (
+    _GAMMA,
+    _S,
+    _ZETA_TABLE,
+    DIRECT_SPAN,
+    LAM_SERIES,
+    SERIES_TERMS,
+    renewal_mean,
+    renewal_model,
+    variance_1d,
+)
 from gffpin.scaling import _CHUNK
 from gffpin.stats import Estimate, replica_rng
-from gffpin.walk import pmf_origin_series, pmf_series
+from gffpin.walk import make_kernel, pmf_origin_series, pmf_series
+
+
+def simple_random_walk(d=2, lazify=False, beta=1.0):
+    """Nearest-neighbour walk with weight 1/(2d) per direction."""
+    spec = []
+    for i in range(d):
+        e = [0] * d
+        e[i] = 1
+        spec.append((tuple(e), 1.0))
+        spec.append((tuple(-c for c in e), 1.0))
+    return make_kernel(spec, d, lazify=lazify, beta=beta)
 
 
 def write_kernel_file(path, support, d, lazify=False, beta=1.0):
@@ -191,6 +215,22 @@ def direct_renewal_sums(eps, lam, k_max):
 
     tails = (eps * tail(-0.5), tail(0.5), tail(1.5) / 6.0)
     return sums, tails
+
+
+def numpy_polylogs(lam):
+    """`gffpin.renewal1d._polylogs` in its numpy form: the zeta series as a
+    (3, SERIES_TERMS) table times the powers (-lam)^n below LAM_SERIES, and
+    the direct sum over k <= DIRECT_SPAN / lam as array sums above."""
+    s = np.array(_S)
+    if lam < LAM_SERIES:
+        n = np.arange(SERIES_TERMS)
+        li = (np.array(_GAMMA) + lam ** (1.0 - s)
+              * (np.array(_ZETA_TABLE) @ (-lam) ** n)).tolist()
+        return li[0], li[1], li[2] - lam * lam * li[0]
+    k = np.arange(1.0, math.ceil(DIRECT_SPAN / lam) + 1.0)
+    w = np.exp(-lam * k) / np.sqrt(k)
+    li = np.stack([w, k * w, (k * k - 1.0) * w]).sum(axis=1).tolist()
+    return math.sqrt(lam) * li[0], lam ** 1.5 * li[1], lam ** 2.5 * li[2]
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,15 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gffpin
 
 from gffpin import cli, pinning, scaling
 from gffpin.green import box_region
+from gffpin.stats import Estimate
+from gffpin.walk import kernel_from_file
 from oracles import empty_probability, within, write_kernel_file
 
 ZETA_HALF = -1.4603545088095868  # zeta(1/2)
@@ -365,11 +368,11 @@ class TestDominationCheck:
                          "seed = 21\n")
         assert code == 0
         [row] = _csv_rows(out / "domination_check.csv")
-        region = box_region(gffpin.kernel_from_file(str(srw2_lazy_file)), 1)
+        region = box_region(kernel_from_file(str(srw2_lazy_file)), 1)
         exact = empty_probability(pinning.exact_pin_measure(region, 0.5),
                                   [region.site_index((0, 0))])
-        est = gffpin.Estimate(float(row["estimate"]), float(row["stderr"]),
-                             int(row["n_used"]))
+        est = Estimate(float(row["estimate"]), float(row["stderr"]),
+                       int(row["n_used"]))
         assert within(est, exact, k=3.0)
         assert float(row["lower_curve"]) - 1e-12 <= exact \
             <= float(row["upper_curve"]) + 1e-12
@@ -537,6 +540,41 @@ def test_variance_scan_manifest_records_gn0_audit(tmp_path, srw2_file):
         assert "audit" not in fh.readline()
 
 
+@pytest.mark.parametrize("command, body", [
+    ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8"),
+    ("mass-scan",
+     "eps_list = 0.3 0.2 0.1\nmode = pinning-exact\nbudget = 1\nsamples = 4"),
+    ("domination-check",
+     "box_radius = 2\nepsilon = 0.3\ntargets = 0 0; 1 0\nsamples = 40"),
+    ("box-stability",
+     "epsilon = 0.3\nradii = 1 2\nprobe = variance\nsamples = 40"),
+    ("mass-scan", "eps_list = 0.3 0.2 0.1\nbudget = 300"),
+], ids=["variance-scan", "mass-scan-pinned", "domination-check",
+        "box-stability", "mass-scan-surrogate"])
+def test_chain_manifests_record_audit(tmp_path, srw2_file, command, body):
+    # every command that runs heat-bath chains records their largest audit
+    # error, and the surrogate, which runs none, records nothing
+    code, out = _run(tmp_path, command,
+                     f"{body}\nkernel_file = {srw2_file}\nseed = 4\n")
+    assert code == 0
+    manifest = _manifest(out)
+    if "budget = 300" in body:
+        assert "audit_max_rel_err" not in manifest
+    else:
+        assert 0.0 <= float(manifest["audit_max_rel_err"]) <= pinning.AUDIT_TOL
+
+
+@pytest.mark.parametrize("value, text", [
+    (np.float64(0.1), "0.1"), (np.float32(0.1), "0.10000000149011612"),
+    (np.int64(-7), "-7"), (np.bool_(True), "1"), (np.bool_(False), "0"),
+    ([np.float64(2.5), None, np.int64(3)], "2.5 - 3"),
+])
+def test_fmt_writes_numpy_scalars_as_python_values(value, text):
+    # the text that naming the numpy types wrote: a float by the repr of
+    # its double, an integer in decimal and a bool as 1 or 0
+    assert cli._fmt(value) == text
+
+
 def test_range_stats_is_unknown_command(tmp_path, capsys):
     # the command is retired: argparse refuses it before reading the config
     with pytest.raises(SystemExit) as exc:
@@ -567,24 +605,16 @@ def test_surrogate_mass_manifest_records_monotone_ok(tmp_path, srw2_file):
     assert "truncation" not in manifest
 
 
-@pytest.mark.parametrize("command, body, banned", [
-    (None, None, "scipy"),
-    ("mass-scan", "eps_list = 0.3 0.2 0.1\nbudget = 300\nkernel_file = {kernel}",
-     "scipy"),
-    ("renewal1d", "eps_list = 0.1 0.01", "scipy"),
-    ("fkg-check", "box_radius = 1\neps_list = 0.5 0.1\nkernel_file = {kernel}",
-     "scipy.special"),
-], ids=["import", "mass-scan-surrogate", "renewal1d", "fkg-check"])
-def test_start_up_leaves_out_scipy(tmp_path, srw2_file, command, body, banned):
-    # importing the CLI, a surrogate run and renewal1d (its series constants
-    # are tabulated) need numpy alone; the exact enumeration of fkg-check
-    # loads scipy.sparse for its Region, but never scipy.special
+def _start_up_loads(tmp_path, command, body, banned):
+    """Run `cli.main` on `command` with `body` as its config (just import
+    the CLI when `command` is None) in a fresh interpreter, and assert that
+    no module of the `banned` package loaded."""
     src = os.path.dirname(os.path.dirname(gffpin.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ["import sys", "from gffpin import cli"]
     if command:
         config = tmp_path / "run.cfg"
-        config.write_text(body.format(kernel=srw2_file) + "\nseed = 3\n")
+        config.write_text(body + "\nseed = 3\n")
         argv = [command, str(config), "--output-dir", str(tmp_path / "out")]
         code.append(f"assert cli.main({argv!r}) == 0")
     code += [f"loaded = [m for m in sys.modules if (m + '.').startswith("
@@ -594,6 +624,32 @@ def test_start_up_leaves_out_scipy(tmp_path, srw2_file, command, body, banned):
     proc = subprocess.run([sys.executable, "-c", "\n".join(code)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command, body, banned", [
+    (None, None, "scipy"),
+    ("mass-scan", "eps_list = 0.3 0.2 0.1\nbudget = 300\nkernel_file = {kernel}",
+     "scipy"),
+    ("renewal1d", "eps_list = 0.1 0.01", "scipy"),
+    ("fkg-check", "box_radius = 1\neps_list = 0.5 0.1\nkernel_file = {kernel}",
+     "scipy.special"),
+], ids=["import", "mass-scan-surrogate", "renewal1d", "fkg-check"])
+def test_start_up_leaves_out_scipy(tmp_path, srw2_file, command, body, banned):
+    # a surrogate run (path ensembles alone) needs numpy and no scipy; the
+    # exact enumeration of fkg-check loads scipy.sparse for its Region, but
+    # never scipy.special
+    _start_up_loads(tmp_path, command, body and body.format(kernel=srw2_file),
+                    banned)
+
+
+@pytest.mark.parametrize("command, body", [
+    (None, None), ("renewal1d", "eps_list = 0.1 0.01 0.005"),
+], ids=["import", "renewal1d"])
+def test_start_up_leaves_out_numpy(tmp_path, command, body):
+    # the CLI imports the numerical modules in the commands that use them,
+    # and renewal1d sums its series in Python floats (its constants are
+    # tabulated), so importing the CLI or running renewal1d loads no numpy
+    _start_up_loads(tmp_path, command, body, "numpy")
 
 
 class TestRenewalCommand:
@@ -636,20 +692,27 @@ def _library_graph(src):
     """Top-level definitions of every module under `src`, the (module, name)
     pairs each one's body refers to by name or module attribute, and the
     roots: the CLI entry point `cli.main` and every name the package
-    exports."""
+    exports. A relative import binds its names in the module when it sits
+    at the top level, and in the enclosing top-level definition when it
+    sits inside one."""
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(src.glob("*.py"))}
+
+    def bind(node, bound):
+        # local name -> (module, name) or the module itself
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if node.module is None and alias.name in modules:
+                bound[local] = alias.name
+            else:
+                bound[local] = (node.module or "__init__", alias.name)
+
     defs, refs = {}, {}
     for mod, tree in modules.items():
-        bound = {}  # local name -> (module, name) or the module itself
+        bound = {}
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.level == 1:
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    if node.module is None and alias.name in modules:
-                        bound[local] = alias.name
-                    else:
-                        bound[local] = (node.module or "__init__", alias.name)
+                bind(node, bound)
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[(mod, node.name)] = node
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -659,12 +722,19 @@ def _library_graph(src):
                     if isinstance(t, ast.Name):
                         defs[(mod, t.id)] = node
 
-        def resolve(name, mod=mod, bound=bound):
-            if (mod, name) in defs:
-                return (mod, name)
-            return bound.get(name)
-
         for key in [k for k in defs if k[0] == mod]:
+            inner = {}  # what the definition's own imports bind
+            for sub in ast.walk(defs[key]):
+                if isinstance(sub, ast.ImportFrom) and sub.level == 1:
+                    bind(sub, inner)
+
+            def resolve(name, mod=mod, bound=bound, inner=inner):
+                if name in inner:
+                    return inner[name]
+                if (mod, name) in defs:
+                    return (mod, name)
+                return bound.get(name)
+
             out = set()
             for sub in ast.walk(defs[key]):
                 if isinstance(sub, ast.Name):
@@ -790,6 +860,27 @@ def test_reachability_guard_reports_dead_cli_helper(tmp_path):
         (src / name).write_text(text)
     assert _unreached(src) == ["cli.validate", "walk.orphan"]
     assert _unreached(src, {("cli", "validate")}) == []
+
+
+def test_reachability_guard_follows_function_imports(tmp_path):
+    # a name imported only inside a function body, by module or by name, is
+    # reached through that function; a name imported nowhere is still
+    # reported, also where another module's name is imported in its place
+    src = tmp_path / "pkg"
+    src.mkdir()
+    for name, text in {
+        "__init__.py": "",
+        "walk.py": ("def load():\n    return 1\n\n\n"
+                    "def orphan():\n    return 2\n"),
+        "scaling.py": ("def scan():\n    return 3\n\n\n"
+                       "def load():\n    return 4\n"),
+        "cli.py": ("def main():\n"
+                   "    from . import scaling\n"
+                   "    from .walk import load\n\n"
+                   "    return scaling.scan() + load()\n"),
+    }.items():
+        (src / name).write_text(text)
+    assert _unreached(src) == ["scaling.load", "walk.orphan"]
 
 
 def _sweep_call_sites(src):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gffpin import green, simple_random_walk
+from gffpin import green
 from gffpin.errors import NumericalError, ResourceError, ValidationError
 from gffpin.green import (
     Region,
@@ -14,7 +14,7 @@ from gffpin.green import (
 )
 from gffpin.walk import _auto_radius, make_kernel, pmf_origin_series
 
-from oracles import block_solve_green_diag, hitting_prob
+from oracles import block_solve_green_diag, hitting_prob, simple_random_walk
 
 KERNELS = {
     "srw1": simple_random_walk(1),

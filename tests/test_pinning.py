@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gffpin import pinning, simple_random_walk
+from gffpin import pinning
 from gffpin.errors import NumericalError, ResourceError, ValidationError
 from gffpin.green import Region, box_region, green_killed
 from gffpin.pinning import (
@@ -26,6 +26,7 @@ from oracles import (
     pinned_chain_1d,
     sample_field,
     scalar_heat_bath,
+    simple_random_walk,
     subset_green_table,
     within,
 )
@@ -212,18 +213,44 @@ class TestLowRankChain:
         region = box_region(srw2_lazy, 10)
         n = region.n_alive
         seen = []
-        fresh = GibbsChain._fresh_variance
+        fresh = Region.pinned_variance
 
-        def record(chain, i):
+        def record(region, pinned, i):
             seen.append(sweep * n + i + 1)
-            return fresh(chain, i)
+            return fresh(region, pinned, i)
 
-        monkeypatch.setattr(GibbsChain, "_fresh_variance", record)
+        monkeypatch.setattr(Region, "pinned_variance", record)
         chain = GibbsChain(region, 0.3, seed=5)
         for sweep in range(4):
             chain.sweep()
         assert seen == [1, 13, 137, 1371]
         assert 0.0 < chain.audit_max_rel_err <= AUDIT_TOL
+
+    def test_audit_references_shared_on_region(self, srw2_lazy, monkeypatch):
+        # chains on one Region audit at the same visits (1 and 13 in a sweep
+        # of 49 sites); a state seen before is not solved again, and every
+        # audit error is the one the chain gets on a Region of its own
+        import scipy.sparse.linalg as spla
+
+        solves = []
+        spsolve = spla.spsolve
+        monkeypatch.setattr(spla, "spsolve",
+                            lambda *a: solves.append(1) or spsolve(*a))
+
+        def audit_errors(regions):
+            out = []
+            for replica, region in enumerate(regions):
+                chain = GibbsChain(region, 0.3, seed=5, replica=replica)
+                chain.sweep()
+                out.append(chain.audit_max_rel_err)
+            return out
+
+        shared = audit_errors([box_region(srw2_lazy, 3)] * 3)
+        # 3 chains x 2 audits, and every chain's visit-1 audit sees the
+        # empty pin set
+        assert len(solves) <= 4
+        assert shared == audit_errors([box_region(srw2_lazy, 3)
+                                       for _ in range(3)])
 
     def test_drift_fails_the_audit(self, srw2_lazy):
         chain = GibbsChain(box_region(srw2_lazy, 3), 0.3, seed=5)
@@ -324,8 +351,8 @@ class TestEmptyProbability:
 class TestRaoBlackwellEstimators:
     def test_single_site_closed_form(self, srw2):
         region = Region(srw2, (0, 0), (0, 0))
-        est = covariance(region, 1.0, (0, 0), (0, 0), samples=4000, seed=5,
-                         replicas=REPLICAS)
+        est, _ = covariance(region, 1.0, (0, 0), (0, 0), samples=4000, seed=5,
+                            replicas=REPLICAS)
         expected = math.sqrt(2 * math.pi) / (1.0 + math.sqrt(2 * math.pi))
         assert within(est, expected, k=3.0)
 
@@ -333,13 +360,13 @@ class TestRaoBlackwellEstimators:
         # oracle: sum over subsets of nu(A) G_{A^c}(0,0)
         gvals = subset_green_table(box3, [((0, 0), (0, 0))])
         exact = float(table3 @ gvals[:, 0])
-        est = covariance(box3, EPS, (0, 0), (0, 0), samples=6000, seed=31,
-                         replicas=6)
+        est, _ = covariance(box3, EPS, (0, 0), (0, 0), samples=6000, seed=31,
+                            replicas=6)
         assert within(est, exact, k=3.0)
 
     def test_consistent_with_field_sampler(self, box3):
-        est = covariance(box3, EPS, (0, 0), (0, 0), samples=3000, seed=3,
-                         replicas=REPLICAS)
+        est, _ = covariance(box3, EPS, (0, 0), (0, 0), samples=3000, seed=3,
+                            replicas=REPLICAS)
         n = 4000
         vals = np.empty(n)
         for i in range(n):

@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from oracles import direct_renewal_sums, f_pmf
+from oracles import direct_renewal_sums, f_pmf, numpy_polylogs
 
 from gffpin import renewal1d
 from gffpin.errors import NumericalError, ValidationError
 from gffpin.renewal1d import (
     LAM_SERIES,
     RenewalModel,
+    SERIES_TERMS,
     _GAMMA,
-    _N,
     _S,
     _ZETA_HALF_INTEGERS,
     _ZETA_TABLE,
@@ -90,14 +90,15 @@ class TestSeriesConstants:
     def test_gamma_closed_forms(self):
         from scipy.special import gamma
 
-        assert _GAMMA.tolist() == gamma(1.0 - _S).tolist()
+        assert list(_GAMMA) == gamma(1.0 - np.array(_S)).tolist()
 
     def test_zeta_table(self):
         from scipy.special import factorial, zeta
 
-        assert _ZETA_TABLE.shape == (3, 24)
-        assert _ZETA_TABLE.tolist() == (
-            zeta(_S[:, None] - _N) / factorial(_N)).tolist()
+        n = np.arange(SERIES_TERMS)
+        assert np.shape(_ZETA_TABLE) == (3, 24)
+        assert [list(row) for row in _ZETA_TABLE] == (
+            zeta(np.array(_S)[:, None] - n) / factorial(n)).tolist()
 
 
 class TestClosedForm:
@@ -128,6 +129,16 @@ class TestClosedForm:
         below = _polylogs(np.nextafter(LAM_SERIES, 0.0))
         for lo, hi in zip(below, _polylogs(LAM_SERIES)):
             assert abs(lo - hi) <= 1e-13 * abs(hi)
+
+    def test_matches_numpy_form(self):
+        # the plain-float sums against the array form they replace, on both
+        # sides of LAM_SERIES: the same terms, summed in another order
+        lams = np.concatenate([np.logspace(-12, 0, 120, endpoint=False),
+                               np.logspace(0, math.log10(40.0), 60),
+                               [np.nextafter(LAM_SERIES, 0.0)]])
+        for lam in lams.tolist():
+            for got, ref in zip(_polylogs(lam), numpy_polylogs(lam)):
+                assert abs(got - ref) <= 1e-14 * abs(ref), lam
 
     def test_k_max_is_eps_free(self):
         assert max(renewal_model(e).k_max for e in (1e-4, 0.1, 10.0)) < 100
