@@ -9,10 +9,14 @@ single-flip ratio of nu, so detailed balance holds by construction.
 
 The chain holds the covariance given A in low-rank form,
 G_A = G0 - G0[:, A] K^{-1} G0[A, :] with K = G0[A, A] and G0 the Green
-matrix of the box, so its memory is O(n |A|) and a flip costs O(n |A|) plus
-one sparse solve. The pinned set is sparse at small eps, which is what makes
-large boxes reachable. Exact enumeration stays dense: it serves the FKG
-check and is the small-box oracle of the sampler.
+matrix of the box, so its memory is O(n |A|) and a flip costs one sparse
+solve plus O(|A|^2). It keeps no diag(G_A) vector: a variance is computed
+where it is needed, in O(|A|^2). No odds exceed p_hi, the odds with all
+other sites pinned, so a sweep computes the odds only at the sites whose
+uniform is below p_hi, about p_hi * n of them. The pinned set is sparse at
+small eps, which is what makes large boxes reachable. Exact enumeration
+stays dense: it serves the FKG check and is the small-box oracle of the
+sampler.
 
 Every heat-bath run goes through one driver, `recorded`: it runs a chain's
 burn-in sweeps, then yields the chain after each recorded sweep, and no other
@@ -43,17 +47,26 @@ _AUDIT_VISITS = (1, 13, 137, 1371, 13711, 137111, 1371111)
 # heat-bath chain
 
 
+def _odds(eps, beta, var) -> float:
+    """Heat-bath pin probability eps*g/(1 + eps*g) of a site whose
+    conditional variance is var at beta = 1, with g = (2 pi var/beta)^{-1/2}
+    the density of the field there at zero height."""
+    g = 1.0 / math.sqrt(2.0 * math.pi * (var / beta))
+    return eps * g / (1.0 + eps * g)
+
+
 class GibbsChain:
     """Exact systematic-scan heat bath for the pinned-site law on a region.
 
     State, all at beta = 1: the columns G0[:, A] of the region's Green matrix
-    for the current pin set A (slot order, not site order), the |A| x |A|
-    matrix K^{-1} = G0[A, A]^{-1}, and the vector diag(G_A), read only off A.
-    Pinning a site costs one solve with the region's shared factor;
-    unpinning costs none. The conditional variance of an unpinned site is
-    diag(G_A), and the add-back variance of a pinned site a is
-    1 / K^{-1}[a, a]. Scheduled audits compare either with an independent
-    sparse solve.
+    for the current pin set A, one slot each, and K^{-1} = G0[A, A]^{-1} over
+    the same slots. There is no diag(G_A) vector: the conditional variance
+    of an unpinned site i is G0(i, i) - c_i^T K^{-1} c_i with c_i = G0[i, A],
+    computed on demand in O(|A|^2), and the add-back variance of a pinned
+    site a is 1 / K^{-1}[a, a]. A pin costs one solve with the region's
+    shared factor plus O(|A|^2); an unpin costs O(|A|^2) and frees its slot
+    for the next pin (a free slot has zero rows in K^{-1}). Scheduled audits
+    compare the variance with an independent sparse solve.
     """
 
     def __init__(self, region: Region, eps: float, seed: int, replica: int = 0):
@@ -61,23 +74,32 @@ class GibbsChain:
         self.eps = float(eps)
         self.rng = replica_rng(seed, replica)
         self.beta = region.beta
+        # the odds with all other sites pinned: no odds are larger
+        self.p_hi = _odds(self.eps, self.beta, 1.0 / (1.0 - region.kernel.p0))
         n = region.n_alive
         self.pinned = np.zeros(n, dtype=bool)
-        self.var = region.green_diag.copy()  # diag(G_A)
         self.slot = np.full(n, -1, dtype=np.int64)  # column slot of each pin
-        self.sites = np.empty(0, dtype=np.int64)  # site of each slot
-        self.cols = np.empty((n, 0), order="F")  # G0[:, A], first k columns
-        self.kinv = np.empty((0, 0))  # K^{-1}, first k rows and columns
-        self.k = 0
+        self.cols = np.empty((n, 0), order="F")  # G0[:, A] in the first k slots
+        self.kinv = np.empty((0, 0))  # K^{-1}, zero past the first k slots
+        self.k = 0  # slots ever used
+        self.free = []  # slots below k that no pin holds
         self._visits = 0
         self.audit_max_rel_err = 0.0
 
-    # -- conditional variance bookkeeping ----------------------------------
+    # -- conditional variance -----------------------------------------------
 
     def raw_variance(self, i) -> float:
         """Conditional variance at site i given the other pins, beta = 1."""
-        p = self.slot[i]
-        return float(self.var[i] if p < 0 else 1.0 / self.kinv[p, p])
+        p, k = self.slot[i], self.k
+        if p >= 0:
+            v = 1.0 / self.kinv[p, p]
+        else:
+            c = self.cols[i, :k]
+            v = self.region.green_diag[i] - c @ (self.kinv[:k, :k] @ c)
+        if not v > 0:
+            raise NumericalError(
+                f"variance {v!r} at site {i} is not positive; audit the chain")
+        return float(v)
 
     def _audit(self, i):
         s = self.raw_variance(i)
@@ -86,7 +108,7 @@ class GibbsChain:
         self.audit_max_rel_err = max(self.audit_max_rel_err, rel)
         if rel > AUDIT_TOL:
             raise NumericalError(
-                f"audit failed at site {i}: maintained {s!r} vs fresh {fresh!r}"
+                f"audit failed at site {i}: chain {s!r} vs fresh {fresh!r}"
             )
 
     # -- state changes ------------------------------------------------------
@@ -101,79 +123,55 @@ class GibbsChain:
                 f"columns, above the {COLUMN_BYTES_CAP}-byte cap")
         cols = np.empty((n, cap), order="F")
         cols[:, :self.k] = self.cols[:, :self.k]
-        kinv = np.empty((cap, cap))
+        kinv = np.zeros((cap, cap))
         kinv[:self.k, :self.k] = self.kinv[:self.k, :self.k]
-        sites = np.empty(cap, dtype=np.int64)
-        sites[:self.k] = self.sites[:self.k]
-        self.cols, self.kinv, self.sites = cols, kinv, sites
+        self.cols, self.kinv = cols, kinv
 
     def _pin(self, i):
-        k = self.k
-        if k == self.cols.shape[1]:
+        p = self.free.pop() if self.free else self.k
+        if p == self.cols.shape[1]:
             self._grow()
         rhs = np.zeros(len(self.pinned))
         rhs[i] = 1.0
         g0, _ = self.region.solve(rhs)
-        c = self.cols[:, :k]
-        kb = self.kinv[:k, :k] @ c[i]  # K^{-1} G0[A, i]
-        col = g0 - c @ kb  # G_A[:, i]
-        s = col[i]
+        self.cols[:, p] = g0
+        self.k = k = max(self.k, p + 1)
+        c = self.cols[i, :k]
+        kinv = self.kinv[:k, :k]
+        kb = kinv @ c  # K^{-1} G0[A, i], zero at the free slot p
+        s = g0[i] - c @ kb  # G_A(i, i)
         if s <= 0:
             raise NumericalError("lost positive definiteness; audit the chain")
-        self.var -= col * col / s
-        # bordered inverse of K with the new site last
-        kinv = self.kinv
-        kinv[:k, :k] += np.outer(kb, kb) / s
-        kinv[:k, k] = kinv[k, :k] = -kb / s
-        kinv[k, k] = 1.0 / s
-        self.cols[:, k] = g0
-        self.sites[k] = i
-        self.slot[i] = k
-        self.k = k + 1
+        # bordered inverse of K with the new site in slot p
+        kinv += np.outer(kb, kb) / s
+        kinv[p] = kinv[:, p] = -kb / s
+        kinv[p, p] = 1.0 / s
+        self.slot[i] = p
         self.pinned[i] = True
 
     def _unpin(self, i):
-        k, p = self.k, int(self.slot[i])
-        kinv = self.kinv
-        kp = kinv[:k, p].copy()
-        kappa = kp[p]
-        if kappa <= 0:
+        p = int(self.slot[i])
+        kinv = self.kinv[:self.k, :self.k]
+        kp = kinv[:, p].copy()
+        if kp[p] <= 0:
             raise NumericalError("lost positive definiteness; audit the chain")
-        u = self.cols[:, :k] @ kp  # G_{A-i}[:, i] * kappa
-        self.var += u * u / kappa
-        # Schur complement of slot p, then the last slot moves into p
-        kinv[:k, :k] -= np.outer(kp, kp) / kappa
-        last = k - 1
-        if p != last:
-            kinv[p, :k] = kinv[last, :k]
-            kinv[:k, p] = kinv[:k, last]  # kinv[p, p] via the row copy
-            self.cols[:, p] = self.cols[:, last]
-            moved = self.sites[last]
-            self.sites[p] = moved
-            self.slot[moved] = p
-        self.k = last
+        kinv -= np.outer(kp, kp) / kp[p]  # Schur complement of slot p
+        kinv[p] = kinv[:, p] = 0.0  # slot p is free
+        self.free.append(p)
         self.slot[i] = -1
-        self.var[i] = 1.0 / kappa
         self.pinned[i] = False
 
     # -- public surface -----------------------------------------------------
-
-    def _pin_probabilities(self, start):
-        """Heat-bath odds of every site from `start` on."""
-        v = self.var[start:].copy()
-        a = self.sites[:self.k]
-        ahead = a >= start
-        v[a[ahead] - start] = 1.0 / np.diagonal(self.kinv)[:self.k][ahead]
-        g = np.sqrt(self.beta / (2.0 * math.pi * v))
-        return self.eps * g / (1.0 + self.eps * g)
 
     def sweep(self):
         """One lexicographic heat-bath scan; exactly one uniform per site.
 
         The n uniforms of a sweep come from one draw, the same stream as n
-        scalar draws. Odds change only at flips, so the scan jumps from one
-        site whose uniform disagrees with its pin state to the next and
-        refreshes the odds of the sites after it.
+        scalar draws. No odds exceed p_hi, so a site whose uniform is not
+        below p_hi ends its visit unpinned in any state: the scan is thinned
+        (Lewis and Shedler 1979). It computes the odds only at the sites
+        whose uniform is below p_hi, about p_hi * n of them, and unpins
+        the remaining pins without their odds.
         """
         n = len(self.pinned)
         u = self.rng.random(n)
@@ -181,28 +179,24 @@ class GibbsChain:
         self._visits += n
         audits = [t - first - 1 for t in _AUDIT_VISITS
                   if first < t <= first + n]
-        i = 0
-        pr = self._pin_probabilities(0)
-        while i < n:
-            flips = np.flatnonzero((u[i:] < pr) != self.pinned[i:])
-            nxt = i + int(flips[0]) if len(flips) else n
-            while audits and audits[0] <= nxt:
+        # with every neighbour pinned the odds meet p_hi to within rounding
+        low = u < self.p_hi * (1.0 + 1e-9)
+        for i in np.flatnonzero(low | self.pinned):
+            while audits and audits[0] <= i:
                 self._audit(audits.pop(0))
-            if nxt == n:
-                break
-            if self.pinned[nxt]:
-                self._unpin(nxt)
-            else:
-                self._pin(nxt)
-            i = nxt + 1
-            pr = self._pin_probabilities(i)
+            pin = bool(low[i]) and u[i] < _odds(self.eps, self.beta,
+                                                self.raw_variance(i))
+            if pin != self.pinned[i]:
+                (self._pin if pin else self._unpin)(i)
+        for i in audits:
+            self._audit(i)
 
     def covariance(self, i, j) -> float:
         """G_{A^c}(i, j)/beta for the current pin set; zero if either pinned."""
         if self.pinned[i] or self.pinned[j]:
             return 0.0
         if i == j:
-            return float(self.var[i]) / self.beta
+            return self.raw_variance(i) / self.beta
         rhs = np.zeros(len(self.pinned))
         rhs[j] = 1.0
         g0, _ = self.region.solve(rhs)
@@ -358,11 +352,7 @@ def domination_densities(region, eps, sites) -> tuple[float, float]:
     extremes bound the conditionals uniformly; the sandwich constants are
     fitted from the model rather than asserted.
     """
-    beta = region.beta
-    g_hi = 1.0 / math.sqrt(2.0 * math.pi / (beta * (1.0 - region.kernel.p0)))
     sigma_max = max(float(region.green_diag[region.site_index(s)])
-                    for s in sites) / beta
-    g_lo = 1.0 / math.sqrt(2.0 * math.pi * sigma_max)
-    p_hi = eps * g_hi / (1.0 + eps * g_hi)
-    p_lo = eps * g_lo / (1.0 + eps * g_lo)
-    return p_lo, p_hi
+                    for s in sites)
+    return (_odds(eps, region.beta, sigma_max),
+            _odds(eps, region.beta, 1.0 / (1.0 - region.kernel.p0)))

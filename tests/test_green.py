@@ -12,19 +12,12 @@ from gffpin.green import (
     green_nstep,
     nstep_torus_radius,
 )
-from gffpin.walk import _auto_radius, make_kernel, pmf_origin_series
+from gffpin.walk import _auto_radius, pmf_origin_series
 
-from oracles import block_solve_green_diag, hitting_prob, simple_random_walk
+from oracles import block_solve_green_diag, hitting_prob
 
-KERNELS = {
-    "srw1": simple_random_walk(1),
-    "srw2": simple_random_walk(2),
-    "srw2_lazy": simple_random_walk(2, lazify=True),
-    "srw3": simple_random_walk(3),
-    # max_step 2 and period 2: x1 + x2 is odd on every step
-    "knight": make_kernel([((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0),
-                           ((0, -1), 1.0), ((2, 1), 0.5), ((-2, -1), 0.5)], 2),
-}
+# the conftest kernel fixtures these tests run on, by name
+KERNELS = ("srw1", "srw2", "srw2_lazy", "srw3", "knight")
 
 
 class TestGreenKilled:
@@ -57,9 +50,9 @@ class TestGreenKilled:
         ("knight", 4, [(x, y) for x in (0, 1) for y in range(-4, 5)]),
     ], ids=["srw2-lazy-R21", "max-step-2", "d3", "empty-slabs",
             "empty-slab-max-step-2"])
-    def test_green_diag_matches_oracles(self, name, radius, pins):
+    def test_green_diag_matches_oracles(self, request, name, radius, pins):
         # the slab recursion against unit-column solves and the dense inverse
-        region = box_region(KERNELS[name], radius, pins=pins)
+        region = box_region(request.getfixturevalue(name), radius, pins=pins)
         diag = region.green_diag
         assert np.abs(diag - block_solve_green_diag(region)).max() \
             <= 1e-12 * diag.max()
@@ -152,8 +145,8 @@ class TestGreenNStep:
     @pytest.mark.parametrize("name, n", [
         (name, n) for name in KERNELS for n in (0, 1, 2, 7, 16, 100, 400)
         if name != "srw3" or n <= 100])  # the d = 3 DP is slow beyond
-    def test_matches_dp(self, name, n):
-        kernel = KERNELS[name]
+    def test_matches_dp(self, request, name, n):
+        kernel = request.getfixturevalue(name)
         exact = float(pmf_origin_series(kernel, n).sum())
         value, audit_rel_err = green_nstep(kernel, n)
         assert abs(value - exact) <= 1e-12 * exact
@@ -165,8 +158,8 @@ class TestGreenNStep:
             green_nstep(srw2, 10**10)
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
-    def test_torus_radius_is_the_auto_radius(self, name):
-        kernel = KERNELS[name]
+    def test_torus_radius_is_the_auto_radius(self, request, name):
+        kernel = request.getfixturevalue(name)
         for n in (0, 1, 7, 100, 1000):
             radius = nstep_torus_radius(kernel, n)
             assert radius == _auto_radius(kernel, n)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -188,7 +189,8 @@ class TestSampler:
                 chain._unpin(i)
         keep = np.flatnonzero(~chain.pinned)
         true = np.linalg.inv(mat[np.ix_(keep, keep)])
-        assert np.abs(chain.var[keep] - np.diag(true)).max() <= 1e-9
+        raw = [chain.raw_variance(i) for i in keep]
+        assert np.abs(raw - np.diag(true)).max() <= 1e-9
         cov = np.array([[chain.covariance(i, j) for j in keep] for i in keep])
         assert np.abs(cov * region.beta - true).max() <= 1e-9
         pins = np.flatnonzero(chain.pinned)
@@ -200,14 +202,61 @@ class TestSampler:
 
 
 class TestLowRankChain:
-    @pytest.mark.parametrize("radius, eps, seed", [
-        (2, 0.5, 1), (3, 0.3, 2), (4, 0.1, 3), (2, 3.0, 4)])
-    def test_sweep_matches_scalar_oracle(self, srw2_lazy, radius, eps, seed):
-        region = box_region(srw2_lazy, radius)
+    @pytest.mark.parametrize("name, radius, eps, seed", [
+        ("srw2_lazy", 2, 0.5, 1), ("srw2_lazy", 3, 0.3, 2),
+        ("srw2_lazy", 4, 0.1, 3), ("srw2_lazy", 2, 3.0, 4),
+        ("srw3", 2, 0.5, 5), ("knight", 3, 0.5, 6),
+        # most uniforms are above p_hi = 0.107, so most visits are skipped
+        ("srw2_lazy", 6, 0.3, 7)])
+    def test_sweep_matches_scalar_oracle(self, request, name, radius, eps,
+                                         seed):
+        region = box_region(request.getfixturevalue(name), radius)
         rows, _ = sample_pins(region, eps, 8, seed, burnin=0)
         assert np.array_equal(rows, scalar_heat_bath(region, eps, 8, seed, 0))
         if eps == 3.0:  # the last site of a sweep flips
             assert np.any(np.diff(np.r_[0, rows[:, -1]]) != 0)
+
+    @pytest.mark.parametrize("name, radius", [
+        ("srw2_lazy", 3), ("srw3", 1), ("knight", 3)])
+    def test_odds_bounded_by_p_hi(self, request, name, radius):
+        # with alternate sites pinned each free site has all its
+        # neighbours pinned (every move of these kernels changes the parity
+        # of the coordinate sum, and the box sides are odd): the odds there
+        # meet the bound the thinned sweep relies on, to within the rounding
+        # its 1e-9 margin covers (one ulp here)
+        region = box_region(request.getfixturevalue(name), radius)
+        chain = GibbsChain(region, 0.3, seed=1)
+        for i in range(0, region.n_alive, 2):
+            chain._pin(i)
+        odds = np.array([pinning._odds(chain.eps, chain.beta,
+                                       chain.raw_variance(i))
+                         for i in range(region.n_alive)])
+        assert np.all(odds <= chain.p_hi * (1.0 + 1e-9))
+        assert np.all(odds[1::2] >= chain.p_hi * (1.0 - 1e-9))
+        origin = (0,) * region.kernel.d
+        assert chain.p_hi == domination_densities(region, 0.3, [origin])[1]
+
+    def test_sweep_computes_odds_only_below_p_hi(self, srw2_lazy,
+                                                 monkeypatch):
+        region = box_region(srw2_lazy, 6)
+        n = region.n_alive
+        chain = GibbsChain(region, 0.3, seed=7)
+        seen, raw = [], GibbsChain.raw_variance
+        monkeypatch.setattr(GibbsChain, "raw_variance",
+                            lambda ch, i: seen.append(int(i)) or raw(ch, i))
+        audit_sites = {t - 1 for t in (1, 13, 137)}  # the first sweep's
+        skipped = 0  # pins whose uniform is not below p_hi
+        for sweep in range(4):
+            u = copy.deepcopy(chain.rng).random(n)
+            low = set(np.flatnonzero(u < chain.p_hi * (1.0 + 1e-9)).tolist())
+            skipped += len(set(np.flatnonzero(chain.pinned).tolist()) - low
+                           - audit_sites)
+            seen.clear()
+            chain.sweep()
+            assert low <= set(seen) <= low | audit_sites
+            assert len(seen) < n // 4
+            audit_sites = set()
+        assert skipped
 
     def test_audits_fire_at_fixed_visits(self, srw2_lazy, monkeypatch):
         region = box_region(srw2_lazy, 10)
@@ -252,11 +301,22 @@ class TestLowRankChain:
         assert shared == audit_errors([box_region(srw2_lazy, 3)
                                        for _ in range(3)])
 
-    def test_drift_fails_the_audit(self, srw2_lazy):
-        chain = GibbsChain(box_region(srw2_lazy, 3), 0.3, seed=5)
-        chain.var *= 1.05
-        with pytest.raises(NumericalError):
+    def test_drift_fails_the_audit(self, srw2_lazy, monkeypatch):
+        region = box_region(srw2_lazy, 3)
+        monkeypatch.setattr(region, "_green_diag", region.green_diag * 1.05)
+        chain = GibbsChain(region, 0.3, seed=5)
+        with pytest.raises(NumericalError, match="audit failed"):
             chain.sweep()
+
+    def test_non_positive_variance_is_numerical_error(self, srw2_lazy,
+                                                      monkeypatch):
+        region = box_region(srw2_lazy, 3)
+        monkeypatch.setattr(region, "_green_diag", np.zeros(region.n_alive))
+        chain = GibbsChain(region, 0.3, seed=5)
+        chain._pin(10)
+        for i in (0, 24):
+            with pytest.raises(NumericalError, match="not positive"):
+                chain.raw_variance(i)
 
     def test_column_store_cap(self, srw2_lazy, monkeypatch):
         region = box_region(srw2_lazy, 3)
