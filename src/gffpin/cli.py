@@ -308,19 +308,27 @@ def _fmt(value):
     return str(value)
 
 
-def write_csv(path, header, rows):
+@contextlib.contextmanager
+def _atomic_open(path, **kwargs):
+    """Write a temp file beside `path` that replaces it when the block
+    ends; if the block raises, the temp file is removed and `path` kept."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+        with open(tmp, "w", **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, header, rows):
+    with _atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
 
 
 def _sha256(path):
@@ -346,11 +354,9 @@ class Manifest:
         self._write()
 
     def _write(self, extra=()):
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
+        with _atomic_open(self.path) as fh:
             for key, value in self.entries + list(extra):
                 fh.write(f"{key} = {value}\n")
-        os.replace(tmp, self.path)
 
     def write_csv(self, name, header, rows):
         """Write `name` in the output directory atomically and list it."""

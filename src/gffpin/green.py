@@ -1,7 +1,8 @@
 """Exact Green functions of the killed walk on finite regions.
 
-A Region is a box with a dead-site mask (exterior plus any pinned sites);
-Green values solve (I - P) restricted to the alive sites, so they are
+A Region is a box whose dead sites are its exterior and any pins: a step
+that leaves the box, or lands on a pin, reads -1 in its index grid. Green
+values solve (I - P) restricted to the alive sites, so they are
 simultaneously the covariances of the free field given the dead set, after
 the 1/beta_eff scaling. All solves run at beta = 1 internally.
 
@@ -38,9 +39,10 @@ NSTEP_AUDIT_TOL = 1e-10
 class Region:
     """Box [lo, hi] with dead sites; immutable once built.
 
-    Everything outside the box is dead (the walk is killed on any step that
-    leaves it, so multi-cell jumps cannot escape), and the optional ``pins``
-    are dead sites inside the box, each given by its d coordinates.
+    The index grid has a dead border of width max_step around the box, and
+    the optional ``pins`` are dead sites inside it, each given by its d
+    coordinates. Dead sites read -1, so a step that leaves the box, however
+    long, or lands on a pin adds no entry to (I - P): the walk is killed.
     """
 
     def __init__(self, kernel: StepKernel, lo, hi, pins=()):
@@ -58,11 +60,13 @@ class Region:
             alive[tuple(int(c) - int(l) for c, l in zip(pin, self.lo))] = False
         self.shape = shape
         self.alive = alive
-        self.index = np.full(shape, -1, dtype=np.int64)
+        w = kernel.max_step
+        grid = np.full(tuple(s + 2 * w for s in shape), -1, dtype=np.int64)
+        self.index = grid[(slice(w, -w),) * kernel.d]
         self.sites = np.argwhere(alive) + self.lo  # lexicographic order
         self.index[alive] = np.arange(len(self.sites))
         self.n_alive = len(self.sites)
-        self._matrix = self._build_matrix()
+        self._matrix = self._build_matrix(grid)
         self._lu = None
         self._green_diag = None
         self._pinned_variances = {}  # (site, kept-site mask bytes) -> value
@@ -73,44 +77,25 @@ class Region:
             return -1
         return int(self.index[idx])
 
-    def _build_matrix(self):
+    def _build_matrix(self, grid):
+        """(I - P)|alive: one gather of the bordered grid per step."""
         import scipy.sparse as sp
 
         n = self.n_alive
-        grid = self.index
-        rows, cols, vals = [], [], []
+        flat = grid.ravel()
+        at = np.flatnonzero(flat >= 0)  # grid positions, in index order
+        strides = np.array(grid.strides) // grid.itemsize
+        own = np.arange(n)
+        rows, cols, vals = [own], [own], [np.full(n, 1.0 - self.kernel.p0)]
         for s, p in zip(self.kernel.steps, self.kernel.probs):
-            if not np.any(s):
-                continue
-            src_sl, dst_sl = [], []
-            ok = True
-            for ax, sh in enumerate(s):
-                sh = int(sh)
-                size = self.shape[ax]
-                if abs(sh) >= size:
-                    ok = False
-                    break
-                if sh >= 0:
-                    src_sl.append(slice(0, size - sh))
-                    dst_sl.append(slice(sh, size))
-                else:
-                    src_sl.append(slice(-sh, size))
-                    dst_sl.append(slice(0, size + sh))
-            if not ok:
-                continue
-            a = grid[tuple(src_sl)].ravel()
-            b = grid[tuple(dst_sl)].ravel()
-            mask = (a >= 0) & (b >= 0)
-            rows.append(a[mask])
-            cols.append(b[mask])
-            vals.append(np.full(mask.sum(), -p))
-        rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-        vals = np.concatenate(vals) if vals else np.empty(0)
-        diag = np.full(n, 1.0 - self.kernel.p0)
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        m += sp.diags(diag)
-        return m.tocsr()
+            if np.any(s):
+                nb = flat[at + s @ strides]
+                ok = nb >= 0
+                rows.append(own[ok])
+                cols.append(nb[ok])
+                vals.append(np.full(ok.sum(), -p))
+        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
     @property
     def matrix(self):

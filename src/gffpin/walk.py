@@ -158,8 +158,8 @@ def make_kernel(spec, d, lazify=False, beta=1.0) -> StepKernel:
     items = sorted(probs.items())
     steps = np.array([v for v, _ in items], dtype=np.int64)
     pvec = np.array([p for _, p in items], dtype=float)
-    pvec = pvec[np.abs(pvec) > 0]
-    steps = steps[np.array([p > 0 for _, p in items])]
+    keep = pvec > 0
+    steps, pvec = steps[keep], pvec[keep]
 
     if not _generates_lattice(steps):
         raise ValidationError("support does not generate the full lattice")

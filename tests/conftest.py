@@ -34,3 +34,10 @@ def knight():
     # max_step 2 and period 2: x1 + x2 is odd on every step
     return make_kernel([((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0),
                         ((0, -1), 1.0), ((2, 1), 0.5), ((-2, -1), 0.5)], 2)
+
+
+@pytest.fixture(scope="session")
+def aniso():
+    # the 3:1 anisotropic kernel: Q = diag(3, 1) / 4
+    return make_kernel([((1, 0), 3.0), ((-1, 0), 3.0), ((0, 1), 1.0),
+                        ((0, -1), 1.0)], 2)

@@ -442,6 +442,22 @@ def block_solve_green_diag(region, block=32):
     return out
 
 
+def dense_generator(region):
+    """(I - P)|alive as a dense array, built one site and one step at a
+    time: a step that leaves the alive set, by leaving the box or landing on
+    a pin, adds nothing. The reference for `Region.matrix`."""
+    sites = [tuple(int(c) for c in x) for x in region.sites]
+    where = {x: i for i, x in enumerate(sites)}
+    out = np.zeros((len(sites), len(sites)))
+    for i, x in enumerate(sites):
+        for s, p in zip(region.kernel.steps, region.kernel.probs):
+            j = where.get(tuple(c + int(t) for c, t in zip(x, s)))
+            if j is not None:
+                out[i, j] -= p
+        out[i, i] += 1.0
+    return out
+
+
 def hitting_prob(region, target, x):
     """P_x(hit target before dying), Dirichlet outside the alive set: one
     solve on the region with the target sites dead."""

@@ -500,11 +500,34 @@ def test_failed_write_keeps_existing_csv(tmp_path, monkeypatch):
     assert target.read_bytes() == before
 
 
-def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
     _fail_csv_writes_at_row(monkeypatch, 2)
     with pytest.raises(OSError, match="disk full"):
         cli.write_csv(tmp_path / "x.csv", ("r", "value"), [(1, 0.1), (2, 0.2)])
     assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("x.csv")]
+    monkeypatch.undo()
+
+    # the finished manifest's write fails at `finalize`
+    def failing_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        if ".tmp." in str(path):
+            write = fh.write
+
+            def fail_when_done(text):
+                if text.startswith("status = done"):
+                    raise OSError("disk full")
+                return write(text)
+
+            fh.write = fail_when_done
+        return fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    code, out = _run(tmp_path, "renewal1d", "eps_list = 0.1\nseed = 1\n")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "disk full" in err and "Traceback" not in err
+    assert _manifest(out)["status"] == "running"
+    assert not [p.name for p in out.iterdir() if ".tmp." in p.name]
 
 
 def test_output_dir_that_is_a_file_is_config_error(tmp_path, capsys):

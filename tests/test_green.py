@@ -12,9 +12,9 @@ from gffpin.green import (
     green_nstep,
     nstep_torus_radius,
 )
-from gffpin.walk import _auto_radius, pmf_origin_series
+from gffpin.walk import _auto_radius, make_kernel, pmf_origin_series
 
-from oracles import block_solve_green_diag, hitting_prob
+from oracles import block_solve_green_diag, dense_generator, hitting_prob
 
 # the conftest kernel fixtures these tests run on, by name
 KERNELS = ("srw1", "srw2", "srw2_lazy", "srw3", "knight")
@@ -97,6 +97,33 @@ class TestGreenKilled:
         for x, y in [((0, 0), (0, 0)), ((0, 0), (1, 1)), ((-2, 0), (2, 0))]:
             assert abs(green_killed(ra, x, y).value
                        - green_killed(rb, x, y).value) <= 1e-10
+
+
+class TestRegionMatrix:
+    @pytest.mark.parametrize("name, lo, hi, pins", [
+        ("srw1", (-6,), (6,), [(2,)]),
+        ("srw2", (-3, -3), (3, 3), [(2, 2), (-3, 0)]),
+        ("srw2_lazy", (-4, -4), (4, 4), [(0, 1)]),  # a zero step
+        ("srw3", (-2, -2, -2), (2, 2, 2), [(0, 0, 1)]),
+        ("knight", (0, 0), (1, 1), []),  # steps longer than the box
+        ("aniso", (-2, -2), (1, 1), [(0, 0)]),
+        ("srw2", (0, 0), (0, 39), []),
+    ], ids=["srw1", "srw2-pins", "srw2-lazy", "srw3", "knight-2x2", "aniso",
+            "strip-1x40"])
+    def test_matches_dense_oracle(self, request, name, lo, hi, pins):
+        region = Region(request.getfixturevalue(name), lo, hi, pins=pins)
+        m = region.matrix
+        assert m.has_sorted_indices
+        assert (m.toarray() == dense_generator(region)).all()
+
+    def test_zero_weight_steps_are_dropped(self, srw2):
+        spec = [((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0),
+                ((2, 0), 0.0), ((-2, 0), 0.0)]
+        kernel = make_kernel(spec, 2)
+        assert kernel.max_step == 1 and len(kernel.steps) == 4
+        a, b = box_region(kernel, 3).matrix, box_region(srw2, 3).matrix
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr))
 
 
 def _green_box_origin(kernel, radius):

@@ -45,6 +45,13 @@ def table3(box3):
     return exact_pin_measure(box3, EPS)
 
 
+@pytest.fixture(scope="module", params=["srw2_lazy", "aniso", "knight"])
+def any_box3(request):
+    """The 3x3 box under each kernel, with its exact pin measure."""
+    region = box_region(request.getfixturevalue(request.param), 1)
+    return region, exact_pin_measure(region, EPS)
+
+
 class TestExactPinMeasure:
     def test_single_site_closed_form(self, srw2):
         region = Region(srw2, (0, 0), (0, 0))
@@ -169,11 +176,12 @@ class TestSampler:
         for f, s in zip(freqs, ses):
             assert abs(f - freqs.mean()) <= 3.0 * (s + max(ses))
 
-    def test_subset_law_total_variation(self, box3, table3):
-        samples, _ = sample_pins(box3, EPS, 30000, seed=2024, burnin=1000)
+    def test_subset_law_total_variation(self, any_box3):
+        region, table = any_box3
+        samples, _ = sample_pins(region, EPS, 30000, seed=2024, burnin=1000)
         codes = samples.astype(np.int64) @ (1 << np.arange(9, dtype=np.int64))
         emp = np.bincount(codes, minlength=512) / len(codes)
-        tv = 0.5 * np.abs(emp - table3).sum()
+        tv = 0.5 * np.abs(emp - table).sum()
         assert tv <= 0.03  # acceptance run uses 1e5 sweeps and 0.02
 
     def test_incremental_matches_fresh_inverse(self, srw2_lazy):
@@ -387,11 +395,12 @@ class TestLatticeCondition:
 
 class TestEmptyProbability:
     # the Monte Carlo side is `domination-check`'s, tested in test_cli.py
-    def test_bernoulli_curves_bracket_exact(self, box3, table3):
+    def test_bernoulli_curves_bracket_exact(self, any_box3):
+        region, table = any_box3
         for sites in ([(0, 0)], [(0, 0), (1, 0)], [(-1, -1), (1, 1)]):
-            idx = [box3.site_index(s) for s in sites]
-            exact = empty_probability(table3, idx)
-            p_lo, p_hi = domination_densities(box3, EPS, sites)
+            idx = [region.site_index(s) for s in sites]
+            exact = empty_probability(table, idx)
+            p_lo, p_hi = domination_densities(region, EPS, sites)
             b = len(sites)
             assert (1.0 - p_hi) ** b - 1e-12 <= exact <= (1.0 - p_lo) ** b + 1e-12
             assert 0.0 < p_lo <= p_hi < 1.0
