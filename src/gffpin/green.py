@@ -10,13 +10,16 @@ There is one solve path: a sparse LU factor of (I - P)|alive, built on first
 use and cached on the Region, serves every `Region.solve`. A Region is
 immutable, so every chain and every probe on one Region shares that factor.
 The diagonal of the Green matrix comes from block-tridiagonal selected
-inversion over slabs of the box and is cached like the factor, and so is
-each pinned-site variance a chain audit asks for. The n-step
+inversion over slabs of the box and is cached like the factor. A chain
+audit's reference does not touch the factor: the pinned system is gathered
+from the same bordered grid, with the other pins dead, and solved by a
+banded Cholesky; each reference is cached on the Region too. The n-step
 Green function at the origin is a Fourier sum on a torus, audited against
 the exact DP pmf of `walk`.
 
 Importing this module loads only numpy: scipy.sparse loads when the first
-Region builds its matrix, and scipy.sparse.linalg at the first factor.
+Region builds its matrix, scipy.sparse.linalg at the first factor, and
+scipy.linalg with it or at the first audit, whichever comes first.
 """
 
 from __future__ import annotations
@@ -66,7 +69,8 @@ class Region:
         self.sites = np.argwhere(alive) + self.lo  # lexicographic order
         self.index[alive] = np.arange(len(self.sites))
         self.n_alive = len(self.sites)
-        self._matrix = self._build_matrix(grid)
+        self._grid = grid
+        self._matrix = self._build_matrix()
         self._lu = None
         self._green_diag = None
         self._pinned_variances = {}  # (site, kept-site mask bytes) -> value
@@ -77,24 +81,11 @@ class Region:
             return -1
         return int(self.index[idx])
 
-    def _build_matrix(self, grid):
+    def _build_matrix(self):
         """(I - P)|alive: one gather of the bordered grid per step."""
         import scipy.sparse as sp
 
-        n = self.n_alive
-        flat = grid.ravel()
-        at = np.flatnonzero(flat >= 0)  # grid positions, in index order
-        strides = np.array(grid.strides) // grid.itemsize
-        own = np.arange(n)
-        rows, cols, vals = [own], [own], [np.full(n, 1.0 - self.kernel.p0)]
-        for s, p in zip(self.kernel.steps, self.kernel.probs):
-            if np.any(s):
-                nb = flat[at + s @ strides]
-                ok = nb >= 0
-                rows.append(own[ok])
-                cols.append(nb[ok])
-                vals.append(np.full(ok.sum(), -p))
-        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+        n, rows, cols, vals = _generator_triplets(self.kernel, self._grid)
         return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
     @property
@@ -128,22 +119,49 @@ class Region:
 
     def pinned_variance(self, pinned, i) -> float:
         """Variance at site i given zeros on the other sites of the bool mask
-        `pinned`, beta = 1, by a sparse solve of its own rather than the
-        shared factor: the reference a chain audit checks against. Memoized
-        per (i, pin set), since the chains on one Region audit at the same
-        visits and often see the same state."""
+        `pinned`, beta = 1: the reference a chain audit checks against,
+        independent of the shared factor.
+
+        The other pins read -1 in a copy of the bordered grid and the kept
+        sites are renumbered in order, so the gathered (I - P) is a
+        symmetric positive definite band, solved by LAPACK's banded
+        Cholesky. The band's size is checked against COLUMN_BYTES_CAP before
+        it is allocated (ResourceError), and a failed factor is a
+        NumericalError. Memoized per (i, pin set), since the chains on one
+        Region audit at the same visits and often see the same state."""
         keep = ~pinned
         keep[i] = True
         key = (i, keep.tobytes())
         if key not in self._pinned_variances:
-            import scipy.sparse.linalg as spla
+            import scipy.linalg as sla
 
-            idx = np.flatnonzero(keep)
-            sub = self._matrix[np.ix_(idx, idx)].tocsc()
-            rhs = np.zeros(len(idx))
-            pos = int(np.searchsorted(idx, i))
+            order = np.cumsum(keep) - 1  # new index of each kept site
+            grid = self._grid.copy()
+            grid[grid >= 0] = np.where(keep, order, -1)
+            n, rows, cols, vals = _generator_triplets(self.kernel, grid)
+            up = cols >= rows
+            rows, cols, vals = rows[up], cols[up], vals[up]
+            bw = int((cols - rows).max())
+            need = 8 * n * (bw + 1)
+            if need > COLUMN_BYTES_CAP:
+                raise ResourceError(
+                    f"audit band of {n} sites and half-width {bw} needs "
+                    f"{need} bytes, above the {COLUMN_BYTES_CAP}-byte cap")
+            # upper form, a[r, c] at [bw + r - c, c]; Fortran order lets
+            # LAPACK factor it in place
+            band = np.zeros((bw + 1, n), order="F")
+            band[bw + rows - cols, cols] = vals
+            pos = int(order[i])
+            rhs = np.zeros(n)
             rhs[pos] = 1.0
-            self._pinned_variances[key] = float(spla.spsolve(sub, rhs)[pos])
+            try:
+                g = sla.solveh_banded(band, rhs, overwrite_ab=True,
+                                      check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"banded Cholesky of the audit system at site {i} "
+                    f"failed: {exc}") from exc
+            self._pinned_variances[key] = float(g[pos])
         return self._pinned_variances[key]
 
     def _slab_edges(self):
@@ -163,6 +181,27 @@ class Region:
         if resid > RESIDUAL_TARGET:
             raise NumericalError(f"solve residual {resid:.3e} above target")
         return g, resid
+
+
+def _generator_triplets(kernel: StepKernel, grid):
+    """(n, rows, cols, values) of (I - P) over a bordered index grid whose
+    alive cells read 0 ... n-1 in grid order and every other cell -1; the
+    border is at least max_step wide. Each non-zero step reads its
+    neighbours with one gather, and a neighbour that reads -1 adds nothing."""
+    flat = grid.ravel()
+    at = np.flatnonzero(flat >= 0)  # grid positions, in index order
+    n = len(at)
+    strides = np.array(grid.strides) // grid.itemsize
+    own = np.arange(n)
+    rows, cols, vals = [own], [own], [np.full(n, 1.0 - kernel.p0)]
+    for s, p in zip(kernel.steps, kernel.probs):
+        if np.any(s):
+            nb = flat[at + s @ strides]
+            ok = nb >= 0
+            rows.append(own[ok])
+            cols.append(nb[ok])
+            vals.append(np.full(ok.sum(), -p))
+    return (n, *map(np.concatenate, (rows, cols, vals)))
 
 
 def box_region(kernel, radius, pins=()) -> Region:

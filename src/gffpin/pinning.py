@@ -66,7 +66,8 @@ class GibbsChain:
     site a is 1 / K^{-1}[a, a]. A pin costs one solve with the region's
     shared factor plus O(|A|^2); an unpin costs O(|A|^2) and frees its slot
     for the next pin (a free slot has zero rows in K^{-1}). Scheduled audits
-    compare the variance with an independent sparse solve.
+    compare the variance with `Region.pinned_variance`, a banded Cholesky
+    of the pinned system that shares nothing with the chain's factor.
     """
 
     def __init__(self, region: Region, eps: float, seed: int, replica: int = 0):

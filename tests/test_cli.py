@@ -354,6 +354,33 @@ class TestPinsSample:
         assert "Traceback" not in err
         assert not (out / "pin_samples.csv").exists()
 
+    @pytest.mark.parametrize("patch, code, message", [
+        # 25 sites: 5 slabs of 5 hold 1,000 bytes of Green-diagonal
+        # inverse, and the audit band of half-width 5 needs 1,200
+        ("cap", 4, "resource exceeded: audit band"),
+        ("factor", 3, "numerical failure: banded Cholesky"),
+    ])
+    def test_audit_failure_exit_code(self, tmp_path, capsys, srw2_file,
+                                     monkeypatch, patch, code, message):
+        import scipy.linalg as sla
+
+        from gffpin import green
+
+        def fail(band, rhs, **kw):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        if patch == "cap":
+            monkeypatch.setattr(green, "COLUMN_BYTES_CAP", 8 * 25 * 6 - 1)
+        else:
+            monkeypatch.setattr(sla, "solveh_banded", fail)
+        got, out = _run(tmp_path, "pins-sample",
+                        "box_radius = 2\nepsilon = 0.5\nsweeps = 4\n"
+                        f"kernel_file = {srw2_file}\nseed = 3\n")
+        assert got == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (out / "pin_samples.csv").exists()
+
 
 def _csv_rows(path):
     with open(path) as fh:

@@ -126,6 +126,77 @@ class TestRegionMatrix:
             assert np.array_equal(getattr(a, attr), getattr(b, attr))
 
 
+class TestPinnedVariance:
+    """The audit reference: a banded Cholesky of the gathered pinned
+    system, against the dense inverse of the same system."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        import scipy.linalg as sla
+
+        bands, real = [], sla.solveh_banded
+
+        def spy(band, rhs, **kw):
+            bands.append(band.shape)
+            return real(band, rhs, **kw)
+
+        monkeypatch.setattr(sla, "solveh_banded", spy)
+        return bands
+
+    @pytest.mark.parametrize("name, radius", [
+        ("srw2_lazy", 4), ("aniso", 4), ("knight", 4), ("srw3", 2)])
+    def test_matches_dense_inverse(self, request, monkeypatch, name, radius):
+        kernel = request.getfixturevalue(name)
+        region = box_region(kernel, radius)
+        n = region.n_alive
+        mat = region.matrix.toarray()
+        bands = self._spy(monkeypatch)
+        # no pins: the half-width is the largest index gap of one step in
+        # the box's lexicographic order (2 * stride + 1 for knight's (2, 1))
+        strides = (2 * radius + 1) ** np.arange(kernel.d - 1, -1, -1)
+        region.pinned_variance(np.zeros(n, dtype=bool), 0)
+        assert bands == [(int(np.abs(kernel.steps @ strides).max()) + 1, n)]
+        rng = np.random.default_rng(7)
+        for density in (0.1, 0.3, 0.6):
+            pinned = rng.random(n) < density
+            pins, free = np.flatnonzero(pinned), np.flatnonzero(~pinned)
+            # audited sites both off and on the pin set
+            for i in (*rng.choice(free, 3), *rng.choice(pins, 3)):
+                keep = ~pinned
+                keep[i] = True
+                inv = np.linalg.inv(mat[keep][:, keep])
+                pos = int(keep[:i].sum())
+                ref = inv[pos, pos]
+                got = region.pinned_variance(pinned, int(i))
+                assert abs(got - ref) <= 1e-12 * ref
+
+    def test_band_size_checked_before_allocation(self, srw2_lazy,
+                                                 monkeypatch):
+        # 49 sites, half-width 7: a band of 8 * 49 * 8 bytes
+        region = box_region(srw2_lazy, 3)
+        pinned = np.zeros(region.n_alive, dtype=bool)
+        bands = self._spy(monkeypatch)
+        monkeypatch.setattr(green, "COLUMN_BYTES_CAP", 8 * 49 * 8)
+        region.pinned_variance(pinned, 0)
+        monkeypatch.setattr(green, "COLUMN_BYTES_CAP", 8 * 49 * 8 - 1)
+        with pytest.raises(ResourceError, match="cap"):
+            region.pinned_variance(pinned, 1)
+        assert bands == [(8, 49)]
+
+    def test_failed_factor_is_numerical_error(self, srw2_lazy, monkeypatch):
+        import scipy.linalg as sla
+
+        def fail(band, rhs, **kw):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        region = box_region(srw2_lazy, 2)
+        monkeypatch.setattr(sla, "solveh_banded", fail)
+        pinned = np.zeros(region.n_alive, dtype=bool)
+        with pytest.raises(NumericalError, match="banded Cholesky"):
+            region.pinned_variance(pinned, 3)
+        assert not region._pinned_variances
+
+
 def _green_box_origin(kernel, radius):
     """G_B(0, 0) on the centered box of the given radius."""
     origin = (0,) * kernel.d

@@ -178,7 +178,7 @@ class TestSampler:
 
     def test_subset_law_total_variation(self, any_box3):
         region, table = any_box3
-        samples, _ = sample_pins(region, EPS, 30000, seed=2024, burnin=1000)
+        samples, _ = sample_pins(region, EPS, 60000, seed=2024, burnin=1000)
         codes = samples.astype(np.int64) @ (1 << np.arange(9, dtype=np.int64))
         emp = np.bincount(codes, minlength=512) / len(codes)
         tv = 0.5 * np.abs(emp - table).sum()
@@ -287,12 +287,13 @@ class TestLowRankChain:
         # chains on one Region audit at the same visits (1 and 13 in a sweep
         # of 49 sites); a state seen before is not solved again, and every
         # audit error is the one the chain gets on a Region of its own
-        import scipy.sparse.linalg as spla
+        import scipy.linalg as sla
 
         solves = []
-        spsolve = spla.spsolve
-        monkeypatch.setattr(spla, "spsolve",
-                            lambda *a: solves.append(1) or spsolve(*a))
+        banded = sla.solveh_banded
+        monkeypatch.setattr(
+            sla, "solveh_banded",
+            lambda *a, **kw: solves.append(1) or banded(*a, **kw))
 
         def audit_errors(regions):
             out = []
@@ -305,7 +306,7 @@ class TestLowRankChain:
         shared = audit_errors([box_region(srw2_lazy, 3)] * 3)
         # 3 chains x 2 audits, and every chain's visit-1 audit sees the
         # empty pin set
-        assert len(solves) <= 4
+        assert 1 <= len(solves) <= 4
         assert shared == audit_errors([box_region(srw2_lazy, 3)
                                        for _ in range(3)])
 
