@@ -6,14 +6,19 @@ A scan returns its report as a `ScanResult`: the rows of its points and fit
 CSVs and its manifest entries, already in output order, so that the CLI
 only writes them.
 
-This module owns the seeded path ensembles: paths come in chunks of
-`_CHUNK`, and chunk c is one (paths, steps) array of uniforms from
-`replica_rng(seed, c)`, row by row. A uniform u becomes step j, the number
-of entries of the normalised step CDF (cumsum(probs) / its last entry) at
-or below u, which is the map of `Generator.choice(len(probs), p=probs)`.
-Asking for fewer paths leaves every leading whole chunk unchanged. A walk
-keeps only one integer key per visit, site code and time, from which come
-both its first coordinate and its range.
+This module owns the seeded path ensembles. Seeding goes by chunk: paths
+come in chunks of `_CHUNK`, and chunk c is one (paths, steps) array of
+uniforms from `replica_rng(seed, c)`, row by row. A uniform u becomes step
+j, the number of entries of the normalised step CDF (cumsum(probs) / its
+last entry) at or below u, which is the map of
+`Generator.choice(len(probs), p=probs)`. Asking for fewer paths leaves
+every leading whole chunk unchanged. Walking goes by block: a chunk is
+walked `_block_rows(n_max)` rows at a time, at most `_BLOCK_VISITS` visits,
+through buffers allocated once per ensemble, so memory follows one block
+and not the path count or the chunk. The block size changes no output, and
+a yielded block is overwritten when the next one is walked. A walk keeps
+only one integer key per visit, site code and time, from which come both
+its first coordinate and its range.
 
 The Bernoulli surrogate replaces the pinned-site law by independent traps of
 density p(eps); a walk surviving among annealed traps carries the weight
@@ -33,6 +38,7 @@ other kernels. The plane is reached by far more paths than the site.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,6 +49,7 @@ from .stats import replica_rng
 from . import pinning
 
 _CHUNK = 256  # paths per sub-seeded replica chunk; part of the seeding scheme
+_BLOCK_VISITS = 1 << 15  # visits walked per block; changes no output
 POLICY_C = 1.5  # variance-scan's box radius >= POLICY_C eps^-1/2 |log eps|
 MIN_RADIUS = 8  # and >= MIN_RADIUS
 ETA = 3.0  # its Green cross-check takes |log eps|^ETA / eps steps
@@ -59,18 +66,25 @@ def _code_weights(d, span):
     return (2 * span + 1) ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
-def _range_profile(keys):
+def _block_rows(n_max):
+    """Paths walked per block: at most `_BLOCK_VISITS` visits, and at least
+    one path."""
+    return max(1, min(_CHUNK, _BLOCK_VISITS // (n_max + 1)))
+
+
+def _range_profile(keys, site, first):
     """Cumulative number of distinct sites along each row of keys
-    code * (n+1) + t, t the column and code the site code; sorts `keys` in
-    place.
+    code * (n+1) + t, t the column and code the site code, written to and
+    returned as `site`; sorts `keys` in place. `site` (int64) and `first`
+    (bool) are scratch of the shape of `keys`.
 
     The keys of one row are distinct, so a plain sort orders them by site
     and then by time, and the first key of each site holds the time of its
     first visit."""
     b, n1 = keys.shape
     keys.sort(axis=1)
-    site = keys // n1
-    first = np.ones(keys.shape, dtype=bool)
+    np.floor_divide(keys, n1, out=site)
+    first[:, 0] = True
     np.not_equal(site[:, 1:], site[:, :-1], out=first[:, 1:])
     # keys - (site - row) * (n+1) = t + row * (n+1), the flat index of the
     # visit; `site` then takes the first-visit flags and their running sum
@@ -83,16 +97,22 @@ def _range_profile(keys):
 
 def _key_layout(kernel, n_max, reps):
     """(w, h) of the site keys of `reps` paths of `n_max` steps, computed in
-    Python ints; ResourceError when a chunk's arrays exceed COLUMN_BYTES_CAP
-    or a key could overflow int64."""
+    Python ints; ResourceError when one block's buffers exceed
+    COLUMN_BYTES_CAP or a key could overflow int64.
+
+    Only a block is charged: at path lengths past `_BLOCK_VISITS` a block
+    is one path, so the cap bounds the length of a single path, whatever
+    `reps` is."""
     span = n_max * kernel.max_step
     n1 = n_max + 1
-    # alive at once: x1, keys, site codes, the first-visit flags and their
-    # int64 cast for the scatter, each (b, n_max + 1)
-    need = 5 * 8 * min(_CHUNK, reps) * n1
+    # per visit: the uniforms' buffer, the keys and x1 (8 bytes each), the
+    # step indices, the comparison mask and survival_samples' passage mask
+    visit_bytes = 3 * 8 + 2 + np.min_scalar_type(len(kernel.probs) - 1).itemsize
+    rows = min(_block_rows(n_max), reps)
+    need = visit_bytes * rows * n1
     if need > COLUMN_BYTES_CAP:
         raise ResourceError(
-            f"{min(_CHUNK, reps)} paths of {n_max} steps need {need} bytes, "
+            f"{rows} paths of {n_max} steps need {need} bytes, "
             f"above the {COLUMN_BYTES_CAP}-byte cap")
     # code = x_1 w + (a part in [-h, h]), w = (2 span + 1)^{d-1} and
     # h = (w - 1) / 2, so x1 = (key + h (n+1)) // (w (n+1)); |code| is at
@@ -108,32 +128,63 @@ def _key_layout(kernel, n_max, reps):
 
 
 def _ensemble_chunks(kernel, n_max, reps, seed):
-    """Per chunk of at most `_CHUNK` paths, (x1, ranges): the first
-    coordinate X_t[0] and the range |X_[0,t]|, both (b, n_max + 1) int64.
+    """Per block of at most `_block_rows(n_max)` paths, in path order,
+    (x1, ranges): the first coordinate X_t[0] and the range |X_[0,t]|, both
+    (b, n_max + 1) int64.
+
+    Chunk c, paths [c _CHUNK, (c+1) _CHUNK), is drawn from
+    replica_rng(seed, c), and the walk takes it one block of rows at a
+    time, drawing each block's uniforms from that generator in turn: the
+    rows are those of one (paths, n_max) draw, whatever the block size.
+    Every array lives in a buffer allocated once per call, so a yielded
+    block is valid only until the next one is asked for; copy it to keep
+    it. `_key_layout` checks the sizes before anything is allocated.
 
     The walk accumulates one key per visit, code * (n_max+1) + t with code
-    the site's `_code_weights` code, and x1 is read back off the key.
-    `_key_layout` checks the sizes before anything is drawn."""
+    the site's `_code_weights` code, and x1 is read back off the key."""
     span = n_max * kernel.max_step
     n1 = n_max + 1
     w, h = _key_layout(kernel, n_max, reps)
-    key_step = kernel.steps @ _code_weights(kernel.d, span) * n1 + 1
+    # the key increment of each step, then a 0 for the origin's column: one
+    # take over a block's (b, n_max + 1) step indices gives its increments
+    key_steps = np.zeros(len(kernel.probs) + 1, dtype=np.int64)
+    key_steps[:-1] = kernel.steps @ _code_weights(kernel.d, span) * n1 + 1
     cdf = np.cumsum(kernel.probs)
     cdf /= cdf[-1]
+    rows = _block_rows(n_max)
+    size = min(rows, reps) * n1
+    # one buffer per array, shared by arrays never alive at once: the
+    # uniforms, then (as int64) the key increments, the site codes and the
+    # range profile; the comparison mask, then the first-visit flags
+    real = np.empty(size)
+    ints = real.view(np.int64)
+    mask = np.empty(size, dtype=bool)
+    idx = np.empty(size, dtype=np.min_scalar_type(len(cdf) - 1))
+    keys = np.empty(size, dtype=np.int64)
+    x1 = np.empty(size, dtype=np.int64)
     for c, start in enumerate(range(0, reps, _CHUNK)):
+        rng = replica_rng(seed, c)
         b = min(_CHUNK, reps - start)
-        # u >= cdf[j] counted over j is rng.choice(len(probs), p=probs) on
-        # the same uniforms; u < 1 = cdf[-1], so the last entry never counts
-        u = replica_rng(seed, c).random((b, n_max))
-        idx = np.zeros((b, n_max), dtype=np.min_scalar_type(len(cdf) - 1))
-        for v in cdf[:-1]:
-            idx += u >= v
-        del u
-        keys = np.zeros((b, n1), dtype=np.int64)
-        np.cumsum(key_step.take(idx), axis=1, out=keys[:, 1:])
-        x1 = keys + h * n1
-        x1 //= w * n1
-        yield x1, _range_profile(keys)
+        for first_row in range(0, b, rows):
+            r = min(rows, b - first_row)
+            m, e = r * n_max, r * n1
+            # u >= cdf[j] counted over j is rng.choice(len(probs), p=probs)
+            # on the same uniforms; u < 1 = cdf[-1], so the last never counts
+            u = rng.random(out=real[:m])
+            steps = idx[:m]
+            steps.fill(0)
+            for v in cdf[:-1]:
+                steps += np.greater_equal(u, v, out=mask[:m])
+            k = keys[:e].reshape(r, n1)
+            k[:, 0] = len(cdf)  # the index of the 0 in key_steps
+            k[:, 1:] = steps.reshape(r, n_max)
+            np.take(key_steps, keys[:e], out=ints[:e], mode="clip")
+            np.cumsum(ints[:e].reshape(r, n1), axis=1, out=k)
+            xs = x1[:e].reshape(r, n1)
+            np.add(k, h * n1, out=xs)
+            xs //= w * n1
+            yield xs, _range_profile(k, ints[:e].reshape(r, n1),
+                                     mask[:e].reshape(r, n1))
 
 
 def survival_samples(kernel, p, targets, reps, n_max, seed) -> np.ndarray:
@@ -145,16 +196,22 @@ def survival_samples(kernel, p, targets, reps, n_max, seed) -> np.ndarray:
     tg = np.asarray(targets, dtype=np.int64).reshape(-1)
     out = np.zeros((reps, len(tg)))
     pos = 0
+    passed = None
     for x1, ranges in _ensemble_chunks(kernel, n_max, reps, seed):
         b = x1.shape[0]
+        if passed is None:  # the first block is the largest
+            passed = np.empty(x1.shape, dtype=bool)
+        hit = passed[:b]
+        rows = np.arange(b)
         for t, target in enumerate(tg):
-            hit = x1 >= target
-            any_hit = hit.any(axis=1)
+            np.greater_equal(x1, target, out=hit)
+            # the first passage; on a row that never passes, argmax is 0
+            # and the mask there is False
             t_hit = np.argmax(hit, axis=1)
-            w = np.where(any_hit, (1.0 - p) ** ranges[np.arange(b), t_hit], 0.0)
-            out[pos:pos + b, t] = w
+            out[pos:pos + b, t] = np.where(hit[rows, t_hit],
+                                           (1.0 - p) ** ranges[rows, t_hit],
+                                           0.0)
         pos += b
-        del x1, ranges  # free this chunk before the next one is drawn
     return out
 
 
@@ -341,8 +398,9 @@ def mass_scan(kernel, eps_grid, mode, budget, seed, mapping, region_radius,
     two-point function on a box. A point whose fit fails is reported with
     its reason and left out of the exponent fit.
     """
-    points, fits, audits = [], [], []
+    points, fits, audits, seconds = [], [], [], []
     for i, e in enumerate(eps_grid):
+        t0 = time.perf_counter()
         point = {"epsilon": e, "value": math.nan, "stderr": math.inf,
                  "n_used": 0, "flags": "", "density": None, "n_max": None}
         try:
@@ -358,6 +416,7 @@ def mass_scan(kernel, eps_grid, mode, budget, seed, mapping, region_radius,
             fit, point["flags"] = None, f"fit-failed: {exc}"
         points.append(point)
         fits.append(fit)
+        seconds.append(round(time.perf_counter() - t0, 6))
     ok = [q for q in points if np.isfinite(q["value"]) and q["value"] > 0]
     if len(ok) < 3:
         raise NumericalError("fewer than 3 usable scan points")
@@ -373,10 +432,11 @@ def mass_scan(kernel, eps_grid, mode, budget, seed, mapping, region_radius,
         monotone = bool(np.all(np.diff(ratio) < 0))
         fit_rows += [("m_over_sqrt_eps", ratio.tolist()),
                      ("log_correction_monotone", monotone)]
-    # per-point fit diagnostics, None where the fit failed
+    # per-point fit diagnostics, None where the fit failed, and wall time
     notes = {"monotone_ok": [f and f.monotone_ok for f in fits],
              "point_chi2": [f and f.chi2 for f in fits],
-             "point_dof": [f and f.dof for f in fits]}
+             "point_dof": [f and f.dof for f in fits],
+             "point_seconds": seconds}
     if mode == "pinning-exact":  # every usable point ran chains
         notes["audit_max_rel_err"] = max(audits)
     return ScanResult(points, fit_rows, notes)
@@ -440,8 +500,9 @@ def variance_scan(kernel, eps_grid, budget, seed, replicas,
     n0 = [_green_steps(kernel, e) for e in eps_grid]  # fail before any chain
 
     origin = (0,) * kernel.d
-    values, gn0, audits, chain_audits = [], [], [], []
+    values, gn0, audits, chain_audits, seconds = [], [], [], [], []
     for i, e in enumerate(eps_grid):
+        t0 = time.perf_counter()
         region = box_region(kernel, radii[i])
         # Rao-Blackwellized mu(phi_0^2): no field draws
         est, audit = pinning.covariance(region, e, origin, origin, budget,
@@ -451,6 +512,7 @@ def variance_scan(kernel, eps_grid, budget, seed, replicas,
         g, audit = green_nstep(kernel, n0[i])
         gn0.append(g)
         audits.append(audit)
+        seconds.append(round(time.perf_counter() - t0, 6))
     reference = variance_slope_reference(kernel)
     lx = np.abs(np.log(np.asarray(eps_grid, dtype=float)))
     ly = np.array([v.mean for v in values])
@@ -465,5 +527,6 @@ def variance_scan(kernel, eps_grid, budget, seed, replicas,
            ("slope_reference", reference), ("chi2", chi2), ("dof", dof),
            ("policy", POLICY)]
     notes = {"gn0_audit_max_rel_err": max(audits),
-             "audit_max_rel_err": max(chain_audits)}
+             "audit_max_rel_err": max(chain_audits),
+             "point_seconds": seconds}
     return ScanResult(points, fit, notes)

@@ -177,7 +177,8 @@ def range_profile(codes):
 
 def ensemble_chunks(kernel, n_max, reps, seed):
     """Reference of `gffpin.scaling._ensemble_chunks`: per chunk, the
-    (b, n_max + 1, d) positions and the (b, n_max + 1) range profile."""
+    (b, n_max + 1, d) positions and the (b, n_max + 1) range profile, which
+    the walk's blocks of that chunk give when joined."""
     span = n_max * kernel.max_step
     for c, start in enumerate(range(0, reps, _CHUNK)):
         b = min(_CHUNK, reps - start)

@@ -614,6 +614,23 @@ def test_chain_manifests_record_audit(tmp_path, srw2_file, command, body):
         assert 0.0 <= float(manifest["audit_max_rel_err"]) <= pinning.AUDIT_TOL
 
 
+@pytest.mark.parametrize("command, body", [
+    ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8"),
+    ("mass-scan",
+     "eps_list = 0.3 0.2 0.1\nmode = pinning-exact\nbudget = 1\nsamples = 4"),
+    ("mass-scan", "eps_list = 0.3 0.2 0.1 0.07\nbudget = 300"),
+], ids=["variance-scan", "mass-scan-pinned", "mass-scan-surrogate"])
+def test_scan_manifests_record_point_seconds(tmp_path, srw2_file, command,
+                                             body):
+    # one wall time per epsilon, fit-failed points included
+    code, out = _run(tmp_path, command,
+                     f"{body}\nkernel_file = {srw2_file}\nseed = 4\n")
+    assert code == 0
+    seconds = [float(v) for v in _manifest(out)["point_seconds"].split()]
+    assert len(seconds) == len(body.split("\n")[0].split()) - 2
+    assert all(math.isfinite(v) and v > 0 for v in seconds)
+
+
 @pytest.mark.parametrize("value, text", [
     (np.float64(0.1), "0.1"), (np.float32(0.1), "0.10000000149011612"),
     (np.int64(-7), "-7"), (np.bool_(True), "1"), (np.bool_(False), "0"),
@@ -736,6 +753,20 @@ class TestRenewalCommand:
         assert "numerical failure" in capsys.readouterr().err
         assert _manifest(out)["status"] == "running"
         assert not (out / "renewal1d.csv").exists()
+
+
+def test_benchmark_tracer_installs():
+    # the benchmark's traced run wraps gffpin entry points by name, and
+    # `install` raises on one that is renamed or bound in no module, which
+    # ends that run as incorrect; install it as the traced run does
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    src = os.path.dirname(os.path.dirname(gffpin.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import tracing; tracing.install(tracing.Tracer())"],
+        cwd=perfbench, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _library_graph(src):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gffpin.scaling import (
     _code_weights,
     _ensemble_chunks,
     _green_steps,
+    _key_layout,
     _range_profile,
     mass_fit,
     mass_scan,
@@ -43,11 +45,39 @@ JUMP2 = make_kernel([((1, 0), 1.0), ((-1, 0), 1.0), ((2, 0), 1.0),
                      ((-2, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)], 2)
 
 
+# bytes one visit of a block charges against the cap, for kernels of at
+# most 256 steps: three int64 buffers and three byte-wide ones
+VISIT_BYTES = 27
+
+
+def _blocks(kernel, n_max, reps, seed):
+    """The yielded (x1, ranges) blocks, each copied: a yielded block is
+    overwritten by the next."""
+    return [(x1.copy(), ranges.copy())
+            for x1, ranges in _ensemble_chunks(kernel, n_max, reps, seed)]
+
+
+def _chunks(kernel, n_max, reps, seed):
+    """The blocks' rows joined per chunk of `_CHUNK` paths."""
+    blocks = _blocks(kernel, n_max, reps, seed)
+    cuts = list(range(_CHUNK, reps, _CHUNK))
+    # no block straddles two chunks
+    assert set(cuts) <= set(np.cumsum([len(x1) for x1, _ in blocks]).tolist())
+    x1, ranges = (np.concatenate(arrays) for arrays in zip(*blocks))
+    return list(zip(np.split(x1, cuts), np.split(ranges, cuts)))
+
+
+def _set_block_rows(monkeypatch, rows, n_max):
+    """Make blocks of `rows` paths at `n_max` steps; None keeps the default."""
+    if rows is not None:
+        monkeypatch.setattr(scaling, "_BLOCK_VISITS", rows * (n_max + 1))
+
+
 class TestPathEnsembles:
     @staticmethod
     def _final_ranges(kernel, n, reps, seed):
         return np.concatenate([ranges[:, -1] for _, ranges in
-                               _ensemble_chunks(kernel, n, reps, seed)])
+                               _blocks(kernel, n, reps, seed)])
 
     def test_zero_steps(self, srw2):
         assert np.all(self._final_ranges(srw2, 0, 50, 1) == 1)
@@ -71,8 +101,7 @@ class TestPathEnsembles:
     def test_range_profile_matches_enumeration(self, request, name):
         # column m of the profile is |X_[0,m]|, for every m up to n_max
         kernel = request.getfixturevalue(name)
-        ranges = np.concatenate([r for _, r in
-                                 _ensemble_chunks(kernel, 4, 4000, 13)])
+        ranges = np.concatenate([r for _, r in _blocks(kernel, 4, 4000, 13)])
         assert ranges.shape == (4000, 5)
         for m in range(5):
             est = estimate_from_samples(ranges[:, m])
@@ -92,8 +121,10 @@ class TestPathEnsembles:
                     [1, 1, 1, 1, 1, 1],
                     [1, 2, 2, 2, 3, 3],
                     [1, 2, 2, 3, 3, 4]]
-        assert np.array_equal(_range_profile(codes * 6 + np.arange(6)),
-                              expected)
+        keys = codes * 6 + np.arange(6)
+        assert np.array_equal(
+            _range_profile(keys, np.empty_like(keys),
+                           np.empty(keys.shape, dtype=bool)), expected)
         assert np.array_equal(range_profile(codes), expected)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -114,12 +145,16 @@ class TestPathEnsembles:
         (0, _CHUNK + 5),
         (1, 3),
     ])
-    def test_chunks_equal_position_oracle(self, request, name, n_max, reps):
+    @pytest.mark.parametrize("rows", [None, 1, 3, 100])
+    def test_chunks_equal_position_oracle(self, request, monkeypatch, name,
+                                          n_max, reps, rows):
         # the scalar-key walk reproduces the position-based ensemble exactly:
-        # the same uniforms give the same steps, x1 and ranges
+        # the same uniforms give the same steps, x1 and ranges, whether a
+        # chunk is walked whole, one path at a time or in uneven blocks
         kernel = (JUMP2 if name == "jump2"
                   else request.getfixturevalue(name))
-        chunks = list(_ensemble_chunks(kernel, n_max, reps, (9, 2)))
+        _set_block_rows(monkeypatch, rows, n_max)
+        chunks = _chunks(kernel, n_max, reps, (9, 2))
         expected = list(ensemble_chunks(kernel, n_max, reps, (9, 2)))
         assert len(chunks) == len(expected) == -(-reps // _CHUNK)
         for (x1, ranges), (pos, ref) in zip(chunks, expected):
@@ -141,16 +176,26 @@ class TestPathEnsembles:
         assert not x1[:, 0].any()
         assert set(np.diff(x1, axis=1).ravel()) == set(kernel.steps[:, 0])
 
-    def test_chunk_sizes(self, srw2):
-        sizes = [x1.shape[0] for x1, _ in
-                 _ensemble_chunks(srw2, 3, 2 * _CHUNK + 10, 4)]
-        assert sizes == [_CHUNK, _CHUNK, 10]
+    @pytest.mark.parametrize("rows, sizes", [
+        (None, [_CHUNK, _CHUNK, 10]),
+        (100, [100, 100, 56, 100, 100, 56, 10]),
+    ])
+    def test_block_sizes(self, srw2, monkeypatch, rows, sizes):
+        # a chunk is cut into blocks of `rows` paths; no block spans two
+        _set_block_rows(monkeypatch, rows, 3)
+        assert [x1.shape[0] for x1, _ in
+                _ensemble_chunks(srw2, 3, 2 * _CHUNK + 10, 4)] == sizes
+
+    @pytest.mark.parametrize("n_max, rows", [(3, _CHUNK), (200, 163),
+                                             (40_000, 1)])
+    def test_block_rows_from_path_length(self, n_max, rows):
+        assert scaling._block_rows(n_max) == rows
 
     def test_chunk_c_drawn_from_replica_rng(self, srw2):
         # chunk c comes from replica_rng(seed, c) alone, so asking for fewer
         # paths leaves every leading whole chunk unchanged
-        full = [x1 for x1, _ in _ensemble_chunks(srw2, 6, 2 * _CHUNK, 4)]
-        fewer = [x1 for x1, _ in _ensemble_chunks(srw2, 6, _CHUNK + 1, 4)]
+        full = [x1 for x1, _ in _chunks(srw2, 6, 2 * _CHUNK, 4)]
+        fewer = [x1 for x1, _ in _chunks(srw2, 6, _CHUNK + 1, 4)]
         for c in range(2):
             expected = path_positions(srw2, 6, _CHUNK, replica_rng(4, c))
             assert np.array_equal(full[c], expected[:, :, 0])
@@ -164,8 +209,9 @@ class TestPathEnsembles:
         assert not np.array_equal(a, b)
 
     def test_key_overflow_is_resource_error(self, srw3):
-        # d = 3 keys code * (n+1) + t stay in int64 up to 38,967 steps
-        (x1, ranges), = _ensemble_chunks(srw3, 38967, 2, 0)
+        # d = 3 keys code * (n+1) + t stay in int64 up to 38,967 steps,
+        # walked one path per block
+        (x1, ranges), = _chunks(srw3, 38967, 2, 0)
         (pos, ref), = ensemble_chunks(srw3, 38967, 2, 0)
         assert np.array_equal(x1, pos[:, :, 0])
         assert np.array_equal(ranges, ref)
@@ -174,11 +220,68 @@ class TestPathEnsembles:
 
     def test_chunk_bytes_over_cap_is_resource_error(self, srw2,
                                                     monkeypatch):
-        # five (b, n+1) int64 arrays per chunk: 5 * 8 * 256 * 101 bytes
-        monkeypatch.setattr(scaling, "COLUMN_BYTES_CAP", 5 * 8 * 256 * 101)
+        # one block of 256 paths is charged, VISIT_BYTES per visit:
+        # 27 * 256 * 101 bytes at 100 steps, and 300 paths cost no more
+        monkeypatch.setattr(scaling, "COLUMN_BYTES_CAP",
+                            VISIT_BYTES * 256 * 101)
         assert len(list(_ensemble_chunks(srw2, 100, 300, 0))) == 2
         with pytest.raises(ResourceError, match="cap"):
             next(_ensemble_chunks(srw2, 101, 300, 0))
+
+    def test_long_paths_charge_one_path(self, srw2, monkeypatch):
+        # 256 paths of 200,000 steps (the d = 2 ensembles at eps = 1e-3)
+        # pass the size check in Python ints, without allocating
+        tracemalloc.start()
+        try:
+            _key_layout(srw2, 200_000, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
+        # past _BLOCK_VISITS a block is one path, so the cap bounds a
+        # single path's length, checked before anything is drawn
+        def no_draws(*args):
+            raise AssertionError("uniforms drawn")
+
+        monkeypatch.setattr(scaling, "replica_rng", no_draws)
+        monkeypatch.setattr(scaling, "COLUMN_BYTES_CAP",
+                            VISIT_BYTES * 50_001 - 1)
+        with pytest.raises(ResourceError, match="1 paths of 50000 steps"):
+            next(_ensemble_chunks(srw2, 50_000, 300, 0))
+
+    def test_long_paths_equal_position_oracle(self, srw2):
+        # two paths of 200,000 steps, each its own block
+        (x1, ranges), = _chunks(srw2, 200_000, 2, 7)
+        (pos, ref), = ensemble_chunks(srw2, 200_000, 2, 7)
+        assert np.array_equal(x1, pos[:, :, 0])
+        assert np.array_equal(ranges, ref)
+
+    def test_block_loop_allocation_does_not_grow_with_length(self, srw2):
+        # beyond the block's own buffers, VISIT_BYTES - 1 per visit (the
+        # passage mask is survival_samples'), the walk allocates a fixed
+        # amount whatever the path length
+        for n_max in (20_000, 80_000):
+            tracemalloc.start()
+            try:
+                for _ in _ensemble_chunks(srw2, n_max, 3, 0):
+                    pass
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - (VISIT_BYTES - 1) * (n_max + 1) < 1 << 17, n_max
+
+    @pytest.mark.parametrize("name", ["srw2_lazy", "srw3"])
+    def test_survival_independent_of_block_size(self, request, monkeypatch,
+                                                name):
+        kernel = request.getfixturevalue(name)
+        weights = []
+        for rows in (None, 1, 7):
+            _set_block_rows(monkeypatch, rows, 60)
+            weights.append(survival_samples(kernel, 0.1, [2, 4], 600, 60,
+                                            seed=(3, 1)))
+        assert weights[0][:, 0].any()
+        assert np.array_equal(weights[0], weights[1])
+        assert np.array_equal(weights[0], weights[2])
 
 
 class TestSurvival:
