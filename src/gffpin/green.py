@@ -6,20 +6,19 @@ values solve (I - P) restricted to the alive sites, so they are
 simultaneously the covariances of the free field given the dead set, after
 the 1/beta_eff scaling. All solves run at beta = 1 internally.
 
-There is one solve path: a sparse LU factor of (I - P)|alive, built on first
-use and cached on the Region, serves every `Region.solve`. A Region is
+There are two solvers. The Region's one factor is the inverse Schur
+complement of every slab of the box, built on first use and kept: it gives
+the diagonal of the Green matrix by block-tridiagonal selected inversion,
+and every `Region.solve` by block forward and back substitution. A Region is
 immutable, so every chain and every probe on one Region shares that factor.
-The diagonal of the Green matrix comes from block-tridiagonal selected
-inversion over slabs of the box and is cached like the factor. A chain
-audit's reference does not touch the factor: the pinned system is gathered
+A chain audit's reference does not touch it: the pinned system is gathered
 from the same bordered grid, with the other pins dead, and solved by a
-banded Cholesky; each reference is cached on the Region too. The n-step
-Green function at the origin is a Fourier sum on a torus, audited against
-the exact DP pmf of `walk`.
+banded Cholesky; each reference is cached on the Region, and so are the
+Green columns that chains read. The n-step Green function at the origin is
+a Fourier sum on a torus, audited against the exact DP pmf of `walk`.
 
 Importing this module loads only numpy: scipy.sparse loads when the first
-Region builds its matrix, scipy.sparse.linalg at the first factor, and
-scipy.linalg with it or at the first audit, whichever comes first.
+Region builds its matrix, and scipy.linalg at the first audit.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from .errors import NumericalError, ResourceError
 from .walk import WINDOW_CELL_CAP, StepKernel, _auto_radius, pmf_origin_series
 
 RESIDUAL_TARGET = 1e-10
-COLUMN_BYTES_CAP = 1 << 30  # bytes of dense blocks per chain or Region,
-# and of the arrays of one path-ensemble chunk
+COLUMN_BYTES_CAP = 1 << 30  # bytes of dense blocks per chain, sweep or
+# Region, and of the buffers of one path-ensemble block
 NSTEP_AUDIT_STEPS = 16  # the exact DP checks green_nstep at min(n, 16) steps
 NSTEP_AUDIT_TOL = 1e-10
 
@@ -46,6 +45,8 @@ class Region:
     the optional ``pins`` are dead sites inside it, each given by its d
     coordinates. Dead sites read -1, so a step that leaves the box, however
     long, or lands on a pin adds no entry to (I - P): the walk is killed.
+    The slab factor, the Green diagonal and columns, and the audit
+    references are built on first use and kept for the Region's life.
     """
 
     def __init__(self, kernel: StepKernel, lo, hi, pins=()):
@@ -71,8 +72,9 @@ class Region:
         self.n_alive = len(self.sites)
         self._grid = grid
         self._matrix = self._build_matrix()
-        self._lu = None
+        self._slabs = None
         self._green_diag = None
+        self._columns = {}  # site -> G0[:, site]
         self._pinned_variances = {}  # (site, kept-site mask bytes) -> value
 
     def site_index(self, x) -> int:
@@ -94,33 +96,33 @@ class Region:
         return self._matrix
 
     @property
-    def factor(self):
-        """Sparse LU factor of `matrix`, built once and shared."""
-        if self._lu is None:
-            import scipy.sparse.linalg as spla
-
-            # symmetric positive definite: a symmetric fill-reducing
-            # order needs no pivoting
-            self._lu = spla.splu(self._matrix.tocsc(),
-                                 permc_spec="MMD_AT_PLUS_A",
-                                 diag_pivot_thresh=0.0,
-                                 options={"SymmetricMode": True})
-        return self._lu
-
-    @property
     def green_diag(self) -> np.ndarray:
-        """diag((I - P)|alive^{-1}), beta = 1, by selected inversion over
-        slabs of the box; read-only."""
+        """diag((I - P)|alive^{-1}), beta = 1, by selected inversion over the
+        slab factor: G_kk = g_k + X G_{k+1,k+1} X^T with X = g_k A_{k,k+1}
+        (Erisman and Tinney 1975); read-only."""
         if self._green_diag is None:
-            out = _slab_green_diag(self._matrix, self._slab_edges())
+            slabs = self._slab_factor()
+            out = np.empty(self.n_alive)
+            g = slabs[-1][2]
+            out[slabs[-1][0]:] = np.diagonal(g)
+            for (a, b, inv, *_), nxt in zip(slabs[-2::-1], slabs[:0:-1]):
+                x = inv @ nxt[4]
+                g = inv + x @ g @ x.T
+                out[a:b] = np.diagonal(g)
             out.flags.writeable = False
             self._green_diag = out
         return self._green_diag
 
+    def green_column(self, j) -> np.ndarray:
+        """G0[:, j], beta = 1, solved once per Region."""
+        if j not in self._columns:
+            self._columns[j] = self.solve(np.eye(1, self.n_alive, j)[0])[0]
+        return self._columns[j]
+
     def pinned_variance(self, pinned, i) -> float:
         """Variance at site i given zeros on the other sites of the bool mask
         `pinned`, beta = 1: the reference a chain audit checks against,
-        independent of the shared factor.
+        independent of the slab factor.
 
         The other pins read -1 in a copy of the bordered grid and the kept
         sites are renumbered in order, so the gathered (I - P) is a
@@ -164,20 +166,63 @@ class Region:
             self._pinned_variances[key] = float(g[pos])
         return self._pinned_variances[key]
 
-    def _slab_edges(self):
-        """Index bounds of the non-empty slabs of thickness max_step along
-        axis 0. Sites are in lexicographic order, so each slab is one index
-        range, and no step joins two slabs that are not neighbours."""
-        slab = (self.sites[:, 0] - self.lo[0]) // self.kernel.max_step
-        cuts = np.flatnonzero(np.diff(slab)) + 1
-        return np.concatenate(([0], cuts, [self.n_alive]))
+    def _slab_factor(self):
+        """The Region's one factor, built once: per non-empty slab of
+        thickness max_step along axis 0, its index range a:b (sites are in
+        lexicographic order), g_k = S_k^{-1} and its couplings A_{k,k-1}
+        and A_{k-1,k} to the slab before (None for the first). No step joins
+        slabs that are not neighbours, so the Schur complements are
+        S_k = D_k - A_{k,k-1} g_{k-1} A_{k-1,k}. The g_k share one buffer,
+        checked against COLUMN_BYTES_CAP before it is allocated."""
+        if self._slabs is None:
+            slab = (self.sites[:, 0] - self.lo[0]) // self.kernel.max_step
+            cuts = np.flatnonzero(np.diff(slab)) + 1
+            edges = np.concatenate(([0], cuts, [self.n_alive]))
+            sizes = np.diff(edges)
+            need = 8 * int((sizes**2).sum())
+            if need > COLUMN_BYTES_CAP:
+                raise ResourceError(
+                    f"slab inverses of the Green factor need {need} bytes, "
+                    f"above the {COLUMN_BYTES_CAP}-byte cap")
+            # one buffer holds every g_k: freed as one block it leaves the
+            # process, where separately allocated blocks can stay resident
+            store = np.empty(need // 8)
+            starts = np.cumsum(sizes**2) - sizes**2
+            m, slabs = self._matrix, []
+            for a, b, o in zip(edges[:-1], edges[1:], starts):
+                s = m[a:b, a:b].toarray()
+                lower = upper = None
+                if slabs:
+                    prev = slabs[-1][0]
+                    lower, upper = m[a:b, prev:a], m[prev:a, a:b]
+                    s -= lower @ (slabs[-1][2] @ upper)
+                inv = store[o:o + (b - a) ** 2].reshape(b - a, b - a)
+                inv[...] = np.linalg.inv(s)
+                slabs.append((a, b, inv, lower, upper))
+            self._slabs = slabs
+        return self._slabs
 
     def solve(self, rhs):
-        """Solve (I - P)|alive g = rhs; returns (g, relative residual)."""
+        """Solve (I - P)|alive g = rhs, for one right-hand side or a matrix
+        of them, by block forward and back substitution through the slab
+        factor; returns (g, the largest relative residual of a column)."""
         rhs = np.asarray(rhs, dtype=float)
-        g = self.factor.solve(rhs)
-        scale = float(np.linalg.norm(rhs))
-        resid = float(np.linalg.norm(self._matrix @ g - rhs)) / (scale or 1.0)
+        slabs = self._slab_factor()
+        g = rhs.copy()
+        # forward: g_k <- S_k^{-1} (r_k - A_{k,k-1} g_{k-1})
+        for a, b, inv, lower, _ in slabs:
+            if lower is not None:
+                g[a:b] -= lower @ g[a - lower.shape[1]:a]
+            g[a:b] = inv @ g[a:b]
+        # back: g_k <- g_k - S_k^{-1} A_{k,k+1} g_{k+1}
+        for (a, b, inv, *_), (c, d, *_, upper) in zip(slabs[-2::-1],
+                                                      slabs[:0:-1]):
+            g[a:b] -= inv @ (upper @ g[c:d])
+        scale = np.linalg.norm(rhs, axis=0)
+        r = self._matrix @ g
+        r -= rhs  # squared in place: three n-by-m arrays at most
+        resid = float(np.max(np.sqrt(np.square(r, out=r).sum(axis=0))
+                             / np.where(scale > 0, scale, 1.0)))
         if resid > RESIDUAL_TARGET:
             raise NumericalError(f"solve residual {resid:.3e} above target")
         return g, resid
@@ -219,48 +264,8 @@ class GreenProbe:
 def green_killed(region: Region, x, y) -> GreenProbe:
     """Field covariance G(x, y)/beta_eff for the walk killed on dead sites."""
     ix, iy = region.site_index(x), region.site_index(y)
-    rhs = np.zeros(region.n_alive)
-    rhs[iy] = 1.0
-    g, resid = region.solve(rhs)
+    g, resid = region.solve(np.eye(1, region.n_alive, iy)[0])
     return GreenProbe(float(g[ix]) / region.beta, resid)
-
-
-def _slab_green_diag(m, edges) -> np.ndarray:
-    """diag(m^{-1}) for a symmetric positive definite sparse m that is block
-    tridiagonal over the index ranges edges[k]:edges[k+1].
-
-    Forward Schur complements S_k = D_k - A_{k-1,k}^T S_{k-1}^{-1} A_{k-1,k}
-    with g_k = S_k^{-1}, then backward G_kk = g_k + X G_{k+1,k+1} X^T with
-    X = g_k A_{k,k+1} (Erisman and Tinney 1975). The g_k are the only blocks
-    kept, and their size is checked before any is allocated.
-    """
-    sizes = np.diff(edges)
-    need = 8 * int((sizes**2).sum())
-    if need > COLUMN_BYTES_CAP:
-        raise ResourceError(
-            f"slab inverses of the Green diagonal need {need} bytes, above "
-            f"the {COLUMN_BYTES_CAP}-byte cap")
-    out = np.empty(edges[-1])
-    # one buffer holds every g_k: freed as one block it leaves the process,
-    # where separately allocated blocks can stay resident on the heap
-    store = np.empty(need // 8)
-    starts = np.cumsum(sizes**2) - sizes**2
-    inv = [store[o:o + b * b].reshape(b, b) for o, b in zip(starts, sizes)]
-    spans = list(zip(edges[:-1], edges[1:]))
-    for k, (a, b) in enumerate(spans):
-        s = m[a:b, a:b].toarray()
-        if k:
-            up = m[spans[k - 1][0]:a, a:b]
-            s -= up.T @ (inv[k - 1] @ up)
-        inv[k][...] = np.linalg.inv(s)
-    g = inv[-1]
-    out[spans[-1][0]:] = np.diagonal(g)
-    for k in range(len(spans) - 2, -1, -1):
-        a, b = spans[k]
-        x = inv[k] @ m[a:b, b:spans[k + 1][1]]
-        g = inv[k] + x @ g @ x.T
-        out[a:b] = np.diagonal(g)
-    return out
 
 
 def nstep_torus_radius(kernel: StepKernel, n: int) -> int:

@@ -9,14 +9,14 @@ single-flip ratio of nu, so detailed balance holds by construction.
 
 The chain holds the covariance given A in low-rank form,
 G_A = G0 - G0[:, A] K^{-1} G0[A, :] with K = G0[A, A] and G0 the Green
-matrix of the box, so its memory is O(n |A|) and a flip costs one sparse
-solve plus O(|A|^2). It keeps no diag(G_A) vector: a variance is computed
-where it is needed, in O(|A|^2). No odds exceed p_hi, the odds with all
-other sites pinned, so a sweep computes the odds only at the sites whose
-uniform is below p_hi, about p_hi * n of them. The pinned set is sparse at
-small eps, which is what makes large boxes reachable. Exact enumeration
-stays dense: it serves the FKG check and is the small-box oracle of the
-sampler.
+matrix of the box, so its memory is O(n |A|); a sweep solves the columns
+it may pin in one batch, and a flip costs O(|A|^2). It keeps no diag(G_A)
+vector: a variance is computed where it is needed, in O(|A|^2). No odds
+exceed p_hi, the odds with all other sites pinned, so a sweep computes the
+odds only at the sites whose uniform is below p_hi, about p_hi * n of
+them. The pinned set is sparse at small eps, which is what makes large
+boxes reachable. Exact enumeration stays dense: it serves the FKG check
+and is the small-box oracle of the sampler.
 
 Every heat-bath run goes through one driver, `recorded`: it runs a chain's
 burn-in sweeps, then yields the chain after each recorded sweep, and no other
@@ -63,11 +63,12 @@ class GibbsChain:
     the same slots. There is no diag(G_A) vector: the conditional variance
     of an unpinned site i is G0(i, i) - c_i^T K^{-1} c_i with c_i = G0[i, A],
     computed on demand in O(|A|^2), and the add-back variance of a pinned
-    site a is 1 / K^{-1}[a, a]. A pin costs one solve with the region's
-    shared factor plus O(|A|^2); an unpin costs O(|A|^2) and frees its slot
-    for the next pin (a free slot has zero rows in K^{-1}). Scheduled audits
-    compare the variance with `Region.pinned_variance`, a banded Cholesky
-    of the pinned system that shares nothing with the chain's factor.
+    site a is 1 / K^{-1}[a, a]. A pin copies its column from the sweep's
+    batch, solved with the region's shared slab factor, plus O(|A|^2); an
+    unpin costs O(|A|^2) and frees its slot for the next pin (a free slot
+    has zero rows in K^{-1}). Scheduled audits compare the variance with
+    `Region.pinned_variance`, a banded Cholesky of the pinned system that
+    shares nothing with the slab factor.
     """
 
     def __init__(self, region: Region, eps: float, seed: int, replica: int = 0):
@@ -128,13 +129,11 @@ class GibbsChain:
         kinv[:self.k, :self.k] = self.kinv[:self.k, :self.k]
         self.cols, self.kinv = cols, kinv
 
-    def _pin(self, i):
+    def _pin(self, i, g0):
+        """Pin site i, given its Green column g0 = G0[:, i]."""
         p = self.free.pop() if self.free else self.k
         if p == self.cols.shape[1]:
             self._grow()
-        rhs = np.zeros(len(self.pinned))
-        rhs[i] = 1.0
-        g0, _ = self.region.solve(rhs)
         self.cols[:, p] = g0
         self.k = k = max(self.k, p + 1)
         c = self.cols[i, :k]
@@ -172,23 +171,35 @@ class GibbsChain:
         below p_hi ends its visit unpinned in any state: the scan is thinned
         (Lewis and Shedler 1979). It computes the odds only at the sites
         whose uniform is below p_hi, about p_hi * n of them, and unpins
-        the remaining pins without their odds.
+        the remaining pins without their odds. A pin can land only there, so
+        the sweep first solves their Green columns in one batch, its bytes
+        checked against COLUMN_BYTES_CAP (ResourceError).
         """
         n = len(self.pinned)
         u = self.rng.random(n)
+        # with every neighbour pinned the odds meet p_hi to within rounding
+        low = u < self.p_hi * (1.0 + 1e-9)
+        fresh = np.flatnonzero(low & ~self.pinned)
+        need = 3 * 8 * n * len(fresh)
+        if need > COLUMN_BYTES_CAP:
+            raise ResourceError(
+                f"a sweep batch of {len(fresh)} Green columns on {n} sites "
+                f"needs {need} bytes, above the {COLUMN_BYTES_CAP}-byte cap")
+        if len(fresh):  # the unit columns e_i, i in fresh
+            g0, _ = self.region.solve(1.0 * (np.arange(n)[:, None] == fresh))
         first = self._visits
         self._visits += n
         audits = [t - first - 1 for t in _AUDIT_VISITS
                   if first < t <= first + n]
-        # with every neighbour pinned the odds meet p_hi to within rounding
-        low = u < self.p_hi * (1.0 + 1e-9)
         for i in np.flatnonzero(low | self.pinned):
             while audits and audits[0] <= i:
                 self._audit(audits.pop(0))
             pin = bool(low[i]) and u[i] < _odds(self.eps, self.beta,
                                                 self.raw_variance(i))
-            if pin != self.pinned[i]:
-                (self._pin if pin else self._unpin)(i)
+            if pin and not self.pinned[i]:
+                self._pin(i, g0[:, np.searchsorted(fresh, i)])
+            elif self.pinned[i] and not pin:
+                self._unpin(i)
         for i in audits:
             self._audit(i)
 
@@ -198,9 +209,7 @@ class GibbsChain:
             return 0.0
         if i == j:
             return self.raw_variance(i) / self.beta
-        rhs = np.zeros(len(self.pinned))
-        rhs[j] = 1.0
-        g0, _ = self.region.solve(rhs)
+        g0 = self.region.green_column(j)
         k = self.k
         c = self.cols[:, :k]
         return float(g0[i] - c[i] @ (self.kinv[:k, :k] @ c[j])) / self.beta

@@ -9,10 +9,10 @@
   recursion and the tied-down range of the bridge.
 - A saddle-point pmf from the Legendre rate function, an independent
   large-deviation check of the exact n-step pmf.
-- Hitting probabilities by one sparse solve on a Region, checked against
+- Hitting probabilities by one SuperLU solve on a Region, checked against
   `green_killed` through the last-exit identity.
-- The Green diagonal of a Region by unit-column solves with its sparse
-  factor, the reference of the slab recursion in `Region.green_diag`.
+- The Green diagonal of a Region by unit-column SuperLU solves, the
+  reference of the slab recursion in `Region.green_diag`.
 - Dense small-box oracles of the pinned field: the Green function given
   every pin subset, the heat-bath pin probability from a fresh Region, an
   exact Gaussian field draw given the pins, and a scalar heat bath.
@@ -337,7 +337,7 @@ def gibbs_pin_prob(region, pins, x, eps):
     sub = Region(region.kernel, region.lo, region.hi, pins=others)
     rhs = np.zeros(sub.n_alive)
     rhs[sub.site_index(x)] = 1.0
-    g_vec, _ = sub.solve(rhs)
+    g_vec = lu_solve(sub, rhs)
     sigma2 = float(g_vec[sub.site_index(x)]) / region.beta
     g = 1.0 / math.sqrt(2.0 * math.pi * sigma2)
     return eps * g / (1.0 + eps * g)
@@ -430,16 +430,23 @@ def tied_down_range_mean(kernel, n, x):
     return n + 1 - correction
 
 
+def lu_solve(region, rhs):
+    """Solve (I - P)|alive g = rhs with SuperLU, a factor that shares
+    nothing with the slab factor of `Region.solve`."""
+    return spla.splu(region.matrix.tocsc()).solve(np.asarray(rhs, float))
+
+
 def block_solve_green_diag(region, block=32):
-    """diag((I - P)|alive^{-1}), beta = 1, from solves of `block` unit
-    columns at a time with the region's sparse factor."""
+    """diag((I - P)|alive^{-1}), beta = 1, from SuperLU solves of `block`
+    unit columns at a time."""
     n = region.n_alive
+    lu = spla.splu(region.matrix.tocsc())
     out = np.empty(n)
     for start in range(0, n, block):
         cols = np.arange(start, min(start + block, n))
         rhs = np.zeros((n, len(cols)))
         rhs[cols, np.arange(len(cols))] = 1.0
-        out[cols] = region.factor.solve(rhs)[cols, np.arange(len(cols))]
+        out[cols] = lu.solve(rhs)[cols, np.arange(len(cols))]
     return out
 
 
@@ -479,7 +486,7 @@ def hitting_prob(region, target, x):
     keep = region.index[sub.alive]
     # mass stepping from kept sites directly into the target
     rhs = -np.asarray(region.matrix[keep][:, tcols].sum(axis=1)).ravel()
-    h, _ = sub.solve(rhs)
+    h = lu_solve(sub, rhs)
     return float(h[sub.site_index(x)])
 
 

@@ -355,8 +355,8 @@ class TestPinsSample:
         assert not (out / "pin_samples.csv").exists()
 
     @pytest.mark.parametrize("patch, code, message", [
-        # 25 sites: 5 slabs of 5 hold 1,000 bytes of Green-diagonal
-        # inverse, and the audit band of half-width 5 needs 1,200
+        # 25 sites: 5 slabs of 5 hold 1,000 bytes of slab factor, and the
+        # audit band of half-width 5 needs 1,200
         ("cap", 4, "resource exceeded: audit band"),
         ("factor", 3, "numerical failure: banded Cholesky"),
     ])
@@ -700,11 +700,15 @@ def _start_up_loads(tmp_path, command, body, banned):
     ("renewal1d", "eps_list = 0.1 0.01", "scipy"),
     ("fkg-check", "box_radius = 1\neps_list = 0.5 0.1\nkernel_file = {kernel}",
      "scipy.special"),
-], ids=["import", "mass-scan-surrogate", "renewal1d", "fkg-check"])
+    ("pins-sample", "box_radius = 3\nepsilon = 0.5\nsweeps = 20\n"
+     "kernel_file = {kernel}", "scipy.sparse.linalg"),
+], ids=["import", "mass-scan-surrogate", "renewal1d", "fkg-check",
+        "pins-sample"])
 def test_start_up_leaves_out_scipy(tmp_path, srw2_file, command, body, banned):
     # a surrogate run (path ensembles alone) needs numpy and no scipy; the
     # exact enumeration of fkg-check loads scipy.sparse for its Region, but
-    # never scipy.special
+    # never scipy.special; a chain solves with its Region's slab factor and
+    # audits with a banded Cholesky, so SuperLU never loads
     _start_up_loads(tmp_path, command, body and body.format(kernel=srw2_file),
                     banned)
 

@@ -38,7 +38,10 @@ class TestGreenKilled:
         region = box_region(srw2_lazy, 5, pins=[(1, 1)])
         inv = np.linalg.inv(region.matrix.toarray())
         assert np.abs(region.green_diag - np.diag(inv)).max() <= 1e-12
-        assert region.factor is region.factor
+        # the slab factor is built once and kept: solves reuse it
+        slabs = region._slabs
+        green_killed(region, (0, 0), (2, -3))
+        assert region._slab_factor() is slabs
 
     @pytest.mark.parametrize("name, radius, pins", [
         ("srw2_lazy", 21, []),
@@ -48,22 +51,36 @@ class TestGreenKilled:
         ("srw2_lazy", 4, [(x, y) for x in (-4, 1) for y in range(-4, 5)]),
         # knight slabs are rows {-4, -3}, {-2, -1}, {0, 1}, {2, 3}, {4}
         ("knight", 4, [(x, y) for x in (0, 1) for y in range(-4, 5)]),
+        ("aniso", 6, [(2, -1), (-3, 4)]),
     ], ids=["srw2-lazy-R21", "max-step-2", "d3", "empty-slabs",
-            "empty-slab-max-step-2"])
+            "empty-slab-max-step-2", "aniso"])
     def test_green_diag_matches_oracles(self, request, name, radius, pins):
-        # the slab recursion against unit-column solves and the dense inverse
+        # the slab recursion against unit-column solves and the dense
+        # inverse, and slab solves of one and of several right-hand sides
+        # against the dense inverse
         region = box_region(request.getfixturevalue(name), radius, pins=pins)
         diag = region.green_diag
         assert np.abs(diag - block_solve_green_diag(region)).max() \
             <= 1e-12 * diag.max()
         inv = np.linalg.inv(region.matrix.toarray())
         assert np.abs(diag - np.diag(inv)).max() <= 1e-12 * diag.max()
+        rhs = np.random.default_rng(4).standard_normal((region.n_alive, 5))
+        rhs[:, 1] = 0.0
+        rhs[region.n_alive // 2, 1] = 1.0  # a unit column
+        for b in (rhs[:, 0], rhs[:, 1], rhs):
+            g, resid = region.solve(b)
+            ref = inv @ b
+            assert g.shape == b.shape and resid <= green.RESIDUAL_TARGET
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_green_diag_size_checked_before_allocation(self, srw2):
         # one slab of 10^6 sites: 8 TB of slab inverse, far beyond memory
         region = Region(srw2, (0, 0), (0, 10**6 - 1))
         with pytest.raises(ResourceError, match="cap"):
             region.green_diag
+        with pytest.raises(ResourceError, match="cap"):
+            green_killed(region, (0, 0), (0, 1))
+        assert region._slabs is None
 
     def test_symmetry(self, srw2):
         region = box_region(srw2, 3, pins=[(2, 2)])

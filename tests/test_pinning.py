@@ -35,6 +35,13 @@ from oracles import (
 EPS = 0.5
 
 
+def _pin(chain, i):
+    """Pin site i of `chain` with its Green column from `Region.solve`."""
+    rhs = np.zeros(chain.region.n_alive)
+    rhs[i] = 1.0
+    chain._pin(i, chain.region.solve(rhs)[0])
+
+
 @pytest.fixture(scope="module")
 def box3(srw2_lazy):
     return box_region(srw2_lazy, 1)
@@ -192,7 +199,7 @@ class TestSampler:
         for _ in range(150):
             i = int(rng.integers(region.n_alive))
             if not chain.pinned[i] and (~chain.pinned).sum() > 1:
-                chain._pin(i)
+                _pin(chain, i)
             elif chain.pinned[i]:
                 chain._unpin(i)
         keep = np.flatnonzero(~chain.pinned)
@@ -235,7 +242,7 @@ class TestLowRankChain:
         region = box_region(request.getfixturevalue(name), radius)
         chain = GibbsChain(region, 0.3, seed=1)
         for i in range(0, region.n_alive, 2):
-            chain._pin(i)
+            _pin(chain, i)
         odds = np.array([pinning._odds(chain.eps, chain.beta,
                                        chain.raw_variance(i))
                          for i in range(region.n_alive)])
@@ -322,7 +329,7 @@ class TestLowRankChain:
         region = box_region(srw2_lazy, 3)
         monkeypatch.setattr(region, "_green_diag", np.zeros(region.n_alive))
         chain = GibbsChain(region, 0.3, seed=5)
-        chain._pin(10)
+        _pin(chain, 10)
         for i in (0, 24):
             with pytest.raises(NumericalError, match="not positive"):
                 chain.raw_variance(i)
@@ -331,13 +338,62 @@ class TestLowRankChain:
         region = box_region(srw2_lazy, 3)
         chain = GibbsChain(region, 0.3, seed=5)
         for i in range(8):
-            chain._pin(i)
+            _pin(chain, i)
         monkeypatch.setattr(pinning, "COLUMN_BYTES_CAP",
                             8 * 8 * (region.n_alive + 8))
         with pytest.raises(ResourceError):
-            chain._pin(8)
+            _pin(chain, 8)
         assert chain.cols.shape == (region.n_alive, 8)
         assert chain.pinned.sum() == 8
+
+    @staticmethod
+    def _spy_solves(monkeypatch):
+        shapes, real = [], Region.solve
+        monkeypatch.setattr(Region, "solve", lambda region, rhs: (
+            shapes.append(np.shape(rhs)) or real(region, rhs)))
+        return shapes
+
+    def test_sweep_batch_cap(self, srw2_lazy, monkeypatch):
+        # the sweep's one batch of columns, with its right-hand sides and
+        # residuals, is checked against the cap before it is allocated
+        region = box_region(srw2_lazy, 3)
+        n = region.n_alive
+        chain = GibbsChain(region, 0.3, seed=5)
+        u = copy.deepcopy(chain.rng).random(n)
+        m = int((u < chain.p_hi * (1.0 + 1e-9)).sum())
+        assert m
+        shapes = self._spy_solves(monkeypatch)
+        monkeypatch.setattr(pinning, "COLUMN_BYTES_CAP", 3 * 8 * n * m - 1)
+        with pytest.raises(ResourceError, match="cap"):
+            chain.sweep()
+        assert shapes == [] and not chain.pinned.any()
+        monkeypatch.setattr(pinning, "COLUMN_BYTES_CAP", 3 * 8 * n * m)
+        GibbsChain(region, 0.3, seed=5).sweep()
+        assert shapes == [(n, m)]
+
+    def test_sweep_solves_once(self, srw2_lazy, monkeypatch):
+        region = box_region(srw2_lazy, 6)
+        chain = GibbsChain(region, 0.3, seed=7)
+        shapes = self._spy_solves(monkeypatch)
+        for _ in range(6):
+            before = len(shapes)
+            chain.sweep()
+            assert len(shapes) - before <= 1
+        assert chain.pinned.any() and shapes
+
+    def test_covariance_column_solved_once(self, srw2_lazy, monkeypatch):
+        # off-diagonal reads take G0[:, j] from the Region's memo, shared by
+        # its chains
+        region = box_region(srw2_lazy, 3)
+        inv = np.linalg.inv(region.matrix.toarray())
+        i, j = region.site_index((0, 0)), region.site_index((1, 2))
+        shapes = self._spy_solves(monkeypatch)
+        for seed in (1, 2):
+            chain = GibbsChain(region, 0.3, seed=seed)
+            for _ in range(3):
+                got = chain.covariance(i, j) * region.beta
+                assert abs(got - inv[i, j]) <= 1e-12 * inv[i, j]
+        assert shapes == [(region.n_alive,)]
 
 
 class TestFieldSampling:
