@@ -14,9 +14,8 @@ fills in the defaults and checks every rule once, before the output directory
 is made; the library functions the handlers call do neither again.
 
 The numerical modules are imported where a command uses them: `renewal1d`
-loads no numpy, every command with a kernel file loads numpy, and only the
-commands that build a Region (all but `kernel-info`, `renewal1d` and the
-surrogate `mass-scan`) load scipy.
+loads no numpy, every command with a kernel file loads numpy, and no command
+loads scipy.
 """
 
 from __future__ import annotations

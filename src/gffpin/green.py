@@ -6,19 +6,18 @@ values solve (I - P) restricted to the alive sites, so they are
 simultaneously the covariances of the free field given the dead set, after
 the 1/beta_eff scaling. All solves run at beta = 1 internally.
 
-There are two solvers. The Region's one factor is the inverse Schur
+Every Green value comes from the Region's one factor, the inverse Schur
 complement of every slab of the box, built on first use and kept: it gives
 the diagonal of the Green matrix by block-tridiagonal selected inversion,
-and every `Region.solve` by block forward and back substitution. A Region is
-immutable, so every chain and every probe on one Region shares that factor.
-A chain audit's reference does not touch it: the pinned system is gathered
-from the same bordered grid, with the other pins dead, and solved by a
-banded Cholesky; each reference is cached on the Region, and so are the
-Green columns that chains read. The n-step Green function at the origin is
-a Fourier sum on a torus, audited against the exact DP pmf of `walk`.
+and the unit columns G0[:, sites] of `Region.columns` by block forward and
+back substitution, each checked by its residual against (I - P) applied
+over shifted slices of a zero-bordered grid. A Region is immutable, so
+every chain and every probe on one Region shares that factor, and the
+Green columns that chains read and the audit references are cached on it.
+The n-step Green function at the origin is a Fourier sum on a torus,
+audited against the exact DP pmf of `walk`.
 
-Importing this module loads only numpy: scipy.sparse loads when the first
-Region builds its matrix, and scipy.linalg at the first audit.
+This module, and with it every command, loads numpy and no scipy.
 """
 
 from __future__ import annotations
@@ -34,6 +33,10 @@ from .walk import WINDOW_CELL_CAP, StepKernel, _auto_radius, pmf_origin_series
 RESIDUAL_TARGET = 1e-10
 COLUMN_BYTES_CAP = 1 << 30  # bytes of dense blocks per chain, sweep or
 # Region, and of the buffers of one path-ensemble block
+SLAB_SITES = 32  # a slab is whole layers of thickness max_step, and at
+# least this many cells of the box
+RESIDUAL_BLOCK_BYTES = 1 << 18  # bordered grids of one block of columns:
+# a cache-sized block checks faster than one pass over the whole batch
 NSTEP_AUDIT_STEPS = 16  # the exact DP checks green_nstep at min(n, 16) steps
 NSTEP_AUDIT_TOL = 1e-10
 
@@ -71,29 +74,23 @@ class Region:
         self.index[alive] = np.arange(len(self.sites))
         self.n_alive = len(self.sites)
         self._grid = grid
-        self._matrix = self._build_matrix()
+        # columns whose bordered grids fill RESIDUAL_BLOCK_BYTES, and the
+        # slices of the bordered grid that each non-zero step reads
+        self._block = max(1, RESIDUAL_BLOCK_BYTES // (8 * grid.size))
+        self._stencil = [
+            (p, (slice(None), *(slice(w + int(c), w + int(c) + n)
+                                for c, n in zip(s, shape))))
+            for s, p in zip(kernel.steps, kernel.probs) if np.any(s)]
         self._slabs = None
         self._green_diag = None
-        self._columns = {}  # site -> G0[:, site]
-        self._pinned_variances = {}  # (site, kept-site mask bytes) -> value
+        self._column_memo = {}  # site -> G0[:, site]
+        self._pinned_variances = {}  # (site, mask of A + {site}) -> value
 
     def site_index(self, x) -> int:
         idx = tuple(int(c) - int(l) for c, l in zip(x, self.lo))
         if any(i < 0 or i >= s for i, s in zip(idx, self.shape)):
             return -1
         return int(self.index[idx])
-
-    def _build_matrix(self):
-        """(I - P)|alive: one gather of the bordered grid per step."""
-        import scipy.sparse as sp
-
-        n, rows, cols, vals = _generator_triplets(self.kernel, self._grid)
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-    @property
-    def matrix(self):
-        """(I - P) restricted to alive sites, beta = 1."""
-        return self._matrix
 
     @property
     def green_diag(self) -> np.ndarray:
@@ -105,8 +102,9 @@ class Region:
             out = np.empty(self.n_alive)
             g = slabs[-1][2]
             out[slabs[-1][0]:] = np.diagonal(g)
-            for (a, b, inv, *_), nxt in zip(slabs[-2::-1], slabs[:0:-1]):
-                x = inv @ nxt[4]
+            for (a, b, inv, _), (c, d, _, runs) in zip(slabs[-2::-1],
+                                                       slabs[:0:-1]):
+                x = _times_upper(inv, runs, d - c)
                 g = inv + x @ g @ x.T
                 out[a:b] = np.diagonal(g)
             out.flags.writeable = False
@@ -115,67 +113,62 @@ class Region:
 
     def green_column(self, j) -> np.ndarray:
         """G0[:, j], beta = 1, solved once per Region."""
-        if j not in self._columns:
-            self._columns[j] = self.solve(np.eye(1, self.n_alive, j)[0])[0]
-        return self._columns[j]
+        if j not in self._column_memo:
+            self._column_memo[j] = self.columns([j])[0][:, 0]
+        return self._column_memo[j]
 
     def pinned_variance(self, pinned, i) -> float:
         """Variance at site i given zeros on the other sites of the bool mask
-        `pinned`, beta = 1: the reference a chain audit checks against,
-        independent of the slab factor.
+        `pinned`, beta = 1: the reference a chain audit checks against.
 
-        The other pins read -1 in a copy of the bordered grid and the kept
-        sites are renumbered in order, so the gathered (I - P) is a
-        symmetric positive definite band, solved by LAPACK's banded
-        Cholesky. The band's size is checked against COLUMN_BYTES_CAP before
-        it is allocated (ResourceError), and a failed factor is a
+        With A the other pins, it is G0(i, i) - c^T K^{-1} c with
+        K = G0[A, A] and c = G0[A, i], from one fresh `columns(A + {i})`
+        call, whose residuals certify the slab factor, and a fresh Cholesky
+        factor of K; it reads none of a chain's state and not the Green
+        diagonal. Its bytes are checked against COLUMN_BYTES_CAP before they
+        are allocated (ResourceError), and a failed factor is a
         NumericalError. Memoized per (i, pin set), since the chains on one
         Region audit at the same visits and often see the same state."""
-        keep = ~pinned
-        keep[i] = True
-        key = (i, keep.tobytes())
+        both = pinned.copy()
+        both[i] = True
+        key = (i, both.tobytes())
         if key not in self._pinned_variances:
-            import scipy.linalg as sla
-
-            order = np.cumsum(keep) - 1  # new index of each kept site
-            grid = self._grid.copy()
-            grid[grid >= 0] = np.where(keep, order, -1)
-            n, rows, cols, vals = _generator_triplets(self.kernel, grid)
-            up = cols >= rows
-            rows, cols, vals = rows[up], cols[up], vals[up]
-            bw = int((cols - rows).max())
-            need = 8 * n * (bw + 1)
+            sites = np.flatnonzero(both)
+            m = len(sites)
+            need = self.columns_bytes(m) + 8 * m * m
             if need > COLUMN_BYTES_CAP:
                 raise ResourceError(
-                    f"audit band of {n} sites and half-width {bw} needs "
+                    f"audit columns of {m} sites on {self.n_alive} need "
                     f"{need} bytes, above the {COLUMN_BYTES_CAP}-byte cap")
-            # upper form, a[r, c] at [bw + r - c, c]; Fortran order lets
-            # LAPACK factor it in place
-            band = np.zeros((bw + 1, n), order="F")
-            band[bw + rows - cols, cols] = vals
-            pos = int(order[i])
-            rhs = np.zeros(n)
-            rhs[pos] = 1.0
+            gb = self.columns(sites)[0][sites]  # G0[A + {i}, A + {i}]
+            pos = int(np.searchsorted(sites, i))
+            others = np.arange(m) != pos
             try:
-                g = sla.solveh_banded(band, rhs, overwrite_ab=True,
-                                      check_finite=False)
+                chol = np.linalg.cholesky(gb[np.ix_(others, others)])
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(
-                    f"banded Cholesky of the audit system at site {i} "
+                    f"Cholesky factor of the audit system at site {i} "
                     f"failed: {exc}") from exc
-            self._pinned_variances[key] = float(g[pos])
+            y = np.linalg.solve(chol, gb[others, pos])
+            self._pinned_variances[key] = float(gb[pos, pos] - y @ y)
         return self._pinned_variances[key]
 
     def _slab_factor(self):
-        """The Region's one factor, built once: per non-empty slab of
-        thickness max_step along axis 0, its index range a:b (sites are in
-        lexicographic order), g_k = S_k^{-1} and its couplings A_{k,k-1}
-        and A_{k-1,k} to the slab before (None for the first). No step joins
-        slabs that are not neighbours, so the Schur complements are
-        S_k = D_k - A_{k,k-1} g_{k-1} A_{k-1,k}. The g_k share one buffer,
-        checked against COLUMN_BYTES_CAP before it is allocated."""
+        """The Region's one factor, built once: per non-empty slab, its
+        index range a:b (sites are in lexicographic order), g_k = S_k^{-1}
+        and its coupling A_{k,k-1} to the slab before as runs (empty for the
+        first; see `_slab_runs`). A slab is the fewest whole layers of
+        thickness max_step along axis 0 that hold SLAB_SITES cells of the
+        box, so no step joins slabs that are not neighbours, pins may empty
+        a slab, and (I - P) is symmetric: the Schur complements are
+        S_k = D_k - A_{k,k-1} g_{k-1} A_{k,k-1}^T. The g_k share one buffer,
+        checked against COLUMN_BYTES_CAP before it is allocated; a singular
+        S_k is a NumericalError."""
         if self._slabs is None:
-            slab = (self.sites[:, 0] - self.lo[0]) // self.kernel.max_step
+            w = self.kernel.max_step
+            layer = w * math.prod(self.shape[1:])
+            thick = w * -(-SLAB_SITES // layer)
+            slab = (self.sites[:, 0] - self.lo[0]) // thick
             cuts = np.flatnonzero(np.diff(slab)) + 1
             edges = np.concatenate(([0], cuts, [self.n_alive]))
             sizes = np.diff(edges)
@@ -188,51 +181,140 @@ class Region:
             # process, where separately allocated blocks can stay resident
             store = np.empty(need // 8)
             starts = np.cumsum(sizes**2) - sizes**2
-            m, slabs = self._matrix, []
-            for a, b, o in zip(edges[:-1], edges[1:], starts):
-                s = m[a:b, a:b].toarray()
-                lower = upper = None
-                if slabs:
-                    prev = slabs[-1][0]
-                    lower, upper = m[a:b, prev:a], m[prev:a, a:b]
-                    s -= lower @ (slabs[-1][2] @ upper)
-                inv = store[o:o + (b - a) ** 2].reshape(b - a, b - a)
-                inv[...] = np.linalg.inv(s)
-                slabs.append((a, b, inv, lower, upper))
+            slabs = []
+            for k, (a, b, diag, runs) in enumerate(_slab_runs(self, edges)):
+                s = diag
+                if k:
+                    t = _times_upper(slabs[-1][2], runs, b - a)
+                    for rows, cols, v in runs:
+                        s[rows] -= v * t[cols]
+                inv = store[starts[k]:starts[k] + (b - a) ** 2]
+                inv = inv.reshape(b - a, b - a)
+                try:
+                    inv[...] = np.linalg.inv(s)
+                except np.linalg.LinAlgError as exc:
+                    raise NumericalError(
+                        f"Schur complement of slab {k} of the Green factor "
+                        f"is singular: {exc}") from exc
+                slabs.append((a, b, inv, runs))
             self._slabs = slabs
         return self._slabs
 
-    def solve(self, rhs):
-        """Solve (I - P)|alive g = rhs, for one right-hand side or a matrix
-        of them, by block forward and back substitution through the slab
-        factor; returns (g, the largest relative residual of a column)."""
-        rhs = np.asarray(rhs, dtype=float)
+    def columns_bytes(self, m) -> int:
+        """Bytes `columns` allocates for m columns: the columns, and for one
+        block of them the bordered grid, the residual and a temporary."""
+        return 8 * (self.n_alive * m + 3 * self._grid.size
+                    * min(m, self._block))
+
+    def columns(self, sites):
+        """G0[:, sites], beta = 1, for sorted site indices, and the largest
+        residual norm of a column, by block forward and back substitution
+        through the slab factor. Column j's forward pass starts at the slab
+        of its site, where its right-hand side e_j starts. A residual norm
+        above RESIDUAL_TARGET is a NumericalError."""
+        sites = np.asarray(sites, dtype=np.int64)
         slabs = self._slab_factor()
-        g = rhs.copy()
-        # forward: g_k <- S_k^{-1} (r_k - A_{k,k-1} g_{k-1})
-        for a, b, inv, lower, _ in slabs:
-            if lower is not None:
-                g[a:b] -= lower @ g[a - lower.shape[1]:a]
-            g[a:b] = inv @ g[a:b]
+        g = np.zeros((self.n_alive, len(sites)), order="F")
+        if not len(sites):
+            return g, 0.0
+        # forward: g_k <- S_k^{-1} (e_k - A_{k,k-1} g_{k-1}), over the
+        # columns whose site lies in slab k or before it
+        prev = None
+        for a, b, inv, runs in slabs:
+            old, live = np.searchsorted(sites, (a, b))
+            cur = g[a:b]
+            if old:
+                for rows, cols, v in runs:
+                    cur[rows, :old] -= v * prev[cols, :old]
+                cur[:, :old] = inv @ cur[:, :old]
+            cur[:, old:live] = inv[:, sites[old:live] - a]
+            prev = cur
         # back: g_k <- g_k - S_k^{-1} A_{k,k+1} g_{k+1}
-        for (a, b, inv, *_), (c, d, *_, upper) in zip(slabs[-2::-1],
-                                                      slabs[:0:-1]):
-            g[a:b] -= inv @ (upper @ g[c:d])
-        scale = np.linalg.norm(rhs, axis=0)
-        r = self._matrix @ g
-        r -= rhs  # squared in place: three n-by-m arrays at most
-        resid = float(np.max(np.sqrt(np.square(r, out=r).sum(axis=0))
-                             / np.where(scale > 0, scale, 1.0)))
+        for (a, b, inv, _), (c, d, _, runs) in zip(slabs[-2::-1],
+                                                   slabs[:0:-1]):
+            nxt, y = g[c:d], np.zeros((b - a, len(sites)))
+            for rows, cols, v in runs:
+                y[cols] += v * nxt[rows]
+            g[a:b] -= inv @ y
+        resid = self._residual(g, sites)
         if resid > RESIDUAL_TARGET:
             raise NumericalError(f"solve residual {resid:.3e} above target")
         return g, resid
 
+    def _residual(self, g, sites) -> float:
+        """max_j ||(I - P) g_j - e_{sites[j]}||, (I - P) applied one block
+        of columns at a time over shifted slices of a zero-bordered copy of
+        the grid: a step that leaves the alive set reads a zero."""
+        w = self.kernel.max_step
+        m, block = len(sites), self._block
+        inner = (slice(None),) + (slice(w, -w),) * self.kernel.d
+        full = self.n_alive == self.alive.size
+        # column-major g: each column's grid is contiguous in g.T
+        pad = np.zeros((min(m, block),) + self._grid.shape)
+        out = np.empty((min(m, block),) + self.shape)
+        tmp = np.empty_like(out)
+        worst = 0.0
+        for c0 in range(0, m, block):
+            k = min(block, m - c0)
+            box, r, t = pad[:k], out[:k], tmp[:k]
+            part = g.T[c0:c0 + k]
+            if full:
+                box[inner] = part.reshape(r.shape)
+            else:
+                box[inner][:, self.alive] = part
+            np.multiply(box[inner], 1.0 - self.kernel.p0, out=r)
+            for p, at in self._stencil:
+                r -= np.multiply(box[at], p, out=t)
+            r = r.reshape(k, -1) if full else r[:, self.alive]
+            r[np.arange(k), sites[c0:c0 + k]] -= 1.0
+            worst = max(worst, float(np.einsum("ij,ij->i", r, r).max()))
+        return math.sqrt(worst)
 
-def _generator_triplets(kernel: StepKernel, grid):
-    """(n, rows, cols, values) of (I - P) over a bordered index grid whose
-    alive cells read 0 ... n-1 in grid order and every other cell -1; the
-    border is at least max_step wide. Each non-zero step reads its
+
+def _times_upper(x, runs, width):
+    """x A_{k,k+1}, of width b_{k+1}, for x with the columns of slab k and
+    `runs` the coupling A_{k+1,k}, whose transpose is A_{k,k+1}."""
+    out = np.zeros((x.shape[0], width))
+    for rows, cols, v in runs:
+        out[:, rows] += v * x[:, cols]
+    return out
+
+
+def _slab_runs(region, edges):
+    """Per slab a:b of consecutive `edges`, (a, b, the dense block D_k of
+    (I - P), its coupling A_{k,k-1}): the coupling is a list of runs
+    (rows, cols, v), two slices of slab k and slab k-1 and the value of
+    every entry A[rows.start + t, cols.start + t]. A run is one step's
+    entries at consecutive sites with consecutive neighbours, so without
+    pins a step couples two slabs by one run per line along the last axis,
+    or fewer."""
+    _, rows, cols, vals = _generator_triplets(region)
+    of = np.repeat(np.arange(len(edges) - 1), np.diff(edges))
+    order = np.argsort(of[rows], kind="stable")  # keeps each step's order
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    bounds = np.searchsorted(of[rows], np.arange(len(edges)))
+    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        r, c, v = (x[bounds[k]:bounds[k + 1]] for x in (rows, cols, vals))
+        inside = (c >= a) & (c < b)
+        diag = np.zeros((b - a, b - a))
+        diag[r[inside] - a, c[inside] - a] = v[inside]
+        low = c < a
+        r, c, v = r[low] - a, c[low] - edges[max(k - 1, 0)], v[low]
+        split = np.flatnonzero((np.diff(r) != 1) | (np.diff(c) != 1)
+                               | (np.diff(v) != 0)) + 1
+        runs = [(slice(int(r[s]), int(r[e - 1]) + 1),
+                 slice(int(c[s]), int(c[e - 1]) + 1), float(v[s]))
+                for s, e in zip(np.r_[0, split], np.r_[split, len(r)])
+                if e > s]
+        yield a, b, diag, runs
+
+
+def _generator_triplets(region):
+    """(n, rows, cols, values) of (I - P) over the Region's bordered index
+    grid, whose alive cells read 0 ... n-1 in grid order and every other
+    cell -1; the border is max_step wide. Each non-zero step reads its
     neighbours with one gather, and a neighbour that reads -1 adds nothing."""
+    kernel, grid = region.kernel, region._grid
     flat = grid.ravel()
     at = np.flatnonzero(flat >= 0)  # grid positions, in index order
     n = len(at)
@@ -264,8 +346,8 @@ class GreenProbe:
 def green_killed(region: Region, x, y) -> GreenProbe:
     """Field covariance G(x, y)/beta_eff for the walk killed on dead sites."""
     ix, iy = region.site_index(x), region.site_index(y)
-    g, resid = region.solve(np.eye(1, region.n_alive, iy)[0])
-    return GreenProbe(float(g[ix]) / region.beta, resid)
+    g, resid = region.columns([iy])
+    return GreenProbe(float(g[ix, 0]) / region.beta, resid)
 
 
 def nstep_torus_radius(kernel: StepKernel, n: int) -> int:

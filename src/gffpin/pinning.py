@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ResourceError
-from .green import COLUMN_BYTES_CAP, Region
+from .green import COLUMN_BYTES_CAP, Region, _generator_triplets
 # REPLICAS is re-exported: the chain count of callers that set none
 from .stats import REPLICAS, Estimate, replica_rng  # noqa: F401
 
@@ -67,8 +67,9 @@ class GibbsChain:
     batch, solved with the region's shared slab factor, plus O(|A|^2); an
     unpin costs O(|A|^2) and frees its slot for the next pin (a free slot
     has zero rows in K^{-1}). Scheduled audits compare the variance with
-    `Region.pinned_variance`, a banded Cholesky of the pinned system that
-    shares nothing with the slab factor.
+    `Region.pinned_variance`, computed from fresh Green columns and a fresh
+    Cholesky factor, sharing nothing with the chain's columns, K^{-1} or
+    the Green diagonal.
     """
 
     def __init__(self, region: Region, eps: float, seed: int, replica: int = 0):
@@ -172,21 +173,22 @@ class GibbsChain:
         (Lewis and Shedler 1979). It computes the odds only at the sites
         whose uniform is below p_hi, about p_hi * n of them, and unpins
         the remaining pins without their odds. A pin can land only there, so
-        the sweep first solves their Green columns in one batch, its bytes
-        checked against COLUMN_BYTES_CAP (ResourceError).
+        the sweep first solves their Green columns G0[:, D - A] in one
+        `Region.columns` call, whose bytes (the batch, and the residual
+        check of one block of it) are checked against COLUMN_BYTES_CAP
+        before they are allocated (ResourceError).
         """
         n = len(self.pinned)
         u = self.rng.random(n)
         # with every neighbour pinned the odds meet p_hi to within rounding
         low = u < self.p_hi * (1.0 + 1e-9)
         fresh = np.flatnonzero(low & ~self.pinned)
-        need = 3 * 8 * n * len(fresh)
+        need = self.region.columns_bytes(len(fresh))
         if need > COLUMN_BYTES_CAP:
             raise ResourceError(
                 f"a sweep batch of {len(fresh)} Green columns on {n} sites "
                 f"needs {need} bytes, above the {COLUMN_BYTES_CAP}-byte cap")
-        if len(fresh):  # the unit columns e_i, i in fresh
-            g0, _ = self.region.solve(1.0 * (np.arange(n)[:, None] == fresh))
+        g0, _ = self.region.columns(fresh)
         first = self._visits
         self._visits += n
         audits = [t - first - 1 for t in _AUDIT_VISITS
@@ -264,7 +266,9 @@ def exact_pin_measure(region, eps) -> np.ndarray:
     n = region.n_alive
     if n > ENUM_LIMIT:
         raise ResourceError(f"box too large: 2^{n} subsets exceed 2^{ENUM_LIMIT}")
-    mat = region.matrix.toarray()
+    _, rows, cols, vals = _generator_triplets(region)
+    mat = np.zeros((n, n))
+    mat[rows, cols] = vals
     sign, logdet_m = np.linalg.slogdet(mat)
     if sign <= 0:
         raise NumericalError("precision matrix is not positive definite")

@@ -9,6 +9,8 @@
   recursion and the tied-down range of the bridge.
 - A saddle-point pmf from the Legendre rate function, an independent
   large-deviation check of the exact n-step pmf.
+- (I - P) of a Region as a CSR matrix, from the library's one gather, and
+  as a dense array built one site and one step at a time, its reference.
 - Hitting probabilities by one SuperLU solve on a Region, checked against
   `green_killed` through the last-exit identity.
 - The Green diagonal of a Region by unit-column SuperLU solves, the
@@ -36,11 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import gamma, gammaincc
 
 from gffpin.errors import NumericalError, ValidationError
-from gffpin.green import Region
+from gffpin.green import Region, _generator_triplets
 from gffpin.renewal1d import (
     _GAMMA,
     _S,
@@ -286,11 +289,12 @@ def scalar_heat_bath(region, eps, sweeps, seed, burnin):
     rng = replica_rng(seed, 0)
     n = region.n_alive
     pinned = np.zeros(n, dtype=bool)
+    mat = sparse_generator(region)
     rows = []
     for sweep in range(sweeps):
         for i in range(n):
             keep = np.flatnonzero(~pinned | (np.arange(n) == i))
-            sub = region.matrix[np.ix_(keep, keep)].tocsc()
+            sub = mat[np.ix_(keep, keep)].tocsc()
             rhs = np.zeros(len(keep))
             pos = int(np.searchsorted(keep, i))
             rhs[pos] = 1.0
@@ -307,7 +311,7 @@ def subset_green_table(region, probes):
     probe (x, y) of site coordinates, from one dense inverse and a Schur
     complement per subset. Returns (2^n, n_probes), rows in bitmask order."""
     n = region.n_alive
-    sigma = np.linalg.inv(region.matrix.toarray())
+    sigma = np.linalg.inv(dense_generator(region))
     pr_idx = [(region.site_index(x), region.site_index(y)) for x, y in probes]
     out = np.empty((1 << n, len(pr_idx)))
     for mask in range(1 << n):
@@ -354,7 +358,7 @@ def sample_field(region, pins, seed):
     out = np.zeros(region.shape)
     if sub.n_alive == 0:
         return out
-    chol = np.linalg.cholesky(sub.matrix.toarray())
+    chol = np.linalg.cholesky(dense_generator(sub))
     z = replica_rng(seed).standard_normal(sub.n_alive)
     phi = sla.solve_triangular(chol.T, z, lower=False) / math.sqrt(region.beta)
     for val, site in zip(phi, sub.sites):
@@ -430,17 +434,25 @@ def tied_down_range_mean(kernel, n, x):
     return n + 1 - correction
 
 
+def sparse_generator(region):
+    """(I - P)|alive as a CSR matrix, from `green._generator_triplets`, the
+    gather that `dense_generator` checks entry for entry."""
+    n, rows, cols, vals = _generator_triplets(region)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
 def lu_solve(region, rhs):
     """Solve (I - P)|alive g = rhs with SuperLU, a factor that shares
-    nothing with the slab factor of `Region.solve`."""
-    return spla.splu(region.matrix.tocsc()).solve(np.asarray(rhs, float))
+    nothing with the slab factor of `Region.columns`."""
+    return spla.splu(sparse_generator(region).tocsc()).solve(
+        np.asarray(rhs, float))
 
 
 def block_solve_green_diag(region, block=32):
     """diag((I - P)|alive^{-1}), beta = 1, from SuperLU solves of `block`
     unit columns at a time."""
     n = region.n_alive
-    lu = spla.splu(region.matrix.tocsc())
+    lu = spla.splu(sparse_generator(region).tocsc())
     out = np.empty(n)
     for start in range(0, n, block):
         cols = np.arange(start, min(start + block, n))
@@ -453,7 +465,7 @@ def block_solve_green_diag(region, block=32):
 def dense_generator(region):
     """(I - P)|alive as a dense array, built one site and one step at a
     time: a step that leaves the alive set, by leaving the box or landing on
-    a pin, adds nothing. The reference for `Region.matrix`."""
+    a pin, adds nothing. The reference for `sparse_generator`."""
     sites = [tuple(int(c) for c in x) for x in region.sites]
     where = {x: i for i, x in enumerate(sites)}
     out = np.zeros((len(sites), len(sites)))
@@ -485,7 +497,8 @@ def hitting_prob(region, target, x):
     sub = Region(region.kernel, region.lo, region.hi, pins=dead)
     keep = region.index[sub.alive]
     # mass stepping from kept sites directly into the target
-    rhs = -np.asarray(region.matrix[keep][:, tcols].sum(axis=1)).ravel()
+    mat = sparse_generator(region)
+    rhs = -np.asarray(mat[keep][:, tcols].sum(axis=1)).ravel()
     h = lu_solve(sub, rhs)
     return float(h[sub.site_index(x)])
 

@@ -355,30 +355,52 @@ class TestPinsSample:
         assert not (out / "pin_samples.csv").exists()
 
     @pytest.mark.parametrize("patch, code, message", [
-        # 25 sites: 5 slabs of 5 hold 1,000 bytes of slab factor, and the
-        # audit band of half-width 5 needs 1,200
-        ("cap", 4, "resource exceeded: audit band"),
-        ("factor", 3, "numerical failure: banded Cholesky"),
+        ("cap", 4, "resource exceeded: audit columns"),
+        ("factor", 3, "numerical failure: Cholesky factor of the audit"),
     ])
     def test_audit_failure_exit_code(self, tmp_path, capsys, srw2_file,
                                      monkeypatch, patch, code, message):
-        import scipy.linalg as sla
-
         from gffpin import green
+        from gffpin.green import Region
 
-        def fail(band, rhs, **kw):
+        def fail(a):
             raise np.linalg.LinAlgError("not positive definite")
 
         if patch == "cap":
-            monkeypatch.setattr(green, "COLUMN_BYTES_CAP", 8 * 25 * 6 - 1)
+            # the cap drops to nothing once the chain's first audit starts:
+            # the slab factor and the sweep's batch are already in memory
+            audit = Region.pinned_variance
+
+            def tight(region, pinned, i):
+                monkeypatch.setattr(green, "COLUMN_BYTES_CAP", 0)
+                return audit(region, pinned, i)
+
+            monkeypatch.setattr(Region, "pinned_variance", tight)
         else:
-            monkeypatch.setattr(sla, "solveh_banded", fail)
+            monkeypatch.setattr(np.linalg, "cholesky", fail)
         got, out = _run(tmp_path, "pins-sample",
                         "box_radius = 2\nepsilon = 0.5\nsweeps = 4\n"
                         f"kernel_file = {srw2_file}\nseed = 3\n")
         assert got == code
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not (out / "pin_samples.csv").exists()
+
+    def test_singular_slab_is_numerical_error(self, tmp_path, capsys,
+                                              srw2_file, monkeypatch):
+        # np.linalg.LinAlgError is a ValueError, which `cli.run` does not
+        # catch: the slab factor turns it into a NumericalError
+        def fail(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", fail)
+        got, out = _run(tmp_path, "pins-sample",
+                        "box_radius = 2\nepsilon = 0.5\nsweeps = 4\n"
+                        f"kernel_file = {srw2_file}\nseed = 3\n")
+        assert got == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: Schur complement of slab 0" in err
+        assert "Traceback" not in err
         assert not (out / "pin_samples.csv").exists()
 
 
@@ -693,24 +715,44 @@ def _start_up_loads(tmp_path, command, body, banned):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("command, body, banned", [
-    (None, None, "scipy"),
-    ("mass-scan", "eps_list = 0.3 0.2 0.1\nbudget = 300\nkernel_file = {kernel}",
-     "scipy"),
-    ("renewal1d", "eps_list = 0.1 0.01", "scipy"),
-    ("fkg-check", "box_radius = 1\neps_list = 0.5 0.1\nkernel_file = {kernel}",
-     "scipy.special"),
+@pytest.mark.parametrize("command, body", [
+    (None, None),
+    ("mass-scan", "eps_list = 0.3 0.2 0.1\nbudget = 300\nkernel_file = {kernel}"),
+    ("renewal1d", "eps_list = 0.1 0.01"),
+    ("fkg-check", "box_radius = 1\neps_list = 0.5 0.1\nkernel_file = {kernel}"),
     ("pins-sample", "box_radius = 3\nepsilon = 0.5\nsweeps = 20\n"
-     "kernel_file = {kernel}", "scipy.sparse.linalg"),
+     "kernel_file = {kernel}"),
+    ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8\n"
+     "kernel_file = {kernel}"),
+    ("mass-scan", "eps_list = 0.3 0.2 0.1\nmode = pinning-exact\nbudget = 1\n"
+     "samples = 4\nkernel_file = {kernel}"),
+    ("green-probe", "box_radius = 4\npins = 1 0\nprobes = 0 0 0 0; 0 0 2 1\n"
+     "kernel_file = {kernel}"),
 ], ids=["import", "mass-scan-surrogate", "renewal1d", "fkg-check",
-        "pins-sample"])
-def test_start_up_leaves_out_scipy(tmp_path, srw2_file, command, body, banned):
-    # a surrogate run (path ensembles alone) needs numpy and no scipy; the
-    # exact enumeration of fkg-check loads scipy.sparse for its Region, but
-    # never scipy.special; a chain solves with its Region's slab factor and
-    # audits with a banded Cholesky, so SuperLU never loads
+        "pins-sample", "variance-scan", "mass-scan-pinning-exact",
+        "green-probe"])
+def test_start_up_leaves_out_scipy(tmp_path, srw2_file, command, body):
+    # path ensembles, exact enumeration, slab-factor Green columns and
+    # their audits all run on numpy alone: no command loads scipy
     _start_up_loads(tmp_path, command, body and body.format(kernel=srw2_file),
-                    banned)
+                    "scipy")
+
+
+def test_library_imports_no_scipy():
+    # tests/ alone may import scipy, for its independent references
+    src = Path(gffpin.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.stem}: {n}" for n in names
+                      if (n + ".").startswith("scipy.")]
+    assert not found, "imports scipy: " + ", ".join(found)
 
 
 @pytest.mark.parametrize("command, body", [

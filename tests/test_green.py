@@ -14,10 +14,24 @@ from gffpin.green import (
 )
 from gffpin.walk import _auto_radius, make_kernel, pmf_origin_series
 
-from oracles import block_solve_green_diag, dense_generator, hitting_prob
+from oracles import (
+    block_solve_green_diag,
+    dense_generator,
+    hitting_prob,
+    sparse_generator,
+)
 
 # the conftest kernel fixtures these tests run on, by name
 KERNELS = ("srw1", "srw2", "srw2_lazy", "srw3", "knight")
+
+
+def _slab_of_sites(region):
+    """The slab of each alive site: the fewest whole layers of thickness
+    max_step along axis 0 that hold SLAB_SITES cells of the box."""
+    w = region.kernel.max_step
+    layer = w * math.prod(region.shape[1:])
+    thick = w * math.ceil(green.SLAB_SITES / layer)
+    return (region.sites[:, 0] - region.lo[0]) // thick
 
 
 class TestGreenKilled:
@@ -34,44 +48,74 @@ class TestGreenKilled:
                             abs_tol=1e-12)
 
     def test_green_diag_matches_dense_inverse(self, srw2_lazy):
-        # 120 sites, one of the 11 slabs holding a pin
+        # 120 sites, one of the 4 slabs of three rows holding a pin
         region = box_region(srw2_lazy, 5, pins=[(1, 1)])
-        inv = np.linalg.inv(region.matrix.toarray())
+        inv = np.linalg.inv(dense_generator(region))
         assert np.abs(region.green_diag - np.diag(inv)).max() <= 1e-12
         # the slab factor is built once and kept: solves reuse it
         slabs = region._slabs
         green_killed(region, (0, 0), (2, -3))
         assert region._slab_factor() is slabs
 
-    @pytest.mark.parametrize("name, radius, pins", [
-        ("srw2_lazy", 21, []),
-        ("knight", 6, [(1, -2)]),
-        ("srw3", 4, [(0, 0, 1), (-4, 2, 2)]),
-        # whole rows pinned: the first slab, and one splitting the box
-        ("srw2_lazy", 4, [(x, y) for x in (-4, 1) for y in range(-4, 5)]),
-        # knight slabs are rows {-4, -3}, {-2, -1}, {0, 1}, {2, 3}, {4}
-        ("knight", 4, [(x, y) for x in (0, 1) for y in range(-4, 5)]),
-        ("aniso", 6, [(2, -1), (-3, 4)]),
+    @pytest.mark.parametrize("name, radius, pins, empty", [
+        ("srw2_lazy", 21, [], []),
+        ("knight", 6, [(1, -2)], []),
+        ("srw3", 4, [(0, 0, 1), (-4, 2, 2)], []),
+        # slabs of three rows: whole rows pinned empty the first slab, and
+        # one splitting the box
+        ("srw2_lazy", 7, [(x, y) for x in (-7, -6, -5, -1, 0, 1)
+                          for y in range(-7, 8)], [0, 2]),
+        # knight slabs are the rows {-8, -7}, {-6, -5}, ..., {8}
+        ("knight", 8, [(x, y) for x in (0, 1) for y in range(-8, 9)], [4]),
+        ("aniso", 6, [(2, -1), (-3, 4)], []),
+        # a 1D box: slabs of SLAB_SITES sites, the last one shorter
+        ("srw1", 50, [(7,)], []),
     ], ids=["srw2-lazy-R21", "max-step-2", "d3", "empty-slabs",
-            "empty-slab-max-step-2", "aniso"])
-    def test_green_diag_matches_oracles(self, request, name, radius, pins):
+            "empty-slab-max-step-2", "aniso", "d1"])
+    def test_green_diag_matches_oracles(self, request, name, radius, pins,
+                                        empty):
         # the slab recursion against unit-column solves and the dense
-        # inverse, and slab solves of one and of several right-hand sides
-        # against the dense inverse
+        # inverse, and unit columns, one and several, against the dense
+        # inverse
         region = box_region(request.getfixturevalue(name), radius, pins=pins)
+        slab = _slab_of_sites(region)
+        assert sorted(set(range(slab.max() + 1)) - set(slab)) == empty
         diag = region.green_diag
         assert np.abs(diag - block_solve_green_diag(region)).max() \
             <= 1e-12 * diag.max()
-        inv = np.linalg.inv(region.matrix.toarray())
+        inv = np.linalg.inv(dense_generator(region))
         assert np.abs(diag - np.diag(inv)).max() <= 1e-12 * diag.max()
-        rhs = np.random.default_rng(4).standard_normal((region.n_alive, 5))
-        rhs[:, 1] = 0.0
-        rhs[region.n_alive // 2, 1] = 1.0  # a unit column
-        for b in (rhs[:, 0], rhs[:, 1], rhs):
-            g, resid = region.solve(b)
-            ref = inv @ b
-            assert g.shape == b.shape and resid <= green.RESIDUAL_TARGET
+        n = region.n_alive
+        picks = np.random.default_rng(4).choice(n, 5, replace=False)
+        for sites in ([n // 2], [0, n - 1], sorted(picks)):
+            g, resid = region.columns(sites)
+            ref = inv[:, sites]
+            assert g.shape == (n, len(sites))
+            assert resid <= green.RESIDUAL_TARGET
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name, lo, hi, count", [
+        ("srw1", (-203,), (203,), 13), ("srw2", (-8, -8), (8, 8), 9),
+        ("knight", (-4, -4), (4, 4), 3), ("srw3", (-2, -2, -2), (2, 2, 2), 3),
+        ("srw2", (0, 0), (3, 39), 4),
+    ], ids=["d1", "srw2-R8", "knight", "srw3", "wide-rows"])
+    def test_slabs_are_whole_layers(self, request, name, lo, hi, count):
+        # a 1D box of 407 sites is 13 slabs, not 407, and every slab but
+        # the last holds at least SLAB_SITES sites
+        region = Region(request.getfixturevalue(name), lo, hi)
+        sizes = np.bincount(_slab_of_sites(region))
+        assert [b - a for a, b, *_ in region._slab_factor()] == \
+            sizes.tolist()
+        assert len(sizes) == count
+        assert sizes[:-1].min() >= green.SLAB_SITES
+
+    def test_scaled_slab_inverse_fails_the_residual(self, srw2_lazy):
+        # the residual of every column certifies the slab factor
+        region = box_region(srw2_lazy, 5)
+        region.columns([3, 60])
+        region._slab_factor()[2][2][...] *= 1.01
+        with pytest.raises(NumericalError, match="residual"):
+            region.columns([100])
 
     def test_green_diag_size_checked_before_allocation(self, srw2):
         # one slab of 10^6 sites: 8 TB of slab inverse, far beyond memory
@@ -92,7 +136,7 @@ class TestGreenKilled:
 
     def test_agrees_with_dense_inverse(self, srw2_lazy):
         region = box_region(srw2_lazy, 3)  # 7x7
-        inv = np.linalg.inv(region.matrix.toarray())
+        inv = np.linalg.inv(dense_generator(region))
         for x, y in [((0, 0), (0, 0)), ((1, 2), (-1, 0)), ((3, 3), (3, 3))]:
             ix, iy = region.site_index(x), region.site_index(y)
             val = green_killed(region, x, y).value
@@ -129,7 +173,7 @@ class TestRegionMatrix:
             "strip-1x40"])
     def test_matches_dense_oracle(self, request, name, lo, hi, pins):
         region = Region(request.getfixturevalue(name), lo, hi, pins=pins)
-        m = region.matrix
+        m = sparse_generator(region)
         assert m.has_sorted_indices
         assert (m.toarray() == dense_generator(region)).all()
 
@@ -138,27 +182,27 @@ class TestRegionMatrix:
                 ((2, 0), 0.0), ((-2, 0), 0.0)]
         kernel = make_kernel(spec, 2)
         assert kernel.max_step == 1 and len(kernel.steps) == 4
-        a, b = box_region(kernel, 3).matrix, box_region(srw2, 3).matrix
+        a = sparse_generator(box_region(kernel, 3))
+        b = sparse_generator(box_region(srw2, 3))
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(a, attr), getattr(b, attr))
 
 
 class TestPinnedVariance:
-    """The audit reference: a banded Cholesky of the gathered pinned
-    system, against the dense inverse of the same system."""
+    """The audit reference, G0(i, i) - c^T K^{-1} c from fresh unit columns
+    and a fresh Cholesky factor, against the dense inverse of the pinned
+    system."""
 
     @staticmethod
     def _spy(monkeypatch):
-        import scipy.linalg as sla
+        calls, real = [], Region.columns
 
-        bands, real = [], sla.solveh_banded
+        def spy(region, sites):
+            calls.append(list(sites))
+            return real(region, sites)
 
-        def spy(band, rhs, **kw):
-            bands.append(band.shape)
-            return real(band, rhs, **kw)
-
-        monkeypatch.setattr(sla, "solveh_banded", spy)
-        return bands
+        monkeypatch.setattr(Region, "columns", spy)
+        return calls
 
     @pytest.mark.parametrize("name, radius", [
         ("srw2_lazy", 4), ("aniso", 4), ("knight", 4), ("srw3", 2)])
@@ -166,13 +210,11 @@ class TestPinnedVariance:
         kernel = request.getfixturevalue(name)
         region = box_region(kernel, radius)
         n = region.n_alive
-        mat = region.matrix.toarray()
-        bands = self._spy(monkeypatch)
-        # no pins: the half-width is the largest index gap of one step in
-        # the box's lexicographic order (2 * stride + 1 for knight's (2, 1))
-        strides = (2 * radius + 1) ** np.arange(kernel.d - 1, -1, -1)
+        mat = dense_generator(region)
+        calls = self._spy(monkeypatch)
+        # no pins: one column, of the audited site, and no Green diagonal
         region.pinned_variance(np.zeros(n, dtype=bool), 0)
-        assert bands == [(int(np.abs(kernel.steps @ strides).max()) + 1, n)]
+        assert calls == [[0]] and region._green_diag is None
         rng = np.random.default_rng(7)
         for density in (0.1, 0.3, 0.6):
             pinned = rng.random(n) < density
@@ -184,32 +226,38 @@ class TestPinnedVariance:
                 inv = np.linalg.inv(mat[keep][:, keep])
                 pos = int(keep[:i].sum())
                 ref = inv[pos, pos]
+                del calls[:]
+                region._pinned_variances.clear()
                 got = region.pinned_variance(pinned, int(i))
                 assert abs(got - ref) <= 1e-12 * ref
+                # the columns of the other pins and of i, in one call
+                assert calls == [sorted({*pins.tolist(), int(i)})]
 
-    def test_band_size_checked_before_allocation(self, srw2_lazy,
-                                                 monkeypatch):
-        # 49 sites, half-width 7: a band of 8 * 49 * 8 bytes
+    def test_columns_size_checked_before_allocation(self, srw2_lazy,
+                                                    monkeypatch):
+        # 49 sites in a bordered grid of 81 cells: one audit column, its
+        # residual check and the 1 x 1 system need 8 * (49 + 3 * 81 + 1)
         region = box_region(srw2_lazy, 3)
+        region._slab_factor()  # slabs of 35 and 14 sites: 11,368 bytes
         pinned = np.zeros(region.n_alive, dtype=bool)
-        bands = self._spy(monkeypatch)
-        monkeypatch.setattr(green, "COLUMN_BYTES_CAP", 8 * 49 * 8)
+        calls = self._spy(monkeypatch)
+        need = 8 * (49 + 3 * 81 + 1)
+        monkeypatch.setattr(green, "COLUMN_BYTES_CAP", need)
         region.pinned_variance(pinned, 0)
-        monkeypatch.setattr(green, "COLUMN_BYTES_CAP", 8 * 49 * 8 - 1)
+        monkeypatch.setattr(green, "COLUMN_BYTES_CAP", need - 1)
         with pytest.raises(ResourceError, match="cap"):
             region.pinned_variance(pinned, 1)
-        assert bands == [(8, 49)]
+        assert calls == [[0]]
 
     def test_failed_factor_is_numerical_error(self, srw2_lazy, monkeypatch):
-        import scipy.linalg as sla
-
-        def fail(band, rhs, **kw):
+        def fail(a):
             raise np.linalg.LinAlgError("not positive definite")
 
         region = box_region(srw2_lazy, 2)
-        monkeypatch.setattr(sla, "solveh_banded", fail)
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
         pinned = np.zeros(region.n_alive, dtype=bool)
-        with pytest.raises(NumericalError, match="banded Cholesky"):
+        pinned[[0, 7]] = True
+        with pytest.raises(NumericalError, match="Cholesky"):
             region.pinned_variance(pinned, 3)
         assert not region._pinned_variances
 

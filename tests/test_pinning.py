@@ -21,6 +21,7 @@ from gffpin.pinning import (
 from gffpin.walk import make_kernel
 from oracles import (
     batch_stderr,
+    dense_generator,
     empty_probability,
     gibbs_pin_prob,
     marginal,
@@ -36,10 +37,8 @@ EPS = 0.5
 
 
 def _pin(chain, i):
-    """Pin site i of `chain` with its Green column from `Region.solve`."""
-    rhs = np.zeros(chain.region.n_alive)
-    rhs[i] = 1.0
-    chain._pin(i, chain.region.solve(rhs)[0])
+    """Pin site i of `chain` with its Green column from `Region.columns`."""
+    chain._pin(i, chain.region.columns([i])[0][:, 0])
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +193,7 @@ class TestSampler:
     def test_incremental_matches_fresh_inverse(self, srw2_lazy):
         region = box_region(srw2_lazy, 2)
         chain = GibbsChain(region, 0.8, seed=9)
-        mat = region.matrix.toarray()
+        mat = dense_generator(region)
         rng = np.random.default_rng(0)
         for _ in range(150):
             i = int(rng.integers(region.n_alive))
@@ -294,13 +293,10 @@ class TestLowRankChain:
         # chains on one Region audit at the same visits (1 and 13 in a sweep
         # of 49 sites); a state seen before is not solved again, and every
         # audit error is the one the chain gets on a Region of its own
-        import scipy.linalg as sla
-
         solves = []
-        banded = sla.solveh_banded
-        monkeypatch.setattr(
-            sla, "solveh_banded",
-            lambda *a, **kw: solves.append(1) or banded(*a, **kw))
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: solves.append(1) or cholesky(a))
 
         def audit_errors(regions):
             out = []
@@ -347,34 +343,52 @@ class TestLowRankChain:
         assert chain.pinned.sum() == 8
 
     @staticmethod
-    def _spy_solves(monkeypatch):
-        shapes, real = [], Region.solve
-        monkeypatch.setattr(Region, "solve", lambda region, rhs: (
-            shapes.append(np.shape(rhs)) or real(region, rhs)))
+    def _spy_columns(monkeypatch):
+        """The shape of each `Region.columns` result outside an audit."""
+        shapes, audits = [], []
+        columns, audit = Region.columns, Region.pinned_variance
+
+        def spy(region, sites):
+            g = columns(region, sites)
+            if not audits:
+                shapes.append(g[0].shape)
+            return g
+
+        def audited(region, pinned, i):
+            audits.append(i)
+            try:
+                return audit(region, pinned, i)
+            finally:
+                audits.pop()
+
+        monkeypatch.setattr(Region, "columns", spy)
+        monkeypatch.setattr(Region, "pinned_variance", audited)
         return shapes
 
     def test_sweep_batch_cap(self, srw2_lazy, monkeypatch):
-        # the sweep's one batch of columns, with its right-hand sides and
-        # residuals, is checked against the cap before it is allocated
+        # the sweep's one batch of columns, with the bordered grid, residual
+        # and temporary of its residual check (81 cells each), is checked
+        # against the cap before it is allocated
         region = box_region(srw2_lazy, 3)
         n = region.n_alive
         chain = GibbsChain(region, 0.3, seed=5)
         u = copy.deepcopy(chain.rng).random(n)
         m = int((u < chain.p_hi * (1.0 + 1e-9)).sum())
         assert m
-        shapes = self._spy_solves(monkeypatch)
-        monkeypatch.setattr(pinning, "COLUMN_BYTES_CAP", 3 * 8 * n * m - 1)
+        need = 8 * m * (n + 3 * 81)
+        shapes = self._spy_columns(monkeypatch)
+        monkeypatch.setattr(pinning, "COLUMN_BYTES_CAP", need - 1)
         with pytest.raises(ResourceError, match="cap"):
             chain.sweep()
         assert shapes == [] and not chain.pinned.any()
-        monkeypatch.setattr(pinning, "COLUMN_BYTES_CAP", 3 * 8 * n * m)
+        monkeypatch.setattr(pinning, "COLUMN_BYTES_CAP", need)
         GibbsChain(region, 0.3, seed=5).sweep()
         assert shapes == [(n, m)]
 
     def test_sweep_solves_once(self, srw2_lazy, monkeypatch):
         region = box_region(srw2_lazy, 6)
         chain = GibbsChain(region, 0.3, seed=7)
-        shapes = self._spy_solves(monkeypatch)
+        shapes = self._spy_columns(monkeypatch)
         for _ in range(6):
             before = len(shapes)
             chain.sweep()
@@ -385,15 +399,15 @@ class TestLowRankChain:
         # off-diagonal reads take G0[:, j] from the Region's memo, shared by
         # its chains
         region = box_region(srw2_lazy, 3)
-        inv = np.linalg.inv(region.matrix.toarray())
+        inv = np.linalg.inv(dense_generator(region))
         i, j = region.site_index((0, 0)), region.site_index((1, 2))
-        shapes = self._spy_solves(monkeypatch)
+        shapes = self._spy_columns(monkeypatch)
         for seed in (1, 2):
             chain = GibbsChain(region, 0.3, seed=seed)
             for _ in range(3):
                 got = chain.covariance(i, j) * region.beta
                 assert abs(got - inv[i, j]) <= 1e-12 * inv[i, j]
-        assert shapes == [(region.n_alive,)]
+        assert shapes == [(region.n_alive, 1)]
 
 
 class TestFieldSampling:
