@@ -6,14 +6,14 @@ values solve (I - P) restricted to the alive sites, so they are
 simultaneously the covariances of the free field given the dead set, after
 the 1/beta_eff scaling. All solves run at beta = 1 internally.
 
-Every Green value comes from the Region's one factor, the inverse Schur
-complement of every slab of the box, built on first use and kept: it gives
-the diagonal of the Green matrix by block-tridiagonal selected inversion,
-and the unit columns G0[:, sites] of `Region.columns` by block forward and
-back substitution, each checked by its residual against (I - P) applied
-over shifted slices of a zero-bordered grid. A Region is immutable, so
-every chain and every probe on one Region shares that factor, and the
-Green columns that chains read and the audit references are cached on it.
+Every Green value comes from one algorithm over the Region's one factor,
+the inverse Schur complement of every slab of the box, built on first use
+and kept: the unit columns G0[:, sites] of `Region.columns`, by block
+forward and back substitution, each checked by its residual against
+(I - P) applied over shifted slices of a zero-bordered grid. A Region is
+immutable, so every chain and every probe on one Region shares that
+factor, and the Green values that chains read and the audit references
+are cached on it.
 The n-step Green function at the origin is a Fourier sum on a torus,
 audited against the exact DP pmf of `walk`.
 
@@ -48,8 +48,10 @@ class Region:
     the optional ``pins`` are dead sites inside it, each given by its d
     coordinates. Dead sites read -1, so a step that leaves the box, however
     long, or lands on a pin adds no entry to (I - P): the walk is killed.
-    The slab factor, the Green diagonal and columns, and the audit
-    references are built on first use and kept for the Region's life.
+    The slab factor's bytes are checked against COLUMN_BYTES_CAP before
+    anything is allocated (ResourceError). The slab factor, the Green
+    diagonal entries and columns that are read, and the audit references
+    are built on first use and kept for the Region's life.
     """
 
     def __init__(self, kernel: StepKernel, lo, hi, pins=()):
@@ -59,6 +61,18 @@ class Region:
         if math.prod(shape) > WINDOW_CELL_CAP:
             raise ResourceError(f"box {shape} holds more than "
                                 f"{WINDOW_CELL_CAP} cells")
+        # slabs are the fewest whole layers of thickness max_step that hold
+        # SLAB_SITES cells; pins only shrink them, so the unpinned box
+        # bounds the bytes of the slab inverses
+        w = kernel.max_step
+        cross = math.prod(shape[1:])
+        self._thick = thick = w * -(-SLAB_SITES // (w * cross))
+        whole, rest = divmod(shape[0], thick)
+        need = 8 * (whole * (thick * cross) ** 2 + (rest * cross) ** 2)
+        if need > COLUMN_BYTES_CAP:
+            raise ResourceError(
+                f"slab inverses of the Green factor need {need} bytes, "
+                f"above the {COLUMN_BYTES_CAP}-byte cap")
         self.lo = np.asarray(lo, dtype=np.int64)
         self.hi = np.asarray(hi, dtype=np.int64)
         self.beta = float(kernel.beta_eff)
@@ -67,7 +81,6 @@ class Region:
             alive[tuple(int(c) - int(l) for c, l in zip(pin, self.lo))] = False
         self.shape = shape
         self.alive = alive
-        w = kernel.max_step
         grid = np.full(tuple(s + 2 * w for s in shape), -1, dtype=np.int64)
         self.index = grid[(slice(w, -w),) * kernel.d]
         self.sites = np.argwhere(alive) + self.lo  # lexicographic order
@@ -82,7 +95,7 @@ class Region:
                                 for c, n in zip(s, shape))))
             for s, p in zip(kernel.steps, kernel.probs) if np.any(s)]
         self._slabs = None
-        self._green_diag = None
+        self._diagonal_memo = {}  # site -> G0(site, site)
         self._column_memo = {}  # site -> G0[:, site]
         self._pinned_variances = {}  # (site, mask of A + {site}) -> value
 
@@ -92,24 +105,12 @@ class Region:
             return -1
         return int(self.index[idx])
 
-    @property
-    def green_diag(self) -> np.ndarray:
-        """diag((I - P)|alive^{-1}), beta = 1, by selected inversion over the
-        slab factor: G_kk = g_k + X G_{k+1,k+1} X^T with X = g_k A_{k,k+1}
-        (Erisman and Tinney 1975); read-only."""
-        if self._green_diag is None:
-            slabs = self._slab_factor()
-            out = np.empty(self.n_alive)
-            g = slabs[-1][2]
-            out[slabs[-1][0]:] = np.diagonal(g)
-            for (a, b, inv, _), (c, d, _, runs) in zip(slabs[-2::-1],
-                                                       slabs[:0:-1]):
-                x = _times_upper(inv, runs, d - c)
-                g = inv + x @ g @ x.T
-                out[a:b] = np.diagonal(g)
-            out.flags.writeable = False
-            self._green_diag = out
-        return self._green_diag
+    def green_diagonal(self, i) -> float:
+        """G0(i, i), beta = 1: entry i of one `columns([i])` call, solved
+        once per Region; only the value is kept."""
+        if i not in self._diagonal_memo:
+            self._diagonal_memo[i] = float(self.columns([i])[0][i, 0])
+        return self._diagonal_memo[i]
 
     def green_column(self, j) -> np.ndarray:
         """G0[:, j], beta = 1, solved once per Region."""
@@ -124,8 +125,8 @@ class Region:
         With A the other pins, it is G0(i, i) - c^T K^{-1} c with
         K = G0[A, A] and c = G0[A, i], from one fresh `columns(A + {i})`
         call, whose residuals certify the slab factor, and a fresh Cholesky
-        factor of K; it reads none of a chain's state and not the Green
-        diagonal. Its bytes are checked against COLUMN_BYTES_CAP before they
+        factor of K; it reads none of a chain's state and no memoized Green
+        value. Its bytes are checked against COLUMN_BYTES_CAP before they
         are allocated (ResourceError), and a failed factor is a
         NumericalError. Memoized per (i, pin set), since the chains on one
         Region audit at the same visits and often see the same state."""
@@ -162,24 +163,16 @@ class Region:
         box, so no step joins slabs that are not neighbours, pins may empty
         a slab, and (I - P) is symmetric: the Schur complements are
         S_k = D_k - A_{k,k-1} g_{k-1} A_{k,k-1}^T. The g_k share one buffer,
-        checked against COLUMN_BYTES_CAP before it is allocated; a singular
-        S_k is a NumericalError."""
+        whose bytes the Region checked when it was built; a singular S_k is
+        a NumericalError."""
         if self._slabs is None:
-            w = self.kernel.max_step
-            layer = w * math.prod(self.shape[1:])
-            thick = w * -(-SLAB_SITES // layer)
-            slab = (self.sites[:, 0] - self.lo[0]) // thick
+            slab = (self.sites[:, 0] - self.lo[0]) // self._thick
             cuts = np.flatnonzero(np.diff(slab)) + 1
             edges = np.concatenate(([0], cuts, [self.n_alive]))
             sizes = np.diff(edges)
-            need = 8 * int((sizes**2).sum())
-            if need > COLUMN_BYTES_CAP:
-                raise ResourceError(
-                    f"slab inverses of the Green factor need {need} bytes, "
-                    f"above the {COLUMN_BYTES_CAP}-byte cap")
             # one buffer holds every g_k: freed as one block it leaves the
             # process, where separately allocated blocks can stay resident
-            store = np.empty(need // 8)
+            store = np.empty(int((sizes**2).sum()))
             starts = np.cumsum(sizes**2) - sizes**2
             slabs = []
             for k, (a, b, diag, runs) in enumerate(_slab_runs(self, edges)):

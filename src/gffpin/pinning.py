@@ -10,7 +10,8 @@ single-flip ratio of nu, so detailed balance holds by construction.
 The chain holds the covariance given A in low-rank form,
 G_A = G0 - G0[:, A] K^{-1} G0[A, :] with K = G0[A, A] and G0 the Green
 matrix of the box, so its memory is O(n |A|); a sweep solves the columns
-it may pin in one batch, and a flip costs O(|A|^2). It keeps no diag(G_A)
+it may pin in one batch, which gives both the G0(i, i) of their odds and
+a new pin's column, and a flip costs O(|A|^2). It keeps no diag(G_A)
 vector: a variance is computed where it is needed, in O(|A|^2). No odds
 exceed p_hi, the odds with all other sites pinned, so a sweep computes the
 odds only at the sites whose uniform is below p_hi, about p_hi * n of
@@ -63,13 +64,14 @@ class GibbsChain:
     the same slots. There is no diag(G_A) vector: the conditional variance
     of an unpinned site i is G0(i, i) - c_i^T K^{-1} c_i with c_i = G0[i, A],
     computed on demand in O(|A|^2), and the add-back variance of a pinned
-    site a is 1 / K^{-1}[a, a]. A pin copies its column from the sweep's
-    batch, solved with the region's shared slab factor, plus O(|A|^2); an
-    unpin costs O(|A|^2) and frees its slot for the next pin (a free slot
-    has zero rows in K^{-1}). Scheduled audits compare the variance with
+    site a is 1 / K^{-1}[a, a]. In a sweep, G0(i, i) is entry i of the
+    site's column in the sweep's batch, solved with the region's shared
+    slab factor; a pin copies that column, plus O(|A|^2). An unpin costs
+    O(|A|^2) and frees its slot for the next pin (a free slot has zero rows
+    in K^{-1}). Scheduled audits take G0(i, i) from
+    `Region.green_diagonal` and compare the variance with
     `Region.pinned_variance`, computed from fresh Green columns and a fresh
-    Cholesky factor, sharing nothing with the chain's columns, K^{-1} or
-    the Green diagonal.
+    Cholesky factor, sharing nothing with the chain's columns or K^{-1}.
     """
 
     def __init__(self, region: Region, eps: float, seed: int, replica: int = 0):
@@ -91,14 +93,17 @@ class GibbsChain:
 
     # -- conditional variance -----------------------------------------------
 
-    def raw_variance(self, i) -> float:
-        """Conditional variance at site i given the other pins, beta = 1."""
+    def raw_variance(self, i, g0=None) -> float:
+        """Conditional variance at site i given the other pins, beta = 1.
+        G0(i, i) of an unpinned site is g0[i] when its Green column g0 is
+        given, and `Region.green_diagonal(i)` otherwise."""
         p, k = self.slot[i], self.k
         if p >= 0:
             v = 1.0 / self.kinv[p, p]
         else:
+            gii = self.region.green_diagonal(i) if g0 is None else g0[i]
             c = self.cols[i, :k]
-            v = self.region.green_diag[i] - c @ (self.kinv[:k, :k] @ c)
+            v = gii - c @ (self.kinv[:k, :k] @ c)
         if not v > 0:
             raise NumericalError(
                 f"variance {v!r} at site {i} is not positive; audit the chain")
@@ -174,9 +179,10 @@ class GibbsChain:
         whose uniform is below p_hi, about p_hi * n of them, and unpins
         the remaining pins without their odds. A pin can land only there, so
         the sweep first solves their Green columns G0[:, D - A] in one
-        `Region.columns` call, whose bytes (the batch, and the residual
-        check of one block of it) are checked against COLUMN_BYTES_CAP
-        before they are allocated (ResourceError).
+        `Region.columns` call, which gives G0(i, i) for the odds at those
+        sites and the column of each new pin, and whose bytes (the batch,
+        and the residual check of one block of it) are checked against
+        COLUMN_BYTES_CAP before they are allocated (ResourceError).
         """
         n = len(self.pinned)
         u = self.rng.random(n)
@@ -196,10 +202,11 @@ class GibbsChain:
         for i in np.flatnonzero(low | self.pinned):
             while audits and audits[0] <= i:
                 self._audit(audits.pop(0))
+            col = None if self.pinned[i] else g0[:, np.searchsorted(fresh, i)]
             pin = bool(low[i]) and u[i] < _odds(self.eps, self.beta,
-                                                self.raw_variance(i))
+                                                self.raw_variance(i, col))
             if pin and not self.pinned[i]:
-                self._pin(i, g0[:, np.searchsorted(fresh, i)])
+                self._pin(i, col)
             elif self.pinned[i] and not pin:
                 self._unpin(i)
         for i in audits:
@@ -366,7 +373,7 @@ def domination_densities(region, eps, sites) -> tuple[float, float]:
     extremes bound the conditionals uniformly; the sandwich constants are
     fitted from the model rather than asserted.
     """
-    sigma_max = max(float(region.green_diag[region.site_index(s)])
+    sigma_max = max(region.green_diagonal(region.site_index(s))
                     for s in sites)
     return (_odds(eps, region.beta, sigma_max),
             _odds(eps, region.beta, 1.0 / (1.0 - region.kernel.p0)))

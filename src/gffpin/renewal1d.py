@@ -109,9 +109,6 @@ class RenewalModel:
     lam: float
     k_max: int  # terms of the series or direct sum evaluated at lam
 
-    def residual(self) -> float:
-        return abs(_normalizer(self.eps, self.lam) - 1.0)
-
 
 def renewal_model(eps) -> RenewalModel:
     lam = solve_lambda(eps)

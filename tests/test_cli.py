@@ -1010,9 +1010,9 @@ def test_reachability_guard_follows_function_imports(tmp_path):
     assert _unreached(src) == ["scaling.load", "walk.orphan"]
 
 
-def _sweep_call_sites(src):
+def _call_sites(src, attr):
     """Sorted `module.qualname` of the innermost function or class around
-    each call `<expr>.sweep(...)` under `src`, one entry per call site."""
+    each call `<expr>.<attr>(...)` under `src`, one entry per call site."""
     sites = []
 
     def visit(node, where):
@@ -1022,7 +1022,7 @@ def _sweep_call_sites(src):
                 continue
             if (isinstance(child, ast.Call)
                     and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "sweep"):
+                    and child.func.attr == attr):
                 sites.append(where)
             visit(child, where)
 
@@ -1035,7 +1035,14 @@ def test_one_chain_driver():
     # every heat-bath run burns in and records through `pinning.recorded`,
     # so a change to how chains start or what they record is made once
     src = Path(gffpin.__file__).parent
-    assert _sweep_call_sites(src) == ["pinning.recorded"]
+    assert _call_sites(src, "sweep") == ["pinning.recorded"]
+
+
+def test_one_green_path():
+    # every Green value comes from unit columns, whose residuals certify the
+    # slab factor: no second algorithm reads the factor
+    src = Path(gffpin.__file__).parent
+    assert _call_sites(src, "_slab_factor") == ["green.Region.columns"]
 
 
 def test_sweep_guard_reports_second_loop(tmp_path):
@@ -1051,4 +1058,5 @@ def test_sweep_guard_reports_second_loop(tmp_path):
         "    for t in range(burnin + sweeps):\n"
         "        chain.sweep()\n"
         "        if t >= burnin:\n            yield chain\n")
-    assert _sweep_call_sites(src) == ["pinning.Chain.run", "pinning.recorded"]
+    assert _call_sites(src, "sweep") == ["pinning.Chain.run",
+                                         "pinning.recorded"]

@@ -47,11 +47,16 @@ class TestGreenKilled:
         assert math.isclose(green_killed(region, (0, 0), (0, 0)).value, 1.0,
                             abs_tol=1e-12)
 
-    def test_green_diag_matches_dense_inverse(self, srw2_lazy):
+    def test_green_diagonal_matches_dense_inverse(self, srw2_lazy):
         # 120 sites, one of the 4 slabs of three rows holding a pin
         region = box_region(srw2_lazy, 5, pins=[(1, 1)])
         inv = np.linalg.inv(dense_generator(region))
-        assert np.abs(region.green_diag - np.diag(inv)).max() <= 1e-12
+        diag = [region.green_diagonal(i) for i in range(region.n_alive)]
+        assert np.abs(diag - np.diag(inv)).max() <= 1e-12
+        # each entry is kept as a float, not as its column
+        assert all(type(region._diagonal_memo[i]) is float
+                   for i in range(region.n_alive))
+        assert not region._column_memo
         # the slab factor is built once and kept: solves reuse it
         slabs = region._slabs
         green_killed(region, (0, 0), (2, -3))
@@ -72,21 +77,25 @@ class TestGreenKilled:
         ("srw1", 50, [(7,)], []),
     ], ids=["srw2-lazy-R21", "max-step-2", "d3", "empty-slabs",
             "empty-slab-max-step-2", "aniso", "d1"])
-    def test_green_diag_matches_oracles(self, request, name, radius, pins,
-                                        empty):
-        # the slab recursion against unit-column solves and the dense
-        # inverse, and unit columns, one and several, against the dense
-        # inverse
+    def test_green_diagonal_matches_oracles(self, request, name, radius,
+                                            pins, empty):
+        # the diagonal of every unit column, and `green_diagonal` at some
+        # sites, against SuperLU unit-column solves and the dense inverse,
+        # and unit columns, one and several, against the dense inverse
         region = box_region(request.getfixturevalue(name), radius, pins=pins)
         slab = _slab_of_sites(region)
         assert sorted(set(range(slab.max() + 1)) - set(slab)) == empty
-        diag = region.green_diag
-        assert np.abs(diag - block_solve_green_diag(region)).max() \
-            <= 1e-12 * diag.max()
+        n = region.n_alive
+        diag = np.diagonal(region.columns(np.arange(n))[0])
+        ref = block_solve_green_diag(region)
+        assert np.abs(diag - ref).max() <= 1e-12 * diag.max()
         inv = np.linalg.inv(dense_generator(region))
         assert np.abs(diag - np.diag(inv)).max() <= 1e-12 * diag.max()
-        n = region.n_alive
         picks = np.random.default_rng(4).choice(n, 5, replace=False)
+        for i in (0, n - 1, int(np.argmax(ref)), *picks.tolist()):
+            assert abs(region.green_diagonal(i) - ref[i]) <= 1e-12 * ref[i]
+            assert abs(region.green_diagonal(i) - inv[i, i]) \
+                <= 1e-12 * inv[i, i]
         for sites in ([n // 2], [0, n - 1], sorted(picks)):
             g, resid = region.columns(sites)
             ref = inv[:, sites]
@@ -117,14 +126,27 @@ class TestGreenKilled:
         with pytest.raises(NumericalError, match="residual"):
             region.columns([100])
 
-    def test_green_diag_size_checked_before_allocation(self, srw2):
-        # one slab of 10^6 sites: 8 TB of slab inverse, far beyond memory
-        region = Region(srw2, (0, 0), (0, 10**6 - 1))
+    def test_slab_factor_size_checked_before_allocation(self, srw2,
+                                                        monkeypatch):
+        # one slab of 10^6 sites: 8 TB of slab inverse, far beyond memory;
+        # the Region refuses it before it allocates its alive mask or grid
+        made = []
+        for name in ("ones", "full", "empty", "zeros"):
+            real = getattr(np, name)
+            monkeypatch.setattr(
+                np, name,
+                lambda *a, _real=real, **k: made.append(a) or _real(*a, **k))
         with pytest.raises(ResourceError, match="cap"):
-            region.green_diag
+            Region(srw2, (0, 0), (0, 10**6 - 1))
+        assert made == []
+        # the bound is of the unpinned box: 13 slabs of three rows of 11
+        # and a last row, 8 * (13 * 33^2 + 11^2) bytes
+        need = 8 * (13 * 33**2 + 11**2)
+        monkeypatch.setattr(green, "COLUMN_BYTES_CAP", need)
+        Region(srw2, (0, 0), (39, 10))
+        monkeypatch.setattr(green, "COLUMN_BYTES_CAP", need - 1)
         with pytest.raises(ResourceError, match="cap"):
-            green_killed(region, (0, 0), (0, 1))
-        assert region._slabs is None
+            Region(srw2, (0, 0), (39, 10), pins=[(0, 0)])
 
     def test_symmetry(self, srw2):
         region = box_region(srw2, 3, pins=[(2, 2)])
@@ -212,9 +234,11 @@ class TestPinnedVariance:
         n = region.n_alive
         mat = dense_generator(region)
         calls = self._spy(monkeypatch)
-        # no pins: one column, of the audited site, and no Green diagonal
+        # no pins: one column, of the audited site, and no memoized Green
+        # value
         region.pinned_variance(np.zeros(n, dtype=bool), 0)
-        assert calls == [[0]] and region._green_diag is None
+        assert calls == [[0]]
+        assert not region._diagonal_memo and not region._column_memo
         rng = np.random.default_rng(7)
         for density in (0.1, 0.3, 0.6):
             pinned = rng.random(n) < density

@@ -256,8 +256,9 @@ class TestLowRankChain:
         n = region.n_alive
         chain = GibbsChain(region, 0.3, seed=7)
         seen, raw = [], GibbsChain.raw_variance
-        monkeypatch.setattr(GibbsChain, "raw_variance",
-                            lambda ch, i: seen.append(int(i)) or raw(ch, i))
+        monkeypatch.setattr(
+            GibbsChain, "raw_variance",
+            lambda ch, i, g0=None: seen.append(int(i)) or raw(ch, i, g0))
         audit_sites = {t - 1 for t in (1, 13, 137)}  # the first sweep's
         skipped = 0  # pins whose uniform is not below p_hi
         for sweep in range(4):
@@ -315,7 +316,9 @@ class TestLowRankChain:
 
     def test_drift_fails_the_audit(self, srw2_lazy, monkeypatch):
         region = box_region(srw2_lazy, 3)
-        monkeypatch.setattr(region, "_green_diag", region.green_diag * 1.05)
+        diagonal = region.green_diagonal
+        monkeypatch.setattr(region, "green_diagonal",
+                            lambda i: diagonal(i) * 1.05)
         chain = GibbsChain(region, 0.3, seed=5)
         with pytest.raises(NumericalError, match="audit failed"):
             chain.sweep()
@@ -323,7 +326,7 @@ class TestLowRankChain:
     def test_non_positive_variance_is_numerical_error(self, srw2_lazy,
                                                       monkeypatch):
         region = box_region(srw2_lazy, 3)
-        monkeypatch.setattr(region, "_green_diag", np.zeros(region.n_alive))
+        monkeypatch.setattr(region, "green_diagonal", lambda i: 0.0)
         chain = GibbsChain(region, 0.3, seed=5)
         _pin(chain, 10)
         for i in (0, 24):
@@ -344,9 +347,10 @@ class TestLowRankChain:
 
     @staticmethod
     def _spy_columns(monkeypatch):
-        """The shape of each `Region.columns` result outside an audit."""
+        """The shape of each `Region.columns` result outside a chain
+        audit."""
         shapes, audits = [], []
-        columns, audit = Region.columns, Region.pinned_variance
+        columns, audit = Region.columns, GibbsChain._audit
 
         def spy(region, sites):
             g = columns(region, sites)
@@ -354,15 +358,15 @@ class TestLowRankChain:
                 shapes.append(g[0].shape)
             return g
 
-        def audited(region, pinned, i):
+        def audited(chain, i):
             audits.append(i)
             try:
-                return audit(region, pinned, i)
+                return audit(chain, i)
             finally:
                 audits.pop()
 
         monkeypatch.setattr(Region, "columns", spy)
-        monkeypatch.setattr(Region, "pinned_variance", audited)
+        monkeypatch.setattr(GibbsChain, "_audit", audited)
         return shapes
 
     def test_sweep_batch_cap(self, srw2_lazy, monkeypatch):
@@ -476,16 +480,28 @@ class TestEmptyProbability:
             assert (1.0 - p_hi) ** b - 1e-12 <= exact <= (1.0 - p_lo) ** b + 1e-12
             assert 0.0 < p_lo <= p_hi < 1.0
 
-    def test_sandwich_constants_across_eps(self, box3):
+    @pytest.mark.parametrize("name, lo, hi, sites", [
+        ("srw2_lazy", (-1, -1), (1, 1), [(0, 0), (1, 1)]),
+        ("aniso", (-2, -1), (1, 1), [(1, 0), (-2, 1)]),
+        ("knight", (-1, -1), (2, 1), [(2, -1), (0, 1)]),
+        ("srw3", (0, 0, 0), (1, 1, 2), [(1, 0, 2), (0, 1, 1)]),
+    ], ids=["srw2-lazy", "aniso", "knight", "srw3"])
+    def test_sandwich_constants_across_eps(self, request, name, lo, hi,
+                                           sites):
         # implied per-site density sits between the fitted extremes for the
-        # whole grid: the functional sandwich, constants fitted not asserted
-        sites = [(0, 0), (1, 1)]
-        idx = [box3.site_index(s) for s in sites]
+        # whole grid: the functional sandwich, constants fitted not asserted;
+        # p_lo is the odds at the largest G0(j, j) over the off-centre
+        # targets, from the dense inverse
+        region = Region(request.getfixturevalue(name), lo, hi)
+        idx = [region.site_index(s) for s in sites]
+        top = np.diag(np.linalg.inv(dense_generator(region)))[idx].max()
         for eps in (0.1, 0.3):
-            exact = empty_probability(exact_pin_measure(box3, eps), idx)
-            p_lo, p_hi = domination_densities(box3, eps, sites)
+            exact = empty_probability(exact_pin_measure(region, eps), idx)
+            p_lo, p_hi = domination_densities(region, eps, sites)
             assert (1.0 - p_hi) ** 2 - 1e-12 <= exact <= (1.0 - p_lo) ** 2 + 1e-12
             assert 0.0 < p_lo <= p_hi
+            ref = pinning._odds(eps, region.beta, top)
+            assert abs(p_lo - ref) <= 1e-12 * ref
 
 
 class TestRaoBlackwellEstimators:

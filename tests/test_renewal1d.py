@@ -59,7 +59,7 @@ class TestTiltSolve:
     @pytest.mark.parametrize("eps", GRID)
     def test_defining_equation_residual(self, eps):
         model = renewal_model(eps)
-        assert model.residual() <= 1e-10
+        assert abs(_normalizer(eps, model.lam) - 1.0) <= 1e-10
 
     def test_monotone_in_eps(self):
         lams = [solve_lambda(e) for e in GRID]
