@@ -39,9 +39,6 @@ COMMANDS = (
     "box-stability",
 )
 
-OUTPUT_DIR_ENV = "GFFPIN_OUT"
-
-
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -590,7 +587,7 @@ def main(argv=None) -> int:
     parser.add_argument("config", help="flat key = value config file")
     parser.add_argument("--jobs", type=int, default=1,
                         help="must be >= 1; has no effect, every run is serial")
-    parser.add_argument("--output-dir", default=None)
+    parser.add_argument("--output-dir", default=".")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         print("config error: jobs must be >= 1", file=sys.stderr)
@@ -601,9 +598,8 @@ def main(argv=None) -> int:
     except (OSError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
     try:
-        return run(args.command, raw, out_dir)
+        return run(args.command, raw, args.output_dir)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

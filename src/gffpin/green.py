@@ -32,13 +32,22 @@ from .walk import WINDOW_CELL_CAP, StepKernel, _auto_radius, pmf_origin_series
 
 RESIDUAL_TARGET = 1e-10
 COLUMN_BYTES_CAP = 1 << 30  # bytes of dense blocks per chain, sweep or
-# Region, and of the buffers of one path-ensemble block
+# Region, of the buffers of one path-ensemble block and of the survival
+# weights; `check_bytes` is the only comparison with it
 SLAB_SITES = 32  # a slab is whole layers of thickness max_step, and at
 # least this many cells of the box
 RESIDUAL_BLOCK_BYTES = 1 << 18  # bordered grids of one block of columns:
 # a cache-sized block checks faster than one pass over the whole batch
 NSTEP_AUDIT_STEPS = 16  # the exact DP checks green_nstep at min(n, 16) steps
 NSTEP_AUDIT_TOL = 1e-10
+
+
+def check_bytes(need, what):
+    """Refuse, before it is allocated, memory that `what` need: a
+    ResourceError when `need` bytes exceed COLUMN_BYTES_CAP."""
+    if need > COLUMN_BYTES_CAP:
+        raise ResourceError(f"{what} need {need} bytes, above the "
+                            f"{COLUMN_BYTES_CAP}-byte cap")
 
 
 class Region:
@@ -58,21 +67,17 @@ class Region:
         self.kernel = kernel
         # sized in Python ints, before a corner can overflow int64
         shape = tuple(int(h) - int(l) + 1 for l, h in zip(lo, hi))
-        if math.prod(shape) > WINDOW_CELL_CAP:
-            raise ResourceError(f"box {shape} holds more than "
-                                f"{WINDOW_CELL_CAP} cells")
         # slabs are the fewest whole layers of thickness max_step that hold
         # SLAB_SITES cells; pins only shrink them, so the unpinned box
-        # bounds the bytes of the slab inverses
+        # bounds the bytes of the slab inverses; a whole slab of b cells
+        # costs 8 b >= 8 SLAB_SITES bytes per cell, so this check alone
+        # keeps a box to about COLUMN_BYTES_CAP / (8 SLAB_SITES) cells
         w = kernel.max_step
         cross = math.prod(shape[1:])
         self._thick = thick = w * -(-SLAB_SITES // (w * cross))
         whole, rest = divmod(shape[0], thick)
-        need = 8 * (whole * (thick * cross) ** 2 + (rest * cross) ** 2)
-        if need > COLUMN_BYTES_CAP:
-            raise ResourceError(
-                f"slab inverses of the Green factor need {need} bytes, "
-                f"above the {COLUMN_BYTES_CAP}-byte cap")
+        check_bytes(8 * (whole * (thick * cross) ** 2 + (rest * cross) ** 2),
+                    "slab inverses of the Green factor")
         self.lo = np.asarray(lo, dtype=np.int64)
         self.hi = np.asarray(hi, dtype=np.int64)
         self.beta = float(kernel.beta_eff)
@@ -136,11 +141,8 @@ class Region:
         if key not in self._pinned_variances:
             sites = np.flatnonzero(both)
             m = len(sites)
-            need = self.columns_bytes(m) + 8 * m * m
-            if need > COLUMN_BYTES_CAP:
-                raise ResourceError(
-                    f"audit columns of {m} sites on {self.n_alive} need "
-                    f"{need} bytes, above the {COLUMN_BYTES_CAP}-byte cap")
+            check_bytes(self._columns_bytes(m) + 8 * m * m,
+                        f"audit columns of {m} sites on {self.n_alive}")
             gb = self.columns(sites)[0][sites]  # G0[A + {i}, A + {i}]
             pos = int(np.searchsorted(sites, i))
             others = np.arange(m) != pos
@@ -193,7 +195,7 @@ class Region:
             self._slabs = slabs
         return self._slabs
 
-    def columns_bytes(self, m) -> int:
+    def _columns_bytes(self, m) -> int:
         """Bytes `columns` allocates for m columns: the columns, and for one
         block of them the bordered grid, the residual and a temporary."""
         return 8 * (self.n_alive * m + 3 * self._grid.size
@@ -203,9 +205,13 @@ class Region:
         """G0[:, sites], beta = 1, for sorted site indices, and the largest
         residual norm of a column, by block forward and back substitution
         through the slab factor. Column j's forward pass starts at the slab
-        of its site, where its right-hand side e_j starts. A residual norm
-        above RESIDUAL_TARGET is a NumericalError."""
+        of its site, where its right-hand side e_j starts. Its bytes (the
+        columns, and the residual check of one block of them) are checked
+        against COLUMN_BYTES_CAP before they are allocated (ResourceError);
+        a residual norm above RESIDUAL_TARGET is a NumericalError."""
         sites = np.asarray(sites, dtype=np.int64)
+        check_bytes(self._columns_bytes(len(sites)),
+                    f"{len(sites)} Green columns of {self.n_alive} sites")
         slabs = self._slab_factor()
         g = np.zeros((self.n_alive, len(sites)), order="F")
         if not len(sites):

@@ -34,9 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ResourceError
-from .green import COLUMN_BYTES_CAP, Region, _generator_triplets
-# REPLICAS is re-exported: the chain count of callers that set none
-from .stats import REPLICAS, Estimate, replica_rng  # noqa: F401
+from .green import Region, _generator_triplets, check_bytes
+from .stats import Estimate, replica_rng
 
 ENUM_LIMIT = 16  # subsets are enumerated for at most 2^16 pinnable sites
 PAIR_LIMIT = 9  # exhaustive lattice-condition pair checks
@@ -124,11 +123,8 @@ class GibbsChain:
     def _grow(self):
         n = len(self.pinned)
         cap = min(n, max(8, 2 * self.cols.shape[1]))
-        need = 8 * cap * (n + cap)
-        if need > COLUMN_BYTES_CAP:
-            raise ResourceError(
-                f"{self.k + 1} pins on {n} sites need {need} bytes of Green "
-                f"columns, above the {COLUMN_BYTES_CAP}-byte cap")
+        check_bytes(8 * cap * (n + cap),
+                    f"Green columns of {self.k + 1} pins on {n} sites")
         cols = np.empty((n, cap), order="F")
         cols[:, :self.k] = self.cols[:, :self.k]
         kinv = np.zeros((cap, cap))
@@ -180,20 +176,14 @@ class GibbsChain:
         the remaining pins without their odds. A pin can land only there, so
         the sweep first solves their Green columns G0[:, D - A] in one
         `Region.columns` call, which gives G0(i, i) for the odds at those
-        sites and the column of each new pin, and whose bytes (the batch,
-        and the residual check of one block of it) are checked against
-        COLUMN_BYTES_CAP before they are allocated (ResourceError).
+        sites and the column of each new pin, and which refuses a batch
+        over COLUMN_BYTES_CAP before it allocates it (ResourceError).
         """
         n = len(self.pinned)
         u = self.rng.random(n)
         # with every neighbour pinned the odds meet p_hi to within rounding
         low = u < self.p_hi * (1.0 + 1e-9)
         fresh = np.flatnonzero(low & ~self.pinned)
-        need = self.region.columns_bytes(len(fresh))
-        if need > COLUMN_BYTES_CAP:
-            raise ResourceError(
-                f"a sweep batch of {len(fresh)} Green columns on {n} sites "
-                f"needs {need} bytes, above the {COLUMN_BYTES_CAP}-byte cap")
         g0, _ = self.region.columns(fresh)
         first = self._visits
         self._visits += n
@@ -237,11 +227,8 @@ def sample_pins(region, eps, sweeps, seed, burnin):
     """The pin set after each post-burn-in sweep of an exact heat-bath run,
     one uint8 row per sweep, and the run's largest audit error.
     Deterministic in the seed."""
-    need = (sweeps - burnin) * region.n_alive  # one byte per recorded site
-    if need > COLUMN_BYTES_CAP:
-        raise ResourceError(
-            f"{sweeps - burnin} recorded sweeps of {region.n_alive} sites "
-            f"need {need} bytes, above the {COLUMN_BYTES_CAP}-byte cap")
+    check_bytes((sweeps - burnin) * region.n_alive,  # a byte per site
+                f"{sweeps - burnin} recorded sweeps of {region.n_alive} sites")
     chain = GibbsChain(region, eps, seed)
     rows = np.empty((sweeps - burnin, region.n_alive), dtype=np.uint8)
     for r, _ in enumerate(recorded(chain, burnin, sweeps - burnin)):

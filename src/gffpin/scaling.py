@@ -44,8 +44,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, ResourceError, ValidationError
-from .green import COLUMN_BYTES_CAP, box_region, green_nstep, nstep_torus_radius
-from .stats import replica_rng
+from .green import box_region, check_bytes, green_nstep, nstep_torus_radius
+from .stats import REPLICAS, replica_rng
 from . import pinning
 
 _CHUNK = 256  # paths per sub-seeded replica chunk; part of the seeding scheme
@@ -97,8 +97,8 @@ def _range_profile(keys, site, first):
 
 def _key_layout(kernel, n_max, reps):
     """(w, h) of the site keys of `reps` paths of `n_max` steps, computed in
-    Python ints; ResourceError when one block's buffers exceed
-    COLUMN_BYTES_CAP or a key could overflow int64.
+    Python ints; ResourceError when `check_bytes` refuses one block's
+    buffers or a key could overflow int64.
 
     Only a block is charged: at path lengths past `_BLOCK_VISITS` a block
     is one path, so the cap bounds the length of a single path, whatever
@@ -109,11 +109,7 @@ def _key_layout(kernel, n_max, reps):
     # step indices, the comparison mask and survival_samples' passage mask
     visit_bytes = 3 * 8 + 2 + np.min_scalar_type(len(kernel.probs) - 1).itemsize
     rows = min(_block_rows(n_max), reps)
-    need = visit_bytes * rows * n1
-    if need > COLUMN_BYTES_CAP:
-        raise ResourceError(
-            f"{rows} paths of {n_max} steps need {need} bytes, "
-            f"above the {COLUMN_BYTES_CAP}-byte cap")
+    check_bytes(visit_bytes * rows * n1, f"{rows} paths of {n_max} steps")
     # code = x_1 w + (a part in [-h, h]), w = (2 span + 1)^{d-1} and
     # h = (w - 1) / 2, so x1 = (key + h (n+1)) // (w (n+1)); |code| is at
     # most (2 span + 1) w // 2. Sized in Python ints, before any int64
@@ -192,8 +188,12 @@ def survival_samples(kernel, p, targets, reps, n_max, seed) -> np.ndarray:
     target distance r, T the first passage to the plane {x_1 >= r}; `>=`
     scores long jumps that overshoot the plane. p = 0 reduces each column to
     the plain hitting indicator. Each r must be >= 1: a plane at r <= 0
-    holds the origin."""
+    holds the origin. The weights' bytes, 8 per path and target, are
+    checked against COLUMN_BYTES_CAP before they are allocated
+    (ResourceError), and so are the path ensemble's."""
     tg = np.asarray(targets, dtype=np.int64).reshape(-1)
+    check_bytes(8 * reps * len(tg),
+                f"survival weights of {reps} paths at {len(tg)} targets")
     out = np.zeros((reps, len(tg)))
     pos = 0
     passed = None
@@ -455,7 +455,7 @@ def _pinned_mass_point(kernel, eps, seed, point_index, region_radius, samples,
     for r in rs:
         est, audit = pinning.covariance(
             region, eps, (0,) * kernel.d, (int(r),) + (0,) * (kernel.d - 1),
-            samples, (seed, point_index, int(r)), pinning.REPLICAS)
+            samples, (seed, point_index, int(r)), REPLICAS)
         audits.append(audit)
         vals.append(est.mean)
         errs.append(est.stderr)

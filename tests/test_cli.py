@@ -215,6 +215,9 @@ class TestHandlerInputs:
         # n0 = |log eps|^3 / eps overflows a float
         ("variance-scan", "eps_list = 0.3 0.2 5e-324\nbudget = 8",
          "variance_scan_points.csv"),
+        # the pilot pass's survival weights, budget / 4 paths at 5 targets
+        ("mass-scan", "eps_list = 0.3 0.2 0.1\nbudget = 100000000000",
+         "mass_scan_points.csv"),
     ])
     def test_size_checked_before_allocation(self, tmp_path, capsys, srw2_file,
                                             command, body, output):
@@ -344,13 +347,26 @@ class TestPinsSample:
 
     def test_column_cap_is_resource_error(self, tmp_path, capsys, srw2_file,
                                           monkeypatch):
-        monkeypatch.setattr(pinning, "COLUMN_BYTES_CAP", 1024)
+        from gffpin import green
+        from gffpin.pinning import GibbsChain
+
+        # the cap drops to 1024 bytes once the first sweep starts: the
+        # Region's 5,000-byte slab factor is checked before, and the
+        # sweep's batch of 18 columns, 24,768 bytes, is refused
+        sweep = GibbsChain.sweep
+
+        def tight(chain):
+            monkeypatch.setattr(green, "COLUMN_BYTES_CAP", 1024)
+            return sweep(chain)
+
+        monkeypatch.setattr(GibbsChain, "sweep", tight)
         code, out = _run(tmp_path, "pins-sample",
                          "box_radius = 2\nepsilon = 5\nsweeps = 4\n"
                          f"kernel_file = {srw2_file}\nseed = 3\n")
         assert code == 4
         err = capsys.readouterr().err
         assert "resource exceeded" in err and "cap" in err
+        assert "18 Green columns of 25 sites need 24768 bytes" in err
         assert "Traceback" not in err
         assert not (out / "pin_samples.csv").exists()
 
@@ -1010,9 +1026,10 @@ def test_reachability_guard_follows_function_imports(tmp_path):
     assert _unreached(src) == ["scaling.load", "walk.orphan"]
 
 
-def _call_sites(src, attr):
+def _scopes(src, hit):
     """Sorted `module.qualname` of the innermost function or class around
-    each call `<expr>.<attr>(...)` under `src`, one entry per call site."""
+    each AST node under `src` for which `hit(node)` holds, one entry per
+    node."""
     sites = []
 
     def visit(node, where):
@@ -1020,15 +1037,28 @@ def _call_sites(src, attr):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}")
                 continue
-            if (isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == attr):
+            if hit(child):
                 sites.append(where)
             visit(child, where)
 
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     return sorted(sites)
+
+
+def _call_sites(src, attr):
+    """`_scopes` of each call `<expr>.<attr>(...)` under `src`."""
+    return _scopes(src, lambda n: isinstance(n, ast.Call)
+                   and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == attr)
+
+
+def _name_sites(src, name):
+    """`_scopes` of each use of `name` under `src`: a variable, an
+    attribute or an imported name."""
+    return _scopes(src, lambda n: isinstance(n, ast.Name) and n.id == name
+                   or isinstance(n, ast.Attribute) and n.attr == name
+                   or isinstance(n, ast.alias) and name in (n.name, n.asname))
 
 
 def test_one_chain_driver():
@@ -1043,6 +1073,14 @@ def test_one_green_path():
     # slab factor: no second algorithm reads the factor
     src = Path(gffpin.__file__).parent
     assert _call_sites(src, "_slab_factor") == ["green.Region.columns"]
+
+
+def test_one_byte_budget():
+    # every byte count a config sizes meets the cap in `green.check_bytes`
+    # alone, so one patch of `green.COLUMN_BYTES_CAP` reaches every check
+    src = Path(gffpin.__file__).parent
+    assert _name_sites(src, "COLUMN_BYTES_CAP") == [
+        "green", "green.check_bytes", "green.check_bytes"]
 
 
 def test_sweep_guard_reports_second_loop(tmp_path):

@@ -138,6 +138,10 @@ class TestGreenKilled:
                 lambda *a, _real=real, **k: made.append(a) or _real(*a, **k))
         with pytest.raises(ResourceError, match="cap"):
             Region(srw2, (0, 0), (0, 10**6 - 1))
+        # 10^8 cells, above WINDOW_CELL_CAP: refused by the factor's bytes,
+        # 8 * 10^12, which bound every box to about 4 * 10^6 cells
+        with pytest.raises(ResourceError, match="cap"):
+            Region(srw2, (0, 0), (9999, 9999))
         assert made == []
         # the bound is of the unpinned box: 13 slabs of three rows of 11
         # and a last row, 8 * (13 * 33^2 + 11^2) bytes

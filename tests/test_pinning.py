@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from gffpin import pinning
+from gffpin import green, pinning
 from gffpin.errors import NumericalError, ResourceError, ValidationError
 from gffpin.green import Region, box_region, green_killed
 from gffpin.pinning import (
     AUDIT_TOL,
-    REPLICAS,
     GibbsChain,
     check_lattice_condition,
     covariance,
@@ -18,6 +17,7 @@ from gffpin.pinning import (
     recorded,
     sample_pins,
 )
+from gffpin.stats import REPLICAS
 from gffpin.walk import make_kernel
 from oracles import (
     batch_stderr,
@@ -338,9 +338,9 @@ class TestLowRankChain:
         chain = GibbsChain(region, 0.3, seed=5)
         for i in range(8):
             _pin(chain, i)
-        monkeypatch.setattr(pinning, "COLUMN_BYTES_CAP",
+        monkeypatch.setattr(green, "COLUMN_BYTES_CAP",
                             8 * 8 * (region.n_alive + 8))
-        with pytest.raises(ResourceError):
+        with pytest.raises(ResourceError, match="Green columns of 9 pins"):
             _pin(chain, 8)
         assert chain.cols.shape == (region.n_alive, 8)
         assert chain.pinned.sum() == 8
@@ -381,11 +381,13 @@ class TestLowRankChain:
         assert m
         need = 8 * m * (n + 3 * 81)
         shapes = self._spy_columns(monkeypatch)
-        monkeypatch.setattr(pinning, "COLUMN_BYTES_CAP", need - 1)
-        with pytest.raises(ResourceError, match="cap"):
+        monkeypatch.setattr(green, "COLUMN_BYTES_CAP", need - 1)
+        with pytest.raises(ResourceError,
+                           match=f"{m} Green columns of {n} sites need {need} "
+                                 "bytes, above the .*cap"):
             chain.sweep()
         assert shapes == [] and not chain.pinned.any()
-        monkeypatch.setattr(pinning, "COLUMN_BYTES_CAP", need)
+        monkeypatch.setattr(green, "COLUMN_BYTES_CAP", need)
         GibbsChain(region, 0.3, seed=5).sweep()
         assert shapes == [(n, m)]
 

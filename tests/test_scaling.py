@@ -4,8 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gffpin import cli, scaling
-from gffpin.pinning import REPLICAS
+from gffpin import cli, green, scaling
 from gffpin.errors import ResourceError, ValidationError
 from gffpin.green import Region
 from gffpin.pinning import domination_densities, exact_pin_measure
@@ -24,7 +23,7 @@ from gffpin.scaling import (
     variance_scan,
     variance_slope_reference,
 )
-from gffpin.stats import replica_rng
+from gffpin.stats import REPLICAS, replica_rng
 from gffpin.walk import make_kernel
 
 from oracles import (
@@ -222,7 +221,7 @@ class TestPathEnsembles:
                                                     monkeypatch):
         # one block of 256 paths is charged, VISIT_BYTES per visit:
         # 27 * 256 * 101 bytes at 100 steps, and 300 paths cost no more
-        monkeypatch.setattr(scaling, "COLUMN_BYTES_CAP",
+        monkeypatch.setattr(green, "COLUMN_BYTES_CAP",
                             VISIT_BYTES * 256 * 101)
         assert len(list(_ensemble_chunks(srw2, 100, 300, 0))) == 2
         with pytest.raises(ResourceError, match="cap"):
@@ -244,7 +243,7 @@ class TestPathEnsembles:
             raise AssertionError("uniforms drawn")
 
         monkeypatch.setattr(scaling, "replica_rng", no_draws)
-        monkeypatch.setattr(scaling, "COLUMN_BYTES_CAP",
+        monkeypatch.setattr(green, "COLUMN_BYTES_CAP",
                             VISIT_BYTES * 50_001 - 1)
         with pytest.raises(ResourceError, match="1 paths of 50000 steps"):
             next(_ensemble_chunks(srw2, 50_000, 300, 0))
