@@ -33,12 +33,6 @@ from . import __version__, renewal1d
 from .errors import NumericalError, ResourceError, ToolkitError, ValidationError
 from .stats import REPLICAS
 
-COMMANDS = (
-    "kernel-info", "green-probe", "pins-sample", "fkg-check",
-    "domination-check", "variance-scan", "mass-scan", "renewal1d",
-    "box-stability",
-)
-
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -127,6 +121,7 @@ SCHEMAS = {
         "samples": ("int", REQUIRED), "replicas": ("int", REPLICAS),
     },
 }
+COMMANDS = tuple(SCHEMAS)
 
 
 def validate(command, raw_config) -> list[str]:
@@ -360,8 +355,9 @@ class Manifest:
         self.files.append(name)
 
     def record(self, key, value):
-        """A run diagnostic, written with the finished manifest."""
-        self.entries.append((key, value))
+        """A run diagnostic, written with the finished manifest as `_fmt`
+        writes it."""
+        self.entries.append((key, _fmt(value)))
 
     def finalize(self):
         self.entries[0] = ("status", "done")
@@ -397,11 +393,9 @@ def _cmd_green_probe(cfg, manifest):
 
     k = cfg["kernel"]
     region = box_region(k, cfg["box_radius"], pins=cfg["pins"])
-    rows = []
-    for probe in cfg["probes"]:
-        x, y = probe[:k.d], probe[k.d:]
-        g = green_killed(region, x, y)
-        rows.append((*x, *y, g.value, g.residual))
+    pairs = [(probe[:k.d], probe[k.d:]) for probe in cfg["probes"]]
+    values, resid = green_killed(region, pairs)
+    rows = [(*x, *y, g, r) for (x, y), g, r in zip(pairs, values, resid)]
     header = tuple(f"x{i+1}" for i in range(k.d)) \
         + tuple(f"y{i+1}" for i in range(k.d)) + ("G", "residual")
     manifest.write_csv("green_probes.csv", header, rows)
@@ -420,7 +414,7 @@ def _cmd_pins_sample(cfg, manifest):
         "s_" + "_".join(str(c) for c in site) for site in region.sites)
     manifest.write_csv("pin_samples.csv", header,
                        [(burnin + 1 + i, *row) for i, row in enumerate(samples)])
-    manifest.record("audit_max_rel_err", _fmt(audit))
+    manifest.record("audit_max_rel_err", audit)
 
 
 def _cmd_fkg_check(cfg, manifest):
@@ -459,7 +453,7 @@ def _cmd_domination_check(cfg, manifest):
          "upper_curve", "density_lo", "density_hi", "target_size"),
         [(eps, est.mean, est.stderr, est.n, (1.0 - p_hi) ** b,
           (1.0 - p_lo) ** b, p_lo, p_hi, b)])
-    manifest.record("audit_max_rel_err", _fmt(audit))
+    manifest.record("audit_max_rel_err", audit)
 
 
 def _write_scan(manifest, name, result):
@@ -469,7 +463,7 @@ def _write_scan(manifest, name, result):
     manifest.write_csv(f"{name}_points.csv", tuple(result.points[0]), rows)
     manifest.write_csv(f"{name}_fit.csv", ("key", "value"), result.fit)
     for key, value in result.notes.items():
-        manifest.record(key, _fmt(value))
+        manifest.record(key, value)
 
 
 def _cmd_variance_scan(cfg, manifest):
@@ -534,7 +528,7 @@ def _cmd_box_stability(cfg, manifest):
     manifest.write_csv("box_stability.csv",
                        ("radius", "probe", "estimate", "stderr", "n_used"),
                        rows)
-    manifest.record("audit_max_rel_err", _fmt(max(audits)))
+    manifest.record("audit_max_rel_err", max(audits))
 
 
 _HANDLERS = {

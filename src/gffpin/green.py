@@ -9,11 +9,13 @@ the 1/beta_eff scaling. All solves run at beta = 1 internally.
 Every Green value comes from one algorithm over the Region's one factor,
 the inverse Schur complement of every slab of the box, built on first use
 and kept: the unit columns G0[:, sites] of `Region.columns`, by block
-forward and back substitution, each checked by its residual against
-(I - P) applied over shifted slices of a zero-bordered grid. A Region is
-immutable, so every chain and every probe on one Region shares that
-factor, and the Green values that chains read and the audit references
-are cached on it.
+forward and back substitution, each checked by its own residual norm
+against (I - P) applied over shifted slices of a zero-bordered grid. A
+Region is immutable, so every chain and every probe on one Region shares
+that factor; the single Green entries that chains read (`green_entry`) and
+the audit references are kept on it as floats, and no column outlives the
+call that solved it. `green_killed` answers a whole set of probes with one
+`columns` call.
 The n-step Green function at the origin is a Fourier sum on a torus,
 audited against the exact DP pmf of `walk`.
 
@@ -23,7 +25,6 @@ This module, and with it every command, loads numpy and no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +60,8 @@ class Region:
     long, or lands on a pin adds no entry to (I - P): the walk is killed.
     The slab factor's bytes are checked against COLUMN_BYTES_CAP before
     anything is allocated (ResourceError). The slab factor, the Green
-    diagonal entries and columns that are read, and the audit references
-    are built on first use and kept for the Region's life.
+    entries that are read, as floats, and the audit references are built on
+    first use and kept for the Region's life; no Green column is kept.
     """
 
     def __init__(self, kernel: StepKernel, lo, hi, pins=()):
@@ -100,8 +101,7 @@ class Region:
                                 for c, n in zip(s, shape))))
             for s, p in zip(kernel.steps, kernel.probs) if np.any(s)]
         self._slabs = None
-        self._diagonal_memo = {}  # site -> G0(site, site)
-        self._column_memo = {}  # site -> G0[:, site]
+        self._entry_memo = {}  # (i, j) -> G0(i, j)
         self._pinned_variances = {}  # (site, mask of A + {site}) -> value
 
     def site_index(self, x) -> int:
@@ -110,18 +110,12 @@ class Region:
             return -1
         return int(self.index[idx])
 
-    def green_diagonal(self, i) -> float:
-        """G0(i, i), beta = 1: entry i of one `columns([i])` call, solved
-        once per Region; only the value is kept."""
-        if i not in self._diagonal_memo:
-            self._diagonal_memo[i] = float(self.columns([i])[0][i, 0])
-        return self._diagonal_memo[i]
-
-    def green_column(self, j) -> np.ndarray:
-        """G0[:, j], beta = 1, solved once per Region."""
-        if j not in self._column_memo:
-            self._column_memo[j] = self.columns([j])[0][:, 0]
-        return self._column_memo[j]
+    def green_entry(self, i, j) -> float:
+        """G0(i, j), beta = 1: entry i of one `columns([j])` call, solved
+        once per (i, j) for the Region's life; only the value is kept."""
+        if (i, j) not in self._entry_memo:
+            self._entry_memo[i, j] = float(self.columns([j])[0][i, 0])
+        return self._entry_memo[i, j]
 
     def pinned_variance(self, pinned, i) -> float:
         """Variance at site i given zeros on the other sites of the bool mask
@@ -202,20 +196,21 @@ class Region:
                     * min(m, self._block))
 
     def columns(self, sites):
-        """G0[:, sites], beta = 1, for sorted site indices, and the largest
-        residual norm of a column, by block forward and back substitution
-        through the slab factor. Column j's forward pass starts at the slab
-        of its site, where its right-hand side e_j starts. Its bytes (the
-        columns, and the residual check of one block of them) are checked
-        against COLUMN_BYTES_CAP before they are allocated (ResourceError);
-        a residual norm above RESIDUAL_TARGET is a NumericalError."""
+        """G0[:, sites], beta = 1, for sorted site indices, and the residual
+        norm of each column, by block forward and back substitution through
+        the slab factor. Column j's forward pass starts at the slab of its
+        site, where its right-hand side e_j starts. Its bytes (the columns,
+        and the residual check of one block of them) are checked against
+        COLUMN_BYTES_CAP before they are allocated (ResourceError); unless
+        every residual norm is at most RESIDUAL_TARGET, a NaN included, it
+        is a NumericalError."""
         sites = np.asarray(sites, dtype=np.int64)
         check_bytes(self._columns_bytes(len(sites)),
                     f"{len(sites)} Green columns of {self.n_alive} sites")
         slabs = self._slab_factor()
         g = np.zeros((self.n_alive, len(sites)), order="F")
         if not len(sites):
-            return g, 0.0
+            return g, np.zeros(0)
         # forward: g_k <- S_k^{-1} (e_k - A_{k,k-1} g_{k-1}), over the
         # columns whose site lies in slab k or before it
         prev = None
@@ -236,14 +231,16 @@ class Region:
                 y[cols] += v * nxt[rows]
             g[a:b] -= inv @ y
         resid = self._residual(g, sites)
-        if resid > RESIDUAL_TARGET:
-            raise NumericalError(f"solve residual {resid:.3e} above target")
+        if not (resid <= RESIDUAL_TARGET).all():
+            raise NumericalError(
+                f"solve residual {resid.max():.3e} above target")
         return g, resid
 
-    def _residual(self, g, sites) -> float:
-        """max_j ||(I - P) g_j - e_{sites[j]}||, (I - P) applied one block
-        of columns at a time over shifted slices of a zero-bordered copy of
-        the grid: a step that leaves the alive set reads a zero."""
+    def _residual(self, g, sites) -> np.ndarray:
+        """||(I - P) g_j - e_{sites[j]}|| of each column j, (I - P) applied
+        one block of columns at a time over shifted slices of a
+        zero-bordered copy of the grid: a step that leaves the alive set
+        reads a zero."""
         w = self.kernel.max_step
         m, block = len(sites), self._block
         inner = (slice(None),) + (slice(w, -w),) * self.kernel.d
@@ -252,7 +249,7 @@ class Region:
         pad = np.zeros((min(m, block),) + self._grid.shape)
         out = np.empty((min(m, block),) + self.shape)
         tmp = np.empty_like(out)
-        worst = 0.0
+        norms = np.empty(m)
         for c0 in range(0, m, block):
             k = min(block, m - c0)
             box, r, t = pad[:k], out[:k], tmp[:k]
@@ -266,8 +263,8 @@ class Region:
                 r -= np.multiply(box[at], p, out=t)
             r = r.reshape(k, -1) if full else r[:, self.alive]
             r[np.arange(k), sites[c0:c0 + k]] -= 1.0
-            worst = max(worst, float(np.einsum("ij,ij->i", r, r).max()))
-        return math.sqrt(worst)
+            norms[c0:c0 + k] = np.einsum("ij,ij->i", r, r)
+        return np.sqrt(norms)
 
 
 def _times_upper(x, runs, width):
@@ -336,17 +333,15 @@ def box_region(kernel, radius, pins=()) -> Region:
     return Region(kernel, [-r] * kernel.d, [r] * kernel.d, pins=pins)
 
 
-@dataclass(frozen=True)
-class GreenProbe:
-    value: float
-    residual: float
-
-
-def green_killed(region: Region, x, y) -> GreenProbe:
-    """Field covariance G(x, y)/beta_eff for the walk killed on dead sites."""
-    ix, iy = region.site_index(x), region.site_index(y)
-    g, resid = region.columns([iy])
-    return GreenProbe(float(g[ix, 0]) / region.beta, resid)
+def green_killed(region: Region, pairs):
+    """Field covariances G(x, y)/beta_eff of the walk killed on dead sites,
+    one per pair (x, y) of `pairs`, and the residual norm of the column each
+    was read from: one `Region.columns` call over the distinct y sites."""
+    ix = [region.site_index(x) for x, _ in pairs]
+    iy = [region.site_index(y) for _, y in pairs]
+    sites, at = np.unique(np.asarray(iy, dtype=np.int64), return_inverse=True)
+    g, resid = region.columns(sites)
+    return g[ix, at] / region.beta, resid[at]
 
 
 def nstep_torus_radius(kernel: StepKernel, n: int) -> int:

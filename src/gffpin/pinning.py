@@ -67,8 +67,8 @@ class GibbsChain:
     site's column in the sweep's batch, solved with the region's shared
     slab factor; a pin copies that column, plus O(|A|^2). An unpin costs
     O(|A|^2) and frees its slot for the next pin (a free slot has zero rows
-    in K^{-1}). Scheduled audits take G0(i, i) from
-    `Region.green_diagonal` and compare the variance with
+    in K^{-1}). Scheduled audits and off-diagonal covariance reads take
+    G0(i, j) from `Region.green_entry`; an audit compares the variance with
     `Region.pinned_variance`, computed from fresh Green columns and a fresh
     Cholesky factor, sharing nothing with the chain's columns or K^{-1}.
     """
@@ -95,12 +95,12 @@ class GibbsChain:
     def raw_variance(self, i, g0=None) -> float:
         """Conditional variance at site i given the other pins, beta = 1.
         G0(i, i) of an unpinned site is g0[i] when its Green column g0 is
-        given, and `Region.green_diagonal(i)` otherwise."""
+        given, and `Region.green_entry(i, i)` otherwise."""
         p, k = self.slot[i], self.k
         if p >= 0:
             v = 1.0 / self.kinv[p, p]
         else:
-            gii = self.region.green_diagonal(i) if g0 is None else g0[i]
+            gii = self.region.green_entry(i, i) if g0 is None else g0[i]
             c = self.cols[i, :k]
             v = gii - c @ (self.kinv[:k, :k] @ c)
         if not v > 0:
@@ -112,11 +112,11 @@ class GibbsChain:
         s = self.raw_variance(i)
         fresh = self.region.pinned_variance(self.pinned, i)
         rel = abs(s - fresh) / fresh
-        self.audit_max_rel_err = max(self.audit_max_rel_err, rel)
-        if rel > AUDIT_TOL:
+        if not rel <= AUDIT_TOL:  # a NaN fails too
             raise NumericalError(
                 f"audit failed at site {i}: chain {s!r} vs fresh {fresh!r}"
             )
+        self.audit_max_rel_err = max(self.audit_max_rel_err, rel)
 
     # -- state changes ------------------------------------------------------
 
@@ -142,7 +142,7 @@ class GibbsChain:
         kinv = self.kinv[:k, :k]
         kb = kinv @ c  # K^{-1} G0[A, i], zero at the free slot p
         s = g0[i] - c @ kb  # G_A(i, i)
-        if s <= 0:
+        if not s > 0:
             raise NumericalError("lost positive definiteness; audit the chain")
         # bordered inverse of K with the new site in slot p
         kinv += np.outer(kb, kb) / s
@@ -155,7 +155,7 @@ class GibbsChain:
         p = int(self.slot[i])
         kinv = self.kinv[:self.k, :self.k]
         kp = kinv[:, p].copy()
-        if kp[p] <= 0:
+        if not kp[p] > 0:
             raise NumericalError("lost positive definiteness; audit the chain")
         kinv -= np.outer(kp, kp) / kp[p]  # Schur complement of slot p
         kinv[p] = kinv[:, p] = 0.0  # slot p is free
@@ -208,10 +208,10 @@ class GibbsChain:
             return 0.0
         if i == j:
             return self.raw_variance(i) / self.beta
-        g0 = self.region.green_column(j)
         k = self.k
         c = self.cols[:, :k]
-        return float(g0[i] - c[i] @ (self.kinv[:k, :k] @ c[j])) / self.beta
+        return float(self.region.green_entry(i, j)
+                     - c[i] @ (self.kinv[:k, :k] @ c[j])) / self.beta
 
 
 def recorded(chain, burnin, sweeps):
@@ -360,7 +360,7 @@ def domination_densities(region, eps, sites) -> tuple[float, float]:
     extremes bound the conditionals uniformly; the sandwich constants are
     fitted from the model rather than asserted.
     """
-    sigma_max = max(region.green_diagonal(region.site_index(s))
-                    for s in sites)
+    sigma_max = max(region.green_entry(i, i)
+                    for i in map(region.site_index, sites))
     return (_odds(eps, region.beta, sigma_max),
             _odds(eps, region.beta, 1.0 / (1.0 - region.kernel.p0)))

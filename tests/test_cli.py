@@ -1075,6 +1075,15 @@ def test_one_green_path():
     assert _call_sites(src, "_slab_factor") == ["green.Region.columns"]
 
 
+def test_one_green_read():
+    # a Green value is read from one batch of unit columns: a single entry
+    # through `Region.green_entry`, a probe set in one `green_killed` call
+    src = Path(gffpin.__file__).parent
+    assert _call_sites(src, "columns") == [
+        "green.Region.green_entry", "green.Region.pinned_variance",
+        "green.green_killed", "pinning.GibbsChain.sweep"]
+
+
 def test_one_byte_budget():
     # every byte count a config sizes meets the cap in `green.check_bytes`
     # alone, so one patch of `green.COLUMN_BYTES_CAP` reaches every check

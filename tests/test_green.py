@@ -25,6 +25,18 @@ from oracles import (
 KERNELS = ("srw1", "srw2", "srw2_lazy", "srw3", "knight")
 
 
+def _spy_columns(monkeypatch):
+    """The sites of each `Region.columns` call, in call order."""
+    calls, real = [], Region.columns
+
+    def spy(region, sites):
+        calls.append(list(sites))
+        return real(region, sites)
+
+    monkeypatch.setattr(Region, "columns", spy)
+    return calls
+
+
 def _slab_of_sites(region):
     """The slab of each alive site: the fewest whole layers of thickness
     max_step along axis 0 that hold SLAB_SITES cells of the box."""
@@ -34,32 +46,58 @@ def _slab_of_sites(region):
     return (region.sites[:, 0] - region.lo[0]) // thick
 
 
+def _scale(inv):
+    inv *= 1.01
+
+
+def _nan(inv):
+    # the back pass multiplies this entry by a non-zero coupling term
+    inv[0, -1] = np.nan
+
+
 class TestGreenKilled:
     def test_singleton_unit_value(self, srw2):
         region = Region(srw2, (0, 0), (0, 0))
-        probe = green_killed(region, (0, 0), (0, 0))
-        assert math.isclose(probe.value, 1.0, abs_tol=1e-12)
-        assert probe.residual <= 1e-10
+        values, resid = green_killed(region, [((0, 0), (0, 0))])
+        assert math.isclose(values[0], 1.0, abs_tol=1e-12)
+        assert resid[0] <= 1e-10
 
     def test_singleton_lazy_invariant(self, srw2_lazy):
         # holding time doubles, beta doubles: the covariance is unchanged
         region = Region(srw2_lazy, (0, 0), (0, 0))
-        assert math.isclose(green_killed(region, (0, 0), (0, 0)).value, 1.0,
-                            abs_tol=1e-12)
+        assert math.isclose(green_killed(region, [((0, 0), (0, 0))])[0][0],
+                            1.0, abs_tol=1e-12)
 
-    def test_green_diagonal_matches_dense_inverse(self, srw2_lazy):
+    def test_probes_solved_in_one_call(self, srw2_lazy, monkeypatch):
+        # k probes over fewer distinct y sites: one batch of unit columns,
+        # each probe with the residual of its own column
+        region = box_region(srw2_lazy, 4, pins=[(1, 1)])
+        inv = np.linalg.inv(dense_generator(region))
+        pairs = [((0, 0), (2, -3)), ((-4, 4), (0, 0)), ((2, -3), (0, 0)),
+                 ((3, 3), (-4, 4)), ((0, 0), (0, 0)), ((1, 0), (2, -3))]
+        calls = _spy_columns(monkeypatch)
+        values, resid = green_killed(region, pairs)
+        ys = sorted({region.site_index(y) for _, y in pairs})
+        assert calls == [ys]
+        assert values.shape == resid.shape == (len(pairs),)
+        for (x, y), value, r in zip(pairs, values, resid):
+            ref = inv[region.site_index(x), region.site_index(y)] / region.beta
+            assert abs(value - ref) <= 1e-12 * ref
+            assert 0.0 < r <= green.RESIDUAL_TARGET
+
+    def test_green_entry_matches_dense_inverse(self, srw2_lazy):
         # 120 sites, one of the 4 slabs of three rows holding a pin
         region = box_region(srw2_lazy, 5, pins=[(1, 1)])
         inv = np.linalg.inv(dense_generator(region))
-        diag = [region.green_diagonal(i) for i in range(region.n_alive)]
+        diag = [region.green_entry(i, i) for i in range(region.n_alive)]
         assert np.abs(diag - np.diag(inv)).max() <= 1e-12
         # each entry is kept as a float, not as its column
-        assert all(type(region._diagonal_memo[i]) is float
-                   for i in range(region.n_alive))
-        assert not region._column_memo
+        assert sorted(region._entry_memo) == [
+            (i, i) for i in range(region.n_alive)]
+        assert all(type(v) is float for v in region._entry_memo.values())
         # the slab factor is built once and kept: solves reuse it
         slabs = region._slabs
-        green_killed(region, (0, 0), (2, -3))
+        green_killed(region, [((0, 0), (2, -3))])
         assert region._slab_factor() is slabs
 
     @pytest.mark.parametrize("name, radius, pins, empty", [
@@ -77,9 +115,9 @@ class TestGreenKilled:
         ("srw1", 50, [(7,)], []),
     ], ids=["srw2-lazy-R21", "max-step-2", "d3", "empty-slabs",
             "empty-slab-max-step-2", "aniso", "d1"])
-    def test_green_diagonal_matches_oracles(self, request, name, radius,
-                                            pins, empty):
-        # the diagonal of every unit column, and `green_diagonal` at some
+    def test_green_entry_matches_oracles(self, request, name, radius,
+                                         pins, empty):
+        # the diagonal of every unit column, and `green_entry` at some
         # sites, against SuperLU unit-column solves and the dense inverse,
         # and unit columns, one and several, against the dense inverse
         region = box_region(request.getfixturevalue(name), radius, pins=pins)
@@ -93,14 +131,15 @@ class TestGreenKilled:
         assert np.abs(diag - np.diag(inv)).max() <= 1e-12 * diag.max()
         picks = np.random.default_rng(4).choice(n, 5, replace=False)
         for i in (0, n - 1, int(np.argmax(ref)), *picks.tolist()):
-            assert abs(region.green_diagonal(i) - ref[i]) <= 1e-12 * ref[i]
-            assert abs(region.green_diagonal(i) - inv[i, i]) \
+            assert abs(region.green_entry(i, i) - ref[i]) <= 1e-12 * ref[i]
+            assert abs(region.green_entry(i, i) - inv[i, i]) \
                 <= 1e-12 * inv[i, i]
         for sites in ([n // 2], [0, n - 1], sorted(picks)):
             g, resid = region.columns(sites)
             ref = inv[:, sites]
             assert g.shape == (n, len(sites))
-            assert resid <= green.RESIDUAL_TARGET
+            assert resid.shape == (len(sites),)
+            assert np.all(resid <= green.RESIDUAL_TARGET)
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("name, lo, hi, count", [
@@ -118,11 +157,13 @@ class TestGreenKilled:
         assert len(sizes) == count
         assert sizes[:-1].min() >= green.SLAB_SITES
 
-    def test_scaled_slab_inverse_fails_the_residual(self, srw2_lazy):
-        # the residual of every column certifies the slab factor
+    @pytest.mark.parametrize("spoil", [_scale, _nan], ids=["scaled", "nan"])
+    def test_scaled_slab_inverse_fails_the_residual(self, srw2_lazy, spoil):
+        # the residual of every column certifies the slab factor, and a NaN
+        # residual is no pass
         region = box_region(srw2_lazy, 5)
         region.columns([3, 60])
-        region._slab_factor()[2][2][...] *= 1.01
+        spoil(region._slab_factor()[2][2])
         with pytest.raises(NumericalError, match="residual"):
             region.columns([100])
 
@@ -155,17 +196,17 @@ class TestGreenKilled:
     def test_symmetry(self, srw2):
         region = box_region(srw2, 3, pins=[(2, 2)])
         pairs = [((0, 0), (1, -1)), ((-2, 1), (3, 0)), ((1, 1), (-1, -2))]
-        for x, y in pairs:
-            a = green_killed(region, x, y).value
-            b = green_killed(region, y, x).value
+        forth, _ = green_killed(region, pairs)
+        back, _ = green_killed(region, [(y, x) for x, y in pairs])
+        for a, b in zip(forth, back):
             assert abs(a - b) <= 1e-10
 
     def test_agrees_with_dense_inverse(self, srw2_lazy):
         region = box_region(srw2_lazy, 3)  # 7x7
         inv = np.linalg.inv(dense_generator(region))
-        for x, y in [((0, 0), (0, 0)), ((1, 2), (-1, 0)), ((3, 3), (3, 3))]:
+        pairs = [((0, 0), (0, 0)), ((1, 2), (-1, 0)), ((3, 3), (3, 3))]
+        for (x, y), val in zip(pairs, green_killed(region, pairs)[0]):
             ix, iy = region.site_index(x), region.site_index(y)
-            val = green_killed(region, x, y).value
             assert abs(val - inv[ix, iy] / region.beta) <= 1e-10
 
     def test_domain_monotonicity(self, srw2):
@@ -176,14 +217,14 @@ class TestGreenKilled:
         values = []
         for k in range(len(picks) + 1):
             region = box_region(srw2, 3, pins=picks[:k])
-            values.append(green_killed(region, (0, 0), (0, 0)).value)
+            values.append(green_killed(region, [((0, 0), (0, 0))])[0][0])
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_lazification_invariance_on_probes(self, srw2, srw2_lazy):
         ra, rb = box_region(srw2, 2), box_region(srw2_lazy, 2)
-        for x, y in [((0, 0), (0, 0)), ((0, 0), (1, 1)), ((-2, 0), (2, 0))]:
-            assert abs(green_killed(ra, x, y).value
-                       - green_killed(rb, x, y).value) <= 1e-10
+        pairs = [((0, 0), (0, 0)), ((0, 0), (1, 1)), ((-2, 0), (2, 0))]
+        for a, b in zip(green_killed(ra, pairs)[0], green_killed(rb, pairs)[0]):
+            assert abs(a - b) <= 1e-10
 
 
 class TestRegionMatrix:
@@ -219,17 +260,6 @@ class TestPinnedVariance:
     and a fresh Cholesky factor, against the dense inverse of the pinned
     system."""
 
-    @staticmethod
-    def _spy(monkeypatch):
-        calls, real = [], Region.columns
-
-        def spy(region, sites):
-            calls.append(list(sites))
-            return real(region, sites)
-
-        monkeypatch.setattr(Region, "columns", spy)
-        return calls
-
     @pytest.mark.parametrize("name, radius", [
         ("srw2_lazy", 4), ("aniso", 4), ("knight", 4), ("srw3", 2)])
     def test_matches_dense_inverse(self, request, monkeypatch, name, radius):
@@ -237,12 +267,12 @@ class TestPinnedVariance:
         region = box_region(kernel, radius)
         n = region.n_alive
         mat = dense_generator(region)
-        calls = self._spy(monkeypatch)
+        calls = _spy_columns(monkeypatch)
         # no pins: one column, of the audited site, and no memoized Green
         # value
         region.pinned_variance(np.zeros(n, dtype=bool), 0)
         assert calls == [[0]]
-        assert not region._diagonal_memo and not region._column_memo
+        assert not region._entry_memo
         rng = np.random.default_rng(7)
         for density in (0.1, 0.3, 0.6):
             pinned = rng.random(n) < density
@@ -268,7 +298,7 @@ class TestPinnedVariance:
         region = box_region(srw2_lazy, 3)
         region._slab_factor()  # slabs of 35 and 14 sites: 11,368 bytes
         pinned = np.zeros(region.n_alive, dtype=bool)
-        calls = self._spy(monkeypatch)
+        calls = _spy_columns(monkeypatch)
         need = 8 * (49 + 3 * 81 + 1)
         monkeypatch.setattr(green, "COLUMN_BYTES_CAP", need)
         region.pinned_variance(pinned, 0)
@@ -293,7 +323,7 @@ class TestPinnedVariance:
 def _green_box_origin(kernel, radius):
     """G_B(0, 0) on the centered box of the given radius."""
     origin = (0,) * kernel.d
-    return green_killed(box_region(kernel, radius), origin, origin).value
+    return green_killed(box_region(kernel, radius), [(origin, origin)])[0][0]
 
 
 class TestGreenBoxOrigin:
@@ -316,10 +346,9 @@ class TestGreenOneObstacle:
         x, radius = (4, 0), 16
         free = box_region(srw2, radius)
         pinned = box_region(srw2, radius, pins=[x])
-        lhs = green_killed(pinned, (0, 0), (0, 0)).value
-        g00 = green_killed(free, (0, 0), (0, 0)).value
-        g0x = green_killed(free, (0, 0), x).value
-        gxx = green_killed(free, x, x).value
+        lhs = green_killed(pinned, [((0, 0), (0, 0))])[0][0]
+        g00, g0x, gxx = green_killed(
+            free, [((0, 0), (0, 0)), ((0, 0), x), (x, x)])[0]
         assert abs(lhs - (g00 - g0x**2 / gxx)) <= 1e-10
 
 
@@ -426,6 +455,6 @@ class TestHittingProb:
         # G(x, t) = P_x(T_t < inf) G(t, t): strong Markov property at T_t
         region = box_region(srw2, radius, pins=pins)
         h = hitting_prob(region, [target], x)
-        ratio = (green_killed(region, x, target).value
-                 / green_killed(region, target, target).value)
+        g, _ = green_killed(region, [(x, target), (target, target)])
+        ratio = g[0] / g[1]
         assert math.isclose(h, ratio, rel_tol=1e-12)

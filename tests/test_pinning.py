@@ -316,17 +316,39 @@ class TestLowRankChain:
 
     def test_drift_fails_the_audit(self, srw2_lazy, monkeypatch):
         region = box_region(srw2_lazy, 3)
-        diagonal = region.green_diagonal
-        monkeypatch.setattr(region, "green_diagonal",
-                            lambda i: diagonal(i) * 1.05)
+        entry = region.green_entry
+        monkeypatch.setattr(region, "green_entry",
+                            lambda i, j: entry(i, j) * 1.05)
         chain = GibbsChain(region, 0.3, seed=5)
         with pytest.raises(NumericalError, match="audit failed"):
             chain.sweep()
 
+    def test_nan_reference_fails_the_audit(self, srw2_lazy, monkeypatch):
+        # a NaN relative error is no pass, and is not kept as the maximum
+        region = box_region(srw2_lazy, 3)
+        monkeypatch.setattr(region, "pinned_variance",
+                            lambda pinned, i: math.nan)
+        chain = GibbsChain(region, 0.3, seed=5)
+        with pytest.raises(NumericalError, match="audit failed"):
+            for _ in range(3):
+                chain.sweep()
+        assert chain.audit_max_rel_err == 0.0
+
+    def test_nan_flip_is_numerical_error(self, srw2_lazy):
+        region = box_region(srw2_lazy, 3)
+        with pytest.raises(NumericalError, match="positive definiteness"):
+            GibbsChain(region, 0.3, seed=5)._pin(
+                0, np.full(region.n_alive, math.nan))
+        chain = GibbsChain(region, 0.3, seed=5)
+        _pin(chain, 1)
+        chain.kinv[chain.slot[1], chain.slot[1]] = math.nan
+        with pytest.raises(NumericalError, match="positive definiteness"):
+            chain._unpin(1)
+
     def test_non_positive_variance_is_numerical_error(self, srw2_lazy,
                                                       monkeypatch):
         region = box_region(srw2_lazy, 3)
-        monkeypatch.setattr(region, "green_diagonal", lambda i: 0.0)
+        monkeypatch.setattr(region, "green_entry", lambda i, j: 0.0)
         chain = GibbsChain(region, 0.3, seed=5)
         _pin(chain, 10)
         for i in (0, 24):
@@ -402,8 +424,8 @@ class TestLowRankChain:
         assert chain.pinned.any() and shapes
 
     def test_covariance_column_solved_once(self, srw2_lazy, monkeypatch):
-        # off-diagonal reads take G0[:, j] from the Region's memo, shared by
-        # its chains
+        # off-diagonal reads take G0(i, j) from the Region's entry memo,
+        # shared by its chains
         region = box_region(srw2_lazy, 3)
         inv = np.linalg.inv(dense_generator(region))
         i, j = region.site_index((0, 0)), region.site_index((1, 2))
@@ -414,6 +436,32 @@ class TestLowRankChain:
                 got = chain.covariance(i, j) * region.beta
                 assert abs(got - inv[i, j]) <= 1e-12 * inv[i, j]
         assert shapes == [(region.n_alive, 1)]
+
+    def test_region_keeps_entries_not_columns(self, srw2_lazy):
+        # a chain's reads leave floats on its Region, and no Green column
+        region = box_region(srw2_lazy, 3)
+        n = region.n_alive
+        chain = GibbsChain(region, 0.3, seed=5)
+        _pin(chain, 10)
+        i, j = region.site_index((0, 0)), region.site_index((1, 2))
+        chain.covariance(i, j)
+        chain.covariance(j, j)
+        chain.raw_variance(3)
+        assert set(region._entry_memo) == {(3, 3), (i, j), (j, j)}
+        assert all(type(v) is float for v in region._entry_memo.values())
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, dict):
+                for v in value.values():
+                    yield from arrays(v)
+            elif isinstance(value, (list, tuple)):
+                for v in value:
+                    yield from arrays(v)
+
+        held = [a.shape for a in arrays(vars(region))]
+        assert held and not {(n,), (n, 1)} & set(held)
 
 
 class TestFieldSampling:
@@ -440,7 +488,7 @@ class TestFieldSampling:
             va[i] = f[tuple(np.array(a) - region.lo)]
             vb[i] = f[tuple(np.array(b) - region.lo)]
         pinned = box_region(srw2_lazy, 2, pins=pins)
-        target = green_killed(pinned, a, b).value
+        target = green_killed(pinned, [(a, b)])[0][0]
         cov = np.cov(va, vb)[0, 1]
         se = math.sqrt((np.var(va) * np.var(vb) + cov**2) / n)
         assert abs(cov - target) <= 3.0 * se
