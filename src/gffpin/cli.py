@@ -413,7 +413,7 @@ def _cmd_pins_sample(cfg, manifest):
     header = ("sweep",) + tuple(
         "s_" + "_".join(str(c) for c in site) for site in region.sites)
     manifest.write_csv("pin_samples.csv", header,
-                       [(burnin + 1 + i, *row) for i, row in enumerate(samples)])
+                       ((burnin + 1 + i, *row) for i, row in enumerate(samples)))
     manifest.record("audit_max_rel_err", audit)
 
 
@@ -511,18 +511,17 @@ def _cmd_box_stability(cfg, manifest):
     from . import pinning
     from .green import box_region
 
-    k, probe = cfg["kernel"], cfg["probe"]
+    k, probe, eps = cfg["kernel"], cfg["probe"], cfg["epsilon"]
+    origin, run = (0,) * k.d, (cfg["samples"], cfg["seed"], cfg["replicas"])
     rows, audits = [], []
     for radius in cfg["radii"]:
         region = box_region(k, radius)
-        origin = region.site_index((0,) * k.d)
         if probe == "unpinned-marginal":
-            observable = lambda ch: float(not ch.pinned[origin])  # noqa: E731
+            o = region.site_index(origin)
+            est, audit = pinning.chain_mean(
+                region, eps, lambda ch: float(not ch.pinned[o]), *run)
         else:
-            observable = lambda ch: ch.covariance(origin, origin)  # noqa: E731
-        est, audit = pinning.chain_mean(region, cfg["epsilon"], observable,
-                                        cfg["samples"], cfg["seed"],
-                                        replicas=cfg["replicas"])
+            est, audit = pinning.covariance(region, eps, origin, origin, *run)
         rows.append((radius, probe, est.mean, est.stderr, est.n))
         audits.append(audit)
     manifest.write_csv("box_stability.csv",

@@ -12,10 +12,10 @@ and kept: the unit columns G0[:, sites] of `Region.columns`, by block
 forward and back substitution, each checked by its own residual norm
 against (I - P) applied over shifted slices of a zero-bordered grid. A
 Region is immutable, so every chain and every probe on one Region shares
-that factor; the single Green entries that chains read (`green_entry`) and
-the audit references are kept on it as floats, and no column outlives the
-call that solved it. `green_killed` answers a whole set of probes with one
-`columns` call.
+that factor; the audit references are kept on it as floats, and no Green
+column: a column lives with the caller that asked for it, a chain's sweep
+batch or an observable's columns. `green_killed` answers a whole set of
+probes with one `columns` call.
 The n-step Green function at the origin is a Fourier sum on a torus,
 audited against the exact DP pmf of `walk`.
 
@@ -59,9 +59,9 @@ class Region:
     coordinates. Dead sites read -1, so a step that leaves the box, however
     long, or lands on a pin adds no entry to (I - P): the walk is killed.
     The slab factor's bytes are checked against COLUMN_BYTES_CAP before
-    anything is allocated (ResourceError). The slab factor, the Green
-    entries that are read, as floats, and the audit references are built on
-    first use and kept for the Region's life; no Green column is kept.
+    anything is allocated (ResourceError). The slab factor and the audit
+    references, as floats, are built on first use and kept for the
+    Region's life; no Green column is kept.
     """
 
     def __init__(self, kernel: StepKernel, lo, hi, pins=()):
@@ -101,7 +101,6 @@ class Region:
                                 for c, n in zip(s, shape))))
             for s, p in zip(kernel.steps, kernel.probs) if np.any(s)]
         self._slabs = None
-        self._entry_memo = {}  # (i, j) -> G0(i, j)
         self._pinned_variances = {}  # (site, mask of A + {site}) -> value
 
     def site_index(self, x) -> int:
@@ -110,13 +109,6 @@ class Region:
             return -1
         return int(self.index[idx])
 
-    def green_entry(self, i, j) -> float:
-        """G0(i, j), beta = 1: entry i of one `columns([j])` call, solved
-        once per (i, j) for the Region's life; only the value is kept."""
-        if (i, j) not in self._entry_memo:
-            self._entry_memo[i, j] = float(self.columns([j])[0][i, 0])
-        return self._entry_memo[i, j]
-
     def pinned_variance(self, pinned, i) -> float:
         """Variance at site i given zeros on the other sites of the bool mask
         `pinned`, beta = 1: the reference a chain audit checks against.
@@ -124,11 +116,11 @@ class Region:
         With A the other pins, it is G0(i, i) - c^T K^{-1} c with
         K = G0[A, A] and c = G0[A, i], from one fresh `columns(A + {i})`
         call, whose residuals certify the slab factor, and a fresh Cholesky
-        factor of K; it reads none of a chain's state and no memoized Green
-        value. Its bytes are checked against COLUMN_BYTES_CAP before they
-        are allocated (ResourceError), and a failed factor is a
-        NumericalError. Memoized per (i, pin set), since the chains on one
-        Region audit at the same visits and often see the same state."""
+        factor of K; it reads none of a chain's state. Its bytes are checked
+        against COLUMN_BYTES_CAP before they are allocated (ResourceError),
+        and a failed factor is a NumericalError. Memoized per (i, pin set),
+        since the chains on one Region audit at the same visits and often
+        see the same state."""
         both = pinned.copy()
         both[i] = True
         key = (i, both.tobytes())

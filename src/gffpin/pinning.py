@@ -9,15 +9,16 @@ single-flip ratio of nu, so detailed balance holds by construction.
 
 The chain holds the covariance given A in low-rank form,
 G_A = G0 - G0[:, A] K^{-1} G0[A, :] with K = G0[A, A] and G0 the Green
-matrix of the box, so its memory is O(n |A|); a sweep solves the columns
-it may pin in one batch, which gives both the G0(i, i) of their odds and
-a new pin's column, and a flip costs O(|A|^2). It keeps no diag(G_A)
-vector: a variance is computed where it is needed, in O(|A|^2). No odds
-exceed p_hi, the odds with all other sites pinned, so a sweep computes the
-odds only at the sites whose uniform is below p_hi, about p_hi * n of
-them. The pinned set is sparse at small eps, which is what makes large
-boxes reachable. Exact enumeration stays dense: it serves the FKG check
-and is the small-box oracle of the sampler.
+matrix of the box. It keeps K^{-1} and the site of each slot, so its memory
+is O(|A|^2) beyond the n-length `pinned` and `slot`, and no Green column:
+G0 is symmetric, so G0[A, i] is rows A of G0[:, i], a column of the batch
+that a sweep solves over the sites it may pin or audit. A flip costs
+O(|A|^2); there is no diag(G_A) vector, and a variance is computed where it
+is needed, in O(|A|^2). No odds exceed p_hi, the odds with all other sites
+pinned, so a sweep computes the odds only at the sites whose uniform is
+below p_hi, about p_hi * n of them. The pinned set is sparse at small eps,
+which is what makes large boxes reachable. Exact enumeration stays dense:
+it serves the FKG check and is the small-box oracle of the sampler.
 
 Every heat-bath run goes through one driver, `recorded`: it runs a chain's
 burn-in sweeps, then yields the chain after each recorded sweep, and no other
@@ -58,19 +59,16 @@ def _odds(eps, beta, var) -> float:
 class GibbsChain:
     """Exact systematic-scan heat bath for the pinned-site law on a region.
 
-    State, all at beta = 1: the columns G0[:, A] of the region's Green matrix
-    for the current pin set A, one slot each, and K^{-1} = G0[A, A]^{-1} over
-    the same slots. There is no diag(G_A) vector: the conditional variance
-    of an unpinned site i is G0(i, i) - c_i^T K^{-1} c_i with c_i = G0[i, A],
-    computed on demand in O(|A|^2), and the add-back variance of a pinned
-    site a is 1 / K^{-1}[a, a]. In a sweep, G0(i, i) is entry i of the
-    site's column in the sweep's batch, solved with the region's shared
-    slab factor; a pin copies that column, plus O(|A|^2). An unpin costs
-    O(|A|^2) and frees its slot for the next pin (a free slot has zero rows
-    in K^{-1}). Scheduled audits and off-diagonal covariance reads take
-    G0(i, j) from `Region.green_entry`; an audit compares the variance with
-    `Region.pinned_variance`, computed from fresh Green columns and a fresh
-    Cholesky factor, sharing nothing with the chain's columns or K^{-1}.
+    State, all at beta = 1: the pin set A, one slot per pin, the site `at`
+    of each slot and K^{-1} = G0[A, A]^{-1} over the slots; no Green column.
+    An unpinned site i, handed its column g0 = G0[:, i], has the conditional
+    variance G0(i, i) - c^T K^{-1} c with c = g0[at] = G0[A, i], as G0 is
+    symmetric; a pinned site a has 1 / K^{-1}[a, a]. A pin and an unpin cost
+    O(|A|^2), and an unpin frees its slot for the next pin (a free slot has
+    zero rows in K^{-1}). A scheduled audit reads its site's column from the
+    sweep's batch and compares the variance with `Region.pinned_variance`,
+    computed from its own fresh Green columns and a fresh Cholesky factor,
+    sharing nothing with the chain's K^{-1}.
     """
 
     def __init__(self, region: Region, eps: float, seed: int, replica: int = 0):
@@ -82,8 +80,8 @@ class GibbsChain:
         self.p_hi = _odds(self.eps, self.beta, 1.0 / (1.0 - region.kernel.p0))
         n = region.n_alive
         self.pinned = np.zeros(n, dtype=bool)
-        self.slot = np.full(n, -1, dtype=np.int64)  # column slot of each pin
-        self.cols = np.empty((n, 0), order="F")  # G0[:, A] in the first k slots
+        self.slot = np.full(n, -1, dtype=np.int64)  # slot of each pin
+        self.at = np.empty(0, dtype=np.int64)  # site of each of the k slots
         self.kinv = np.empty((0, 0))  # K^{-1}, zero past the first k slots
         self.k = 0  # slots ever used
         self.free = []  # slots below k that no pin holds
@@ -92,24 +90,23 @@ class GibbsChain:
 
     # -- conditional variance -----------------------------------------------
 
-    def raw_variance(self, i, g0=None) -> float:
-        """Conditional variance at site i given the other pins, beta = 1.
-        G0(i, i) of an unpinned site is g0[i] when its Green column g0 is
-        given, and `Region.green_entry(i, i)` otherwise."""
+    def raw_variance(self, i, g0) -> float:
+        """Conditional variance at site i given the other pins, beta = 1,
+        with g0 = G0[:, i] the Green column of an unpinned site i (unread
+        at a pinned one)."""
         p, k = self.slot[i], self.k
         if p >= 0:
             v = 1.0 / self.kinv[p, p]
         else:
-            gii = self.region.green_entry(i, i) if g0 is None else g0[i]
-            c = self.cols[i, :k]
-            v = gii - c @ (self.kinv[:k, :k] @ c)
+            c = g0[self.at[:k]]
+            v = g0[i] - c @ (self.kinv[:k, :k] @ c)
         if not v > 0:
             raise NumericalError(
                 f"variance {v!r} at site {i} is not positive; audit the chain")
         return float(v)
 
-    def _audit(self, i):
-        s = self.raw_variance(i)
+    def _audit(self, i, g0):
+        s = self.raw_variance(i, g0)
         fresh = self.region.pinned_variance(self.pinned, i)
         rel = abs(s - fresh) / fresh
         if not rel <= AUDIT_TOL:  # a NaN fails too
@@ -121,33 +118,30 @@ class GibbsChain:
     # -- state changes ------------------------------------------------------
 
     def _grow(self):
-        n = len(self.pinned)
-        cap = min(n, max(8, 2 * self.cols.shape[1]))
-        check_bytes(8 * cap * (n + cap),
-                    f"Green columns of {self.k + 1} pins on {n} sites")
-        cols = np.empty((n, cap), order="F")
-        cols[:, :self.k] = self.cols[:, :self.k]
-        kinv = np.zeros((cap, cap))
-        kinv[:self.k, :self.k] = self.kinv[:self.k, :self.k]
-        self.cols, self.kinv = cols, kinv
+        cap = min(len(self.pinned), max(8, 2 * len(self.at)))
+        check_bytes(8 * cap * (cap + 1), f"K^-1 of {self.k + 1} pins")
+        pad = (0, cap - len(self.at))  # zeros: new slots hold no pin
+        self.at, self.kinv = np.pad(self.at, pad), np.pad(self.kinv, pad)
 
     def _pin(self, i, g0):
-        """Pin site i, given its Green column g0 = G0[:, i]."""
-        p = self.free.pop() if self.free else self.k
-        if p == self.cols.shape[1]:
-            self._grow()
-        self.cols[:, p] = g0
-        self.k = k = max(self.k, p + 1)
-        c = self.cols[i, :k]
-        kinv = self.kinv[:k, :k]
-        kb = kinv @ c  # K^{-1} G0[A, i], zero at the free slot p
+        """Pin site i, given its Green column g0 = G0[:, i]; a refused pin
+        changes nothing."""
+        k = self.k
+        c = g0[self.at[:k]]  # G0[A, i]
+        kb = self.kinv[:k, :k] @ c  # K^{-1} G0[A, i], zero at free slots
         s = g0[i] - c @ kb  # G_A(i, i)
         if not s > 0:
             raise NumericalError("lost positive definiteness; audit the chain")
+        p = self.free.pop() if self.free else k
+        if p == len(self.at):
+            self._grow()
+        self.k = max(k, p + 1)
         # bordered inverse of K with the new site in slot p
-        kinv += np.outer(kb, kb) / s
-        kinv[p] = kinv[:, p] = -kb / s
+        kinv = self.kinv
+        kinv[:k, :k] += np.outer(kb, kb) / s
+        kinv[p, :k] = kinv[:k, p] = -kb / s
         kinv[p, p] = 1.0 / s
+        self.at[p] = i
         self.slot[i] = p
         self.pinned[i] = True
 
@@ -174,44 +168,47 @@ class GibbsChain:
         (Lewis and Shedler 1979). It computes the odds only at the sites
         whose uniform is below p_hi, about p_hi * n of them, and unpins
         the remaining pins without their odds. A pin can land only there, so
-        the sweep first solves their Green columns G0[:, D - A] in one
-        `Region.columns` call, which gives G0(i, i) for the odds at those
-        sites and the column of each new pin, and which refuses a batch
+        the sweep first solves the Green columns of D - A and of the sites
+        it audits in one `Region.columns` call, which gives the odds and
+        each new pin their G0(i, i) and G0[A, i], and which refuses a batch
         over COLUMN_BYTES_CAP before it allocates it (ResourceError).
         """
         n = len(self.pinned)
         u = self.rng.random(n)
         # with every neighbour pinned the odds meet p_hi to within rounding
         low = u < self.p_hi * (1.0 + 1e-9)
-        fresh = np.flatnonzero(low & ~self.pinned)
-        g0, _ = self.region.columns(fresh)
         first = self._visits
         self._visits += n
         audits = [t - first - 1 for t in _AUDIT_VISITS
                   if first < t <= first + n]
+        want = low & ~self.pinned
+        want[audits] = True
+        batch = np.flatnonzero(want)
+        g0, _ = self.region.columns(batch)
         for i in np.flatnonzero(low | self.pinned):
             while audits and audits[0] <= i:
-                self._audit(audits.pop(0))
-            col = None if self.pinned[i] else g0[:, np.searchsorted(fresh, i)]
+                a = audits.pop(0)
+                self._audit(a, g0[:, np.searchsorted(batch, a)])
+            col = None if self.pinned[i] else g0[:, np.searchsorted(batch, i)]
             pin = bool(low[i]) and u[i] < _odds(self.eps, self.beta,
                                                 self.raw_variance(i, col))
             if pin and not self.pinned[i]:
                 self._pin(i, col)
             elif self.pinned[i] and not pin:
                 self._unpin(i)
-        for i in audits:
-            self._audit(i)
+        for a in audits:
+            self._audit(a, g0[:, np.searchsorted(batch, a)])
 
-    def covariance(self, i, j) -> float:
-        """G_{A^c}(i, j)/beta for the current pin set; zero if either pinned."""
+    def covariance(self, i, j, gi, gj) -> float:
+        """G_{A^c}(i, j)/beta for the current pin set, given the Green
+        columns gi = G0[:, i] and gj = G0[:, j]; zero if either is pinned."""
         if self.pinned[i] or self.pinned[j]:
             return 0.0
         if i == j:
-            return self.raw_variance(i) / self.beta
+            return self.raw_variance(i, gi) / self.beta
         k = self.k
-        c = self.cols[:, :k]
-        return float(self.region.green_entry(i, j)
-                     - c[i] @ (self.kinv[:k, :k] @ c[j])) / self.beta
+        ci, cj = gi[self.at[:k]], gj[self.at[:k]]
+        return float(gj[i] - ci @ (self.kinv[:k, :k] @ cj)) / self.beta
 
 
 def recorded(chain, burnin, sweeps):
@@ -345,9 +342,13 @@ def chain_mean(region, eps, observable, samples, seed,
 def covariance(region, eps, x, y, samples, seed,
                replicas) -> tuple[Estimate, float]:
     """mu(phi_x phi_y) as the chain average of G_{A^c}(x,y)/beta, as an
-    Estimate with the largest audit error of its chains."""
+    Estimate with the largest audit error of its chains; the columns of x
+    and y are solved in one batch, and every replica reads them."""
     ix, iy = region.site_index(x), region.site_index(y)
-    return chain_mean(region, eps, lambda ch: ch.covariance(ix, iy),
+    sites = sorted({ix, iy})
+    g, _ = region.columns(sites)
+    gx, gy = (g[:, sites.index(i)] for i in (ix, iy))
+    return chain_mean(region, eps, lambda ch: ch.covariance(ix, iy, gx, gy),
                       samples, seed, replicas=replicas)
 
 
@@ -360,7 +361,8 @@ def domination_densities(region, eps, sites) -> tuple[float, float]:
     extremes bound the conditionals uniformly; the sandwich constants are
     fitted from the model rather than asserted.
     """
-    sigma_max = max(region.green_entry(i, i)
-                    for i in map(region.site_index, sites))
+    idx = sorted({region.site_index(s) for s in sites})
+    g, _ = region.columns(idx)  # one batch; G0(j, j) is its diagonal
+    sigma_max = g[idx, np.arange(len(idx))].max()
     return (_odds(eps, region.beta, sigma_max),
             _odds(eps, region.beta, 1.0 / (1.0 - region.kernel.p0)))

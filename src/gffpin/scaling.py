@@ -398,9 +398,15 @@ def mass_scan(kernel, eps_grid, mode, budget, seed, mapping, region_radius,
     two-point function on a box. A point whose fit fails is reported with
     its reason and left out of the exponent fit.
     """
+    # every box is built before the first chain, so that one over the cap
+    # fails first; each, with its slab factor, is released after its point
+    regions = [box_region(kernel, max(10, math.ceil(4 / math.sqrt(e)))
+                          if region_radius is None else region_radius)
+               if mode == "pinning-exact" else None for e in eps_grid]
     points, fits, audits, seconds = [], [], [], []
     for i, e in enumerate(eps_grid):
         t0 = time.perf_counter()
+        region, regions[i] = regions[i], None
         point = {"epsilon": e, "value": math.nan, "stderr": math.inf,
                  "n_used": 0, "flags": "", "density": None, "n_max": None}
         try:
@@ -410,7 +416,7 @@ def mass_scan(kernel, eps_grid, mode, budget, seed, mapping, region_radius,
                 point.update(n_used=budget, density=p, n_max=n_max)
             else:
                 fit, point["n_used"] = _pinned_mass_point(
-                    kernel, e, seed, i, region_radius, samples, audits)
+                    region, e, seed, i, samples, audits)
             point.update(value=fit.mass, stderr=fit.stderr)
         except (ValidationError, NumericalError) as exc:
             fit, point["flags"] = None, f"fit-failed: {exc}"
@@ -442,14 +448,11 @@ def mass_scan(kernel, eps_grid, mode, budget, seed, mapping, region_radius,
     return ScanResult(points, fit_rows, notes)
 
 
-def _pinned_mass_point(kernel, eps, seed, point_index, region_radius, samples,
-                       audits):
-    """Mass fit of the pinned two-point function along the first axis, and
-    the sweeps recorded per distance; appends each distance's largest chain
-    audit error to `audits` as it goes, so a failed fit keeps them."""
-    radius = (max(10, math.ceil(4 / math.sqrt(eps))) if region_radius is None
-              else region_radius)
-    region = box_region(kernel, radius)
+def _pinned_mass_point(region, eps, seed, point_index, samples, audits):
+    """Mass fit of the pinned two-point function along the first axis of a
+    centred box, and the sweeps per distance; each distance's largest audit
+    error goes to `audits` at once, so that a failed fit keeps them."""
+    kernel, radius = region.kernel, int(region.hi[0])
     rs = np.unique(np.round(np.linspace(2, max(6, radius - 2), 5)).astype(int))
     vals, errs = [], []
     for r in rs:
@@ -498,12 +501,13 @@ def variance_scan(kernel, eps_grid, budget, seed, replicas,
     radii = [variance_box_policy(e) if box_radius is None else box_radius
              for e in eps_grid]
     n0 = [_green_steps(kernel, e) for e in eps_grid]  # fail before any chain
+    regions = [box_region(kernel, r) for r in radii]  # and every box
 
     origin = (0,) * kernel.d
     values, gn0, audits, chain_audits, seconds = [], [], [], [], []
     for i, e in enumerate(eps_grid):
         t0 = time.perf_counter()
-        region = box_region(kernel, radii[i])
+        region, regions[i] = regions[i], None
         # Rao-Blackwellized mu(phi_0^2): no field draws
         est, audit = pinning.covariance(region, e, origin, origin, budget,
                                         (seed, i), replicas)

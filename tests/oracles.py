@@ -14,8 +14,7 @@
 - Hitting probabilities by one SuperLU solve on a Region, checked against
   `green_killed` through the last-exit identity.
 - The Green diagonal of a Region by unit-column SuperLU solves, the
-  reference of `Region.green_entry(i, i)` and of the diagonal of
-  `Region.columns`.
+  reference of the diagonal of `Region.columns`, one column or a batch.
 - Dense small-box oracles of the pinned field: the Green function given
   every pin subset, the heat-bath pin probability from a fresh Region, an
   exact Gaussian field draw given the pins, and a scalar heat bath.

@@ -629,6 +629,34 @@ def test_variance_scan_manifest_records_gn0_audit(tmp_path, srw2_file):
 
 
 @pytest.mark.parametrize("command, body", [
+    ("variance-scan", "budget = 2\nreplicas = 2"),
+    ("mass-scan", "mode = pinning-exact\nbudget = 1\nsamples = 2"),
+], ids=["variance-scan", "mass-scan-pinned"])
+def test_over_cap_box_fails_before_any_chain(tmp_path, capsys, monkeypatch,
+                                             srw2_lazy_file, command, body):
+    # the boxes are R = 8, 8, 70 (variance) and 10, 10, 40 (mass): the
+    # slab factors of the first two fit a 2 MB cap, their chains' batches
+    # too, and the last box's 22.4 MB (4.25 MB) factor is refused before
+    # the first chain is built
+    from gffpin import green
+
+    built, init = [], pinning.GibbsChain.__init__
+    monkeypatch.setattr(pinning.GibbsChain, "__init__",
+                        lambda ch, *a, **k: built.append(ch) or init(ch, *a,
+                                                                     **k))
+    monkeypatch.setattr(green, "COLUMN_BYTES_CAP", 2_000_000)
+    code, out = _run(tmp_path, command,
+                     f"eps_list = 0.3 0.2 0.01\n{body}\n"
+                     f"kernel_file = {srw2_lazy_file}\nseed = 4\n")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "slab inverses of the Green factor" in err
+    assert "Traceback" not in err
+    assert built == []
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, body", [
     ("variance-scan", "eps_list = 0.3 0.2 0.1\nbudget = 8"),
     ("mass-scan",
      "eps_list = 0.3 0.2 0.1\nmode = pinning-exact\nbudget = 1\nsamples = 4"),
@@ -1076,12 +1104,14 @@ def test_one_green_path():
 
 
 def test_one_green_read():
-    # a Green value is read from one batch of unit columns: a single entry
-    # through `Region.green_entry`, a probe set in one `green_killed` call
+    # a Green value is read from one batch of unit columns: a chain's from
+    # its sweep's batch or from its observable's columns, a probe set's from
+    # one `green_killed` call, and no Region keeps a memo of them
     src = Path(gffpin.__file__).parent
     assert _call_sites(src, "columns") == [
-        "green.Region.green_entry", "green.Region.pinned_variance",
-        "green.green_killed", "pinning.GibbsChain.sweep"]
+        "green.Region.pinned_variance", "green.green_killed",
+        "pinning.GibbsChain.sweep", "pinning.covariance",
+        "pinning.domination_densities"]
 
 
 def test_one_byte_budget():

@@ -85,16 +85,19 @@ class TestGreenKilled:
             assert abs(value - ref) <= 1e-12 * ref
             assert 0.0 < r <= green.RESIDUAL_TARGET
 
-    def test_green_entry_matches_dense_inverse(self, srw2_lazy):
+    def test_single_columns_match_dense_inverse(self, srw2_lazy):
         # 120 sites, one of the 4 slabs of three rows holding a pin
         region = box_region(srw2_lazy, 5, pins=[(1, 1)])
+        n = region.n_alive
         inv = np.linalg.inv(dense_generator(region))
-        diag = [region.green_entry(i, i) for i in range(region.n_alive)]
+        before = dict(vars(region))
+        diag = [region.columns([i])[0][i, 0] for i in range(n)]
         assert np.abs(diag - np.diag(inv)).max() <= 1e-12
-        # each entry is kept as a float, not as its column
-        assert sorted(region._entry_memo) == [
-            (i, i) for i in range(region.n_alive)]
-        assert all(type(v) is float for v in region._entry_memo.values())
+        # the solves leave nothing on the Region but its slab factor: no
+        # column and no Green value
+        after = vars(region)
+        assert {k for k in after if after[k] is not before[k]} == {"_slabs"}
+        assert not region._pinned_variances
         # the slab factor is built once and kept: solves reuse it
         slabs = region._slabs
         green_killed(region, [((0, 0), (2, -3))])
@@ -115,9 +118,9 @@ class TestGreenKilled:
         ("srw1", 50, [(7,)], []),
     ], ids=["srw2-lazy-R21", "max-step-2", "d3", "empty-slabs",
             "empty-slab-max-step-2", "aniso", "d1"])
-    def test_green_entry_matches_oracles(self, request, name, radius,
-                                         pins, empty):
-        # the diagonal of every unit column, and `green_entry` at some
+    def test_columns_match_oracles(self, request, name, radius, pins,
+                                   empty):
+        # the diagonal of every unit column, and of single columns at some
         # sites, against SuperLU unit-column solves and the dense inverse,
         # and unit columns, one and several, against the dense inverse
         region = box_region(request.getfixturevalue(name), radius, pins=pins)
@@ -131,9 +134,9 @@ class TestGreenKilled:
         assert np.abs(diag - np.diag(inv)).max() <= 1e-12 * diag.max()
         picks = np.random.default_rng(4).choice(n, 5, replace=False)
         for i in (0, n - 1, int(np.argmax(ref)), *picks.tolist()):
-            assert abs(region.green_entry(i, i) - ref[i]) <= 1e-12 * ref[i]
-            assert abs(region.green_entry(i, i) - inv[i, i]) \
-                <= 1e-12 * inv[i, i]
+            gii = region.columns([i])[0][i, 0]
+            assert abs(gii - ref[i]) <= 1e-12 * ref[i]
+            assert abs(gii - inv[i, i]) <= 1e-12 * inv[i, i]
         for sites in ([n // 2], [0, n - 1], sorted(picks)):
             g, resid = region.columns(sites)
             ref = inv[:, sites]
@@ -268,11 +271,9 @@ class TestPinnedVariance:
         n = region.n_alive
         mat = dense_generator(region)
         calls = _spy_columns(monkeypatch)
-        # no pins: one column, of the audited site, and no memoized Green
-        # value
+        # no pins: one column, of the audited site
         region.pinned_variance(np.zeros(n, dtype=bool), 0)
         assert calls == [[0]]
-        assert not region._entry_memo
         rng = np.random.default_rng(7)
         for density in (0.1, 0.3, 0.6):
             pinned = rng.random(n) < density

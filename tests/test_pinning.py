@@ -41,6 +41,24 @@ def _pin(chain, i):
     chain._pin(i, chain.region.columns([i])[0][:, 0])
 
 
+def _all_columns(region):
+    """G0 of `region`, every unit column from one `Region.columns` call."""
+    return region.columns(np.arange(region.n_alive))[0]
+
+
+def _float_arrays(value):
+    """Every float array in `value`, through dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _float_arrays(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _float_arrays(v)
+
+
 @pytest.fixture(scope="module")
 def box3(srw2_lazy):
     return box_region(srw2_lazy, 1)
@@ -203,16 +221,18 @@ class TestSampler:
                 chain._unpin(i)
         keep = np.flatnonzero(~chain.pinned)
         true = np.linalg.inv(mat[np.ix_(keep, keep)])
-        raw = [chain.raw_variance(i) for i in keep]
+        g = _all_columns(region)
+        raw = [chain.raw_variance(i, g[:, i]) for i in keep]
         assert np.abs(raw - np.diag(true)).max() <= 1e-9
-        cov = np.array([[chain.covariance(i, j) for j in keep] for i in keep])
+        cov = np.array([[chain.covariance(i, j, g[:, i], g[:, j])
+                         for j in keep] for i in keep])
         assert np.abs(cov * region.beta - true).max() <= 1e-9
         pins = np.flatnonzero(chain.pinned)
         assert len(pins) >= 3
         for a in pins:
             back = np.append(keep, a)
             fresh = np.linalg.inv(mat[np.ix_(back, back)])[-1, -1]
-            assert abs(chain.raw_variance(a) - fresh) <= 1e-9
+            assert abs(chain.raw_variance(a, g[:, a]) - fresh) <= 1e-9
 
 
 class TestLowRankChain:
@@ -242,8 +262,9 @@ class TestLowRankChain:
         chain = GibbsChain(region, 0.3, seed=1)
         for i in range(0, region.n_alive, 2):
             _pin(chain, i)
+        g = _all_columns(region)
         odds = np.array([pinning._odds(chain.eps, chain.beta,
-                                       chain.raw_variance(i))
+                                       chain.raw_variance(i, g[:, i]))
                          for i in range(region.n_alive)])
         assert np.all(odds <= chain.p_hi * (1.0 + 1e-9))
         assert np.all(odds[1::2] >= chain.p_hi * (1.0 - 1e-9))
@@ -258,7 +279,7 @@ class TestLowRankChain:
         seen, raw = [], GibbsChain.raw_variance
         monkeypatch.setattr(
             GibbsChain, "raw_variance",
-            lambda ch, i, g0=None: seen.append(int(i)) or raw(ch, i, g0))
+            lambda ch, i, g0: seen.append(int(i)) or raw(ch, i, g0))
         audit_sites = {t - 1 for t in (1, 13, 137)}  # the first sweep's
         skipped = 0  # pins whose uniform is not below p_hi
         for sweep in range(4):
@@ -314,13 +335,16 @@ class TestLowRankChain:
         assert shared == audit_errors([box_region(srw2_lazy, 3)
                                        for _ in range(3)])
 
-    def test_drift_fails_the_audit(self, srw2_lazy, monkeypatch):
+    def test_drift_fails_the_audit(self, srw2_lazy):
+        # the first sweep audits site 0 at visit 1; it is pinned, so the
+        # chain reads its variance as 1 / K^{-1}[a, a] from a K^{-1} that
+        # has drifted 5% from G0[A, A]^{-1}
         region = box_region(srw2_lazy, 3)
-        entry = region.green_entry
-        monkeypatch.setattr(region, "green_entry",
-                            lambda i, j: entry(i, j) * 1.05)
         chain = GibbsChain(region, 0.3, seed=5)
-        with pytest.raises(NumericalError, match="audit failed"):
+        for i in (0, 10, 24):
+            _pin(chain, i)
+        chain.kinv *= 1.05
+        with pytest.raises(NumericalError, match="audit failed at site 0"):
             chain.sweep()
 
     def test_nan_reference_fails_the_audit(self, srw2_lazy, monkeypatch):
@@ -345,27 +369,45 @@ class TestLowRankChain:
         with pytest.raises(NumericalError, match="positive definiteness"):
             chain._unpin(1)
 
-    def test_non_positive_variance_is_numerical_error(self, srw2_lazy,
-                                                      monkeypatch):
+    def test_refused_pin_takes_no_slot(self, srw2_lazy):
+        # a pin refused on a NaN column leaves the chain as it was: the next
+        # pin takes slot 0 and reads no NaN
         region = box_region(srw2_lazy, 3)
-        monkeypatch.setattr(region, "green_entry", lambda i, j: 0.0)
+        chain = GibbsChain(region, 0.3, seed=5)
+        with pytest.raises(NumericalError, match="positive definiteness"):
+            chain._pin(0, np.full(region.n_alive, math.nan))
+        _pin(chain, 1)
+        assert chain.k == 1 and chain.free == [] and chain.slot[1] == 0
+        assert np.flatnonzero(chain.pinned).tolist() == [1]
+        assert chain.at[0] == 1 and np.isfinite(chain.kinv).all()
+
+    def test_non_positive_variance_is_numerical_error(self, srw2_lazy):
+        # a zero Green column gives G0(i, i) = 0 and c = 0
+        region = box_region(srw2_lazy, 3)
         chain = GibbsChain(region, 0.3, seed=5)
         _pin(chain, 10)
         for i in (0, 24):
             with pytest.raises(NumericalError, match="not positive"):
-                chain.raw_variance(i)
+                chain.raw_variance(i, np.zeros(region.n_alive))
 
-    def test_column_store_cap(self, srw2_lazy, monkeypatch):
+    def test_kinv_cap(self, srw2_lazy, monkeypatch):
+        # the ninth pin doubles K^{-1} and the slot sites to 16 slots,
+        # 8 * 16 * 17 bytes, refused one byte under that before they are
+        # allocated; no n-length column is sized
         region = box_region(srw2_lazy, 3)
         chain = GibbsChain(region, 0.3, seed=5)
         for i in range(8):
             _pin(chain, i)
-        monkeypatch.setattr(green, "COLUMN_BYTES_CAP",
-                            8 * 8 * (region.n_alive + 8))
-        with pytest.raises(ResourceError, match="Green columns of 9 pins"):
-            _pin(chain, 8)
-        assert chain.cols.shape == (region.n_alive, 8)
-        assert chain.pinned.sum() == 8
+        g = region.columns([8])[0][:, 0]
+        monkeypatch.setattr(green, "COLUMN_BYTES_CAP", 8 * 16 * 17 - 1)
+        with pytest.raises(ResourceError, match="K\\^-1 of 9 pins need 2176"):
+            chain._pin(8, g)
+        assert chain.kinv.shape == (8, 8) and chain.at.shape == (8,)
+        assert chain.pinned.sum() == 8 and chain.k == 8
+        monkeypatch.setattr(green, "COLUMN_BYTES_CAP", 8 * 16 * 17)
+        chain._pin(8, g)
+        assert chain.kinv.shape == (16, 16) and chain.at.shape == (16,)
+        assert chain.pinned.sum() == 9 and chain.k == 9
 
     @staticmethod
     def _spy_columns(monkeypatch):
@@ -380,10 +422,10 @@ class TestLowRankChain:
                 shapes.append(g[0].shape)
             return g
 
-        def audited(chain, i):
+        def audited(chain, i, g0):
             audits.append(i)
             try:
-                return audit(chain, i)
+                return audit(chain, i, g0)
             finally:
                 audits.pop()
 
@@ -394,13 +436,15 @@ class TestLowRankChain:
     def test_sweep_batch_cap(self, srw2_lazy, monkeypatch):
         # the sweep's one batch of columns, with the bordered grid, residual
         # and temporary of its residual check (81 cells each), is checked
-        # against the cap before it is allocated
+        # against the cap before it is allocated; it holds the sites below
+        # p_hi and the first sweep's audited sites, 0 and 12
         region = box_region(srw2_lazy, 3)
         n = region.n_alive
         chain = GibbsChain(region, 0.3, seed=5)
         u = copy.deepcopy(chain.rng).random(n)
-        m = int((u < chain.p_hi * (1.0 + 1e-9)).sum())
-        assert m
+        low = u < chain.p_hi * (1.0 + 1e-9)
+        m = int(low.sum()) + int(not low[0]) + int(not low[12])
+        assert low.any() and m > low.sum()
         need = 8 * m * (n + 3 * 81)
         shapes = self._spy_columns(monkeypatch)
         monkeypatch.setattr(green, "COLUMN_BYTES_CAP", need - 1)
@@ -420,48 +464,72 @@ class TestLowRankChain:
         for _ in range(6):
             before = len(shapes)
             chain.sweep()
-            assert len(shapes) - before <= 1
-        assert chain.pinned.any() and shapes
+            assert len(shapes) - before == 1
+        assert chain.pinned.any()
 
-    def test_covariance_column_solved_once(self, srw2_lazy, monkeypatch):
-        # off-diagonal reads take G0(i, j) from the Region's entry memo,
-        # shared by its chains
+    def test_covariance_columns_solved_once(self, srw2_lazy, monkeypatch):
+        # `pinning.covariance` solves the observable's two columns in one
+        # call, outside every sweep, and each replica reads those columns
         region = box_region(srw2_lazy, 3)
         inv = np.linalg.inv(dense_generator(region))
         i, j = region.site_index((0, 0)), region.site_index((1, 2))
-        shapes = self._spy_columns(monkeypatch)
-        for seed in (1, 2):
-            chain = GibbsChain(region, 0.3, seed=seed)
-            for _ in range(3):
-                got = chain.covariance(i, j) * region.beta
-                assert abs(got - inv[i, j]) <= 1e-12 * inv[i, j]
-        assert shapes == [(region.n_alive, 1)]
+        sweeping, outside, reads = [], [], []
+        columns, sweep, read = (Region.columns, GibbsChain.sweep,
+                                GibbsChain.covariance)
 
-    def test_region_keeps_entries_not_columns(self, srw2_lazy):
-        # a chain's reads leave floats on its Region, and no Green column
+        def spy(region, sites):
+            if not sweeping:
+                outside.append(list(sites))
+            return columns(region, sites)
+
+        def swept(chain):
+            sweeping.append(chain)
+            try:
+                return sweep(chain)
+            finally:
+                sweeping.pop()
+
+        monkeypatch.setattr(Region, "columns", spy)
+        monkeypatch.setattr(GibbsChain, "sweep", swept)
+        monkeypatch.setattr(
+            GibbsChain, "covariance",
+            lambda ch, a, b, ga, gb: reads.append((ch, ga, gb))
+            or read(ch, a, b, ga, gb))
+        covariance(region, 0.3, (0, 0), (1, 2), samples=6, seed=1,
+                   replicas=3)
+        assert outside == [[i, j]]
+        assert len(reads) == 6 and len({id(ch) for ch, _, _ in reads}) == 3
+        gi, gj = reads[0][1:]
+        assert all(ga is gi and gb is gj for _, ga, gb in reads)
+        assert np.abs(gi - inv[:, i]).max() <= 1e-12 * inv[i, i]
+        assert np.abs(gj - inv[:, j]).max() <= 1e-12 * inv[j, j]
+
+    def test_region_keeps_no_green_column(self, srw2_lazy):
+        # chains and their observable leave no Green column on the Region:
+        # only its slab factor and the audit references, as floats
         region = box_region(srw2_lazy, 3)
         n = region.n_alive
-        chain = GibbsChain(region, 0.3, seed=5)
-        _pin(chain, 10)
-        i, j = region.site_index((0, 0)), region.site_index((1, 2))
-        chain.covariance(i, j)
-        chain.covariance(j, j)
-        chain.raw_variance(3)
-        assert set(region._entry_memo) == {(3, 3), (i, j), (j, j)}
-        assert all(type(v) is float for v in region._entry_memo.values())
+        covariance(region, 0.3, (0, 0), (1, 2), samples=6, seed=1,
+                   replicas=2)
+        assert region._pinned_variances
+        assert all(type(v) is float for v in region._pinned_variances.values())
+        held = [a.shape for a in _float_arrays(vars(region))]
+        assert held and not [s for s in held if s[0] == n]
 
-        def arrays(value):
-            if isinstance(value, np.ndarray):
-                yield value
-            elif isinstance(value, dict):
-                for v in value.values():
-                    yield from arrays(v)
-            elif isinstance(value, (list, tuple)):
-                for v in value:
-                    yield from arrays(v)
-
-        held = [a.shape for a in arrays(vars(region))]
-        assert held and not {(n,), (n, 1)} & set(held)
+    def test_chain_keeps_no_green_column(self, srw2_lazy):
+        # after sweeps that pin sites, the chain holds K^{-1} and the site
+        # of each slot, and no float array with a row per site
+        region = box_region(srw2_lazy, 6)
+        n = region.n_alive
+        chain = GibbsChain(region, 0.3, seed=7)
+        for _ in range(6):
+            chain.sweep()
+            state = {k: v for k, v in vars(chain).items() if k != "region"}
+            held = [a.shape for a in _float_arrays(state)]
+            assert held and not [s for s in held if s[0] == n]
+        assert chain.pinned.any()
+        pins = np.flatnonzero(chain.pinned)
+        assert sorted(chain.at[chain.slot[pins]]) == pins.tolist()
 
 
 class TestFieldSampling:
@@ -608,6 +676,7 @@ class TestOneDimensionalOracle:
         region = box_region(kernel, radius)
         origin = region.site_index((0,))
         probes = [region.site_index((r,)) for r in (0, 5, 10, 20)]
+        g, _ = region.columns(probes)
         interior = np.abs(region.sites[:, 0]) <= radius // 2
         means = []
         for rep in range(replicas):
@@ -615,7 +684,8 @@ class TestOneDimensionalOracle:
             for chain in recorded(GibbsChain(region, eps, seed=1, replica=rep),
                                   per, per):
                 acc += [chain.pinned[interior].mean()] + [
-                    chain.covariance(origin, j) for j in probes]
+                    chain.covariance(origin, j, g[:, 0], g[:, t])
+                    for t, j in enumerate(probes)]
             means.append(acc / per)
         means = np.array(means)
         est = means.mean(axis=0)
