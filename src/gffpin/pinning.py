@@ -12,13 +12,14 @@ G_A = G0 - G0[:, A] K^{-1} G0[A, :] with K = G0[A, A] and G0 the Green
 matrix of the box. It keeps K^{-1} and the site of each slot, so its memory
 is O(|A|^2) beyond the n-length `pinned` and `slot`, and no Green column:
 G0 is symmetric, so G0[A, i] is rows A of G0[:, i], a column of the batch
-that a sweep solves over the sites it may pin or audit. A flip costs
-O(|A|^2); there is no diag(G_A) vector, and a variance is computed where it
-is needed, in O(|A|^2). No odds exceed p_hi, the odds with all other sites
-pinned, so a sweep computes the odds only at the sites whose uniform is
-below p_hi, about p_hi * n of them. The pinned set is sparse at small eps,
-which is what makes large boxes reachable. Exact enumeration stays dense:
-it serves the FKG check and is the small-box oracle of the sampler.
+that a sweep solves over the sites it may pin or audit. A visit costs one
+O(|A|^2) Schur solve, K^{-1} G0[A, i] and G_A(i, i), which gives the odds
+and is handed to the pin; there is no diag(G_A) vector. No odds exceed
+p_hi, the odds with all other sites pinned, so a sweep computes the odds
+only at the sites whose uniform is below p_hi, about p_hi * n of them. The
+pinned set is sparse at small eps, which is what makes large boxes
+reachable. Exact enumeration stays dense: it serves the FKG check and is
+the small-box oracle of the sampler.
 
 Every heat-bath run goes through one driver, `recorded`: it runs a chain's
 burn-in sweeps, then yields the chain after each recorded sweep, and no other
@@ -63,12 +64,13 @@ class GibbsChain:
     of each slot and K^{-1} = G0[A, A]^{-1} over the slots; no Green column.
     An unpinned site i, handed its column g0 = G0[:, i], has the conditional
     variance G0(i, i) - c^T K^{-1} c with c = g0[at] = G0[A, i], as G0 is
-    symmetric; a pinned site a has 1 / K^{-1}[a, a]. A pin and an unpin cost
-    O(|A|^2), and an unpin frees its slot for the next pin (a free slot has
-    zero rows in K^{-1}). A scheduled audit reads its site's column from the
-    sweep's batch and compares the variance with `Region.pinned_variance`,
-    computed from its own fresh Green columns and a fresh Cholesky factor,
-    sharing nothing with the chain's K^{-1}.
+    symmetric; a pinned site a has 1 / K^{-1}[a, a]. A visit computes
+    K^{-1} c and the variance once (`_schur`), and `_pin` is handed them; a
+    pin and an unpin cost O(|A|^2), and an unpin frees its slot for the
+    next pin (a free slot has zero rows in K^{-1}). A scheduled audit reads
+    its site's column from the sweep's batch and compares the variance with
+    `Region.pinned_variance`, computed from its own fresh Green columns and
+    a fresh Cholesky factor, sharing nothing with the chain's K^{-1}.
     """
 
     def __init__(self, region: Region, eps: float, seed: int, replica: int = 0):
@@ -90,20 +92,26 @@ class GibbsChain:
 
     # -- conditional variance -----------------------------------------------
 
-    def raw_variance(self, i, g0) -> float:
-        """Conditional variance at site i given the other pins, beta = 1,
-        with g0 = G0[:, i] the Green column of an unpinned site i (unread
-        at a pinned one)."""
+    def _schur(self, i, g0):
+        """(K^{-1} c, v), v the conditional variance at site i, beta = 1:
+        the visit's one O(|A|^2) solve at an unpinned i, handed its column
+        g0 = G0[:, i] (c = g0[at]); (None, v) at a pinned one."""
         p, k = self.slot[i], self.k
         if p >= 0:
-            v = 1.0 / self.kinv[p, p]
+            kb, v = None, 1.0 / self.kinv[p, p]
         else:
             c = g0[self.at[:k]]
-            v = g0[i] - c @ (self.kinv[:k, :k] @ c)
+            kb = self.kinv[:k, :k] @ c  # zero at free slots
+            v = g0[i] - c @ kb
         if not v > 0:
             raise NumericalError(
                 f"variance {v!r} at site {i} is not positive; audit the chain")
-        return float(v)
+        return kb, float(v)
+
+    def raw_variance(self, i, g0) -> float:
+        """Conditional variance at site i given the other pins, beta = 1,
+        with g0 = G0[:, i] its Green column (unread if i is pinned)."""
+        return self._schur(i, g0)[1]
 
     def _audit(self, i, g0):
         s = self.raw_variance(i, g0)
@@ -120,16 +128,15 @@ class GibbsChain:
     def _grow(self):
         cap = min(len(self.pinned), max(8, 2 * len(self.at)))
         check_bytes(8 * cap * (cap + 1), f"K^-1 of {self.k + 1} pins")
-        pad = (0, cap - len(self.at))  # zeros: new slots hold no pin
-        self.at, self.kinv = np.pad(self.at, pad), np.pad(self.kinv, pad)
+        k = len(self.at)  # zeros: new slots hold no pin
+        at, kinv = np.zeros(cap, dtype=np.int64), np.zeros((cap, cap))
+        at[:k], kinv[:k, :k] = self.at, self.kinv
+        self.at, self.kinv = at, kinv
 
-    def _pin(self, i, g0):
-        """Pin site i, given its Green column g0 = G0[:, i]; a refused pin
-        changes nothing."""
+    def _pin(self, i, kb, s):
+        """Pin site i, given kb = K^{-1} G0[A, i] and s = G_A(i, i) from
+        `_schur`; a refused pin changes nothing."""
         k = self.k
-        c = g0[self.at[:k]]  # G0[A, i]
-        kb = self.kinv[:k, :k] @ c  # K^{-1} G0[A, i], zero at free slots
-        s = g0[i] - c @ kb  # G_A(i, i)
         if not s > 0:
             raise NumericalError("lost positive definiteness; audit the chain")
         p = self.free.pop() if self.free else k
@@ -185,19 +192,22 @@ class GibbsChain:
         want[audits] = True
         batch = np.flatnonzero(want)
         g0, _ = self.region.columns(batch)
+        pos = np.empty(n, dtype=np.int64)  # column of each batch site
+        pos[batch] = np.arange(len(batch))
         for i in np.flatnonzero(low | self.pinned):
             while audits and audits[0] <= i:
                 a = audits.pop(0)
-                self._audit(a, g0[:, np.searchsorted(batch, a)])
-            col = None if self.pinned[i] else g0[:, np.searchsorted(batch, i)]
-            pin = bool(low[i]) and u[i] < _odds(self.eps, self.beta,
-                                                self.raw_variance(i, col))
-            if pin and not self.pinned[i]:
-                self._pin(i, col)
-            elif self.pinned[i] and not pin:
+                self._audit(a, g0[:, pos[a]])
+            pinned, pin = self.pinned[i], False
+            if low[i]:
+                kb, s = self._schur(i, None if pinned else g0[:, pos[i]])
+                pin = u[i] < _odds(self.eps, self.beta, s)
+            if pin and not pinned:
+                self._pin(i, kb, s)
+            elif pinned and not pin:
                 self._unpin(i)
         for a in audits:
-            self._audit(a, g0[:, np.searchsorted(batch, a)])
+            self._audit(a, g0[:, pos[a]])
 
     def covariance(self, i, j, gi, gj) -> float:
         """G_{A^c}(i, j)/beta for the current pin set, given the Green

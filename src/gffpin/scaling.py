@@ -330,7 +330,9 @@ def _window_ends(m, lo=_FIT_LO, hi=_FIT_HI):
 
 
 def _window(r_lo, r_hi, points):
-    return np.unique(np.round(np.linspace(r_lo, r_hi, points)).astype(int))
+    # sorted and distinct; np.unique's first call would import numpy.ma
+    xs = np.round(np.linspace(r_lo, r_hi, points)).astype(int)
+    return np.array(sorted(set(xs.tolist())))
 
 
 def _steps_needed(m, sigma1, r_hi):
@@ -453,7 +455,7 @@ def _pinned_mass_point(region, eps, seed, point_index, samples, audits):
     centred box, and the sweeps per distance; each distance's largest audit
     error goes to `audits` at once, so that a failed fit keeps them."""
     kernel, radius = region.kernel, int(region.hi[0])
-    rs = np.unique(np.round(np.linspace(2, max(6, radius - 2), 5)).astype(int))
+    rs = _window(2, max(6, radius - 2), 5)
     vals, errs = [], []
     for r in rs:
         est, audit = pinning.covariance(

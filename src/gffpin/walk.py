@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,11 +38,11 @@ class StepKernel:
     beta_eff: float
     aperiodic: bool
 
-    @property
+    @cached_property  # read on every Green solve
     def max_step(self) -> int:
         return int(np.abs(self.steps).max(initial=0))
 
-    @property
+    @cached_property
     def p0(self) -> float:
         at0 = np.all(self.steps == 0, axis=1)
         return float(self.probs[at0].sum())

@@ -759,7 +759,8 @@ def _start_up_loads(tmp_path, command, body, banned):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("command, body", [
+# one run of every command, and a bare import of the CLI
+_START_UP = pytest.mark.parametrize("command, body", [
     (None, None),
     ("mass-scan", "eps_list = 0.3 0.2 0.1\nbudget = 300\nkernel_file = {kernel}"),
     ("renewal1d", "eps_list = 0.1 0.01"),
@@ -775,11 +776,22 @@ def _start_up_loads(tmp_path, command, body, banned):
 ], ids=["import", "mass-scan-surrogate", "renewal1d", "fkg-check",
         "pins-sample", "variance-scan", "mass-scan-pinning-exact",
         "green-probe"])
+
+
+@_START_UP
 def test_start_up_leaves_out_scipy(tmp_path, srw2_file, command, body):
     # path ensembles, exact enumeration, slab-factor Green columns and
     # their audits all run on numpy alone: no command loads scipy
     _start_up_loads(tmp_path, command, body and body.format(kernel=srw2_file),
                     "scipy")
+
+
+@_START_UP
+def test_start_up_leaves_out_numpy_ma(tmp_path, srw2_file, command, body):
+    # the first plain np.unique call imports numpy.ma (about 13 ms and 1 MB
+    # of RSS): no command makes one
+    _start_up_loads(tmp_path, command, body and body.format(kernel=srw2_file),
+                    "numpy.ma")
 
 
 def test_library_imports_no_scipy():

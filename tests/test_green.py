@@ -170,6 +170,53 @@ class TestGreenKilled:
         with pytest.raises(NumericalError, match="residual"):
             region.columns([100])
 
+    @pytest.mark.parametrize("name, radius, pins, sites", [
+        # lazy srw2, R = 7: 5 slabs of three rows of 15 sites
+        ("srw2_lazy", 7, [], [0, 7, 44]),  # the first slab only
+        ("srw2_lazy", 7, [], [180, 200, 224]),  # the last slab only
+        ("srw2_lazy", 7, [], [3, 100, 200]),  # slabs 0, 2 and 4
+        # the rows of slab 1 pinned: 4 slabs left, columns on each side
+        ("srw2_lazy", 7, [(x, y) for x in (-4, -3, -2)
+                          for y in range(-7, 8)], [0, 44, 45, 179]),
+        ("srw2_lazy", 7, [], []),  # no column
+        ("srw1", 50, [], [97, 100]),  # the last, short slab of 1D
+        ("srw1", 50, [], [0, 70]),
+    ], ids=["first-slab", "last-slab", "skipped-slabs", "pinned-slab",
+            "empty", "d1-last-slab", "d1-skipped-slab"])
+    def test_columns_by_slab_match_dense_inverse(self, request, name, radius,
+                                                 pins, sites):
+        # one search over the slab edges gives each slab its columns
+        region = box_region(request.getfixturevalue(name), radius, pins=pins)
+        inv = np.linalg.inv(dense_generator(region))
+        g, resid = region.columns(sites)
+        assert g.shape == (region.n_alive, len(sites))
+        assert resid.shape == (len(sites),)
+        if sites:
+            ref = inv[:, sites]
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_d1_residual_scales_with_the_column(self, srw1):
+        # in d = 1, |g| grows like n: at 30,001 sites the centre column's
+        # residual, about 1.2e-10, is 8e-15 of its G0(0, 0) = 15001
+        region = box_region(srw1, 15000)
+        g, resid = region.columns([15000])
+        assert abs(g[15000, 0] - 15001.0) <= 1e-9 * 15001.0
+        assert resid[0] <= green.RESIDUAL_TARGET * np.abs(g).max()
+
+    @pytest.mark.parametrize("name, radius, site", [
+        ("srw1", 15000, 15000), ("srw2_lazy", 5, 100),
+    ], ids=["d1", "d2"])
+    def test_slightly_scaled_slab_inverse_fails_the_residual(
+            self, request, name, radius, site):
+        # the scaled target still catches a slab inverse off by 1e-6: the
+        # column through it fails by orders of magnitude
+        region = box_region(request.getfixturevalue(name), radius)
+        inv = next(slab for slab in region._slab_factor()
+                   if slab[0] <= site < slab[1])[2]
+        inv *= 1.0 + 1e-6
+        with pytest.raises(NumericalError, match="residual"):
+            region.columns([site])
+
     def test_slab_factor_size_checked_before_allocation(self, srw2,
                                                         monkeypatch):
         # one slab of 10^6 sites: 8 TB of slab inverse, far beyond memory;

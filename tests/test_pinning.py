@@ -37,8 +37,9 @@ EPS = 0.5
 
 
 def _pin(chain, i):
-    """Pin site i of `chain` with its Green column from `Region.columns`."""
-    chain._pin(i, chain.region.columns([i])[0][:, 0])
+    """Pin site i of `chain` with the Schur terms of its Green column from
+    `Region.columns`."""
+    chain._pin(i, *chain._schur(i, chain.region.columns([i])[0][:, 0]))
 
 
 def _all_columns(region):
@@ -276,10 +277,10 @@ class TestLowRankChain:
         region = box_region(srw2_lazy, 6)
         n = region.n_alive
         chain = GibbsChain(region, 0.3, seed=7)
-        seen, raw = [], GibbsChain.raw_variance
+        seen, schur = [], GibbsChain._schur
         monkeypatch.setattr(
-            GibbsChain, "raw_variance",
-            lambda ch, i, g0: seen.append(int(i)) or raw(ch, i, g0))
+            GibbsChain, "_schur",
+            lambda ch, i, g0: seen.append(int(i)) or schur(ch, i, g0))
         audit_sites = {t - 1 for t in (1, 13, 137)}  # the first sweep's
         skipped = 0  # pins whose uniform is not below p_hi
         for sweep in range(4):
@@ -293,6 +294,40 @@ class TestLowRankChain:
             assert len(seen) < n // 4
             audit_sites = set()
         assert skipped
+
+    def test_visit_solves_its_schur_terms_once(self, srw2_lazy, monkeypatch):
+        # each site below p_hi gets one `_schur` call per visit, the only
+        # K^{-1} c of an unpinned one, and a pin reuses it: `_pin` makes no
+        # call of its own (sweeps 2-4 audit nothing)
+        region = box_region(srw2_lazy, 6)
+        n = region.n_alive
+        chain = GibbsChain(region, 0.3, seed=7)
+        seen, inside, pins = [], [], []
+        schur, pin = GibbsChain._schur, GibbsChain._pin
+
+        def spy_schur(ch, i, g0):
+            seen.append((int(i), bool(inside)))
+            return schur(ch, i, g0)
+
+        def spy_pin(ch, i, kb, s):
+            inside.append(i)
+            pins.append(i)
+            try:
+                return pin(ch, i, kb, s)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(GibbsChain, "_schur", spy_schur)
+        monkeypatch.setattr(GibbsChain, "_pin", spy_pin)
+        chain.sweep()
+        pins.clear()
+        for _ in range(3):
+            u = copy.deepcopy(chain.rng).random(n)
+            low = np.flatnonzero(u < chain.p_hi * (1.0 + 1e-9)).tolist()
+            seen.clear()
+            chain.sweep()
+            assert seen == [(i, False) for i in low]
+        assert pins
 
     def test_audits_fire_at_fixed_visits(self, srw2_lazy, monkeypatch):
         region = box_region(srw2_lazy, 10)
@@ -361,8 +396,7 @@ class TestLowRankChain:
     def test_nan_flip_is_numerical_error(self, srw2_lazy):
         region = box_region(srw2_lazy, 3)
         with pytest.raises(NumericalError, match="positive definiteness"):
-            GibbsChain(region, 0.3, seed=5)._pin(
-                0, np.full(region.n_alive, math.nan))
+            GibbsChain(region, 0.3, seed=5)._pin(0, np.empty(0), math.nan)
         chain = GibbsChain(region, 0.3, seed=5)
         _pin(chain, 1)
         chain.kinv[chain.slot[1], chain.slot[1]] = math.nan
@@ -370,12 +404,12 @@ class TestLowRankChain:
             chain._unpin(1)
 
     def test_refused_pin_takes_no_slot(self, srw2_lazy):
-        # a pin refused on a NaN column leaves the chain as it was: the next
-        # pin takes slot 0 and reads no NaN
+        # a pin refused on a NaN variance leaves the chain as it was: the
+        # next pin takes slot 0 and reads no NaN
         region = box_region(srw2_lazy, 3)
         chain = GibbsChain(region, 0.3, seed=5)
         with pytest.raises(NumericalError, match="positive definiteness"):
-            chain._pin(0, np.full(region.n_alive, math.nan))
+            chain._pin(0, np.empty(0), math.nan)
         _pin(chain, 1)
         assert chain.k == 1 and chain.free == [] and chain.slot[1] == 0
         assert np.flatnonzero(chain.pinned).tolist() == [1]
@@ -398,14 +432,14 @@ class TestLowRankChain:
         chain = GibbsChain(region, 0.3, seed=5)
         for i in range(8):
             _pin(chain, i)
-        g = region.columns([8])[0][:, 0]
+        schur = chain._schur(8, region.columns([8])[0][:, 0])
         monkeypatch.setattr(green, "COLUMN_BYTES_CAP", 8 * 16 * 17 - 1)
         with pytest.raises(ResourceError, match="K\\^-1 of 9 pins need 2176"):
-            chain._pin(8, g)
+            chain._pin(8, *schur)
         assert chain.kinv.shape == (8, 8) and chain.at.shape == (8,)
         assert chain.pinned.sum() == 8 and chain.k == 8
         monkeypatch.setattr(green, "COLUMN_BYTES_CAP", 8 * 16 * 17)
-        chain._pin(8, g)
+        chain._pin(8, *schur)
         assert chain.kinv.shape == (16, 16) and chain.at.shape == (16,)
         assert chain.pinned.sum() == 9 and chain.k == 9
 

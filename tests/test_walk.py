@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -95,6 +96,21 @@ class TestMakeKernel:
         k = kernel_from_file(path)
         assert k.lazy and math.isclose(k.beta_eff, 3.0)
         assert math.isclose(k.p0, 0.5)
+
+
+    @pytest.mark.parametrize("name", ["srw2", "srw2_lazy", "aniso",
+                                      "knight"])
+    def test_scalars_cached_on_frozen_kernel(self, request, name):
+        # p0 and max_step are computed on first read and kept; the kernel
+        # stays frozen
+        k = request.getfixturevalue(name)
+        p0 = float(k.probs[np.all(k.steps == 0, axis=1)].sum())
+        assert (k.p0, k.max_step) == (p0, int(np.abs(k.steps).max()))
+        assert vars(k)["p0"] == p0 and k.p0 is vars(k)["p0"]
+        assert vars(k)["max_step"] == k.max_step
+        for field in ("d", "p0"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(k, field, 0)
 
 
 class TestStepPmf:
